@@ -205,9 +205,11 @@ def _level_estimate(points, responses, level, theta, n, z):
     return estimate, rel
 
 
-def run_ladder(model, config, rng, pool=None, confidence=0.95):
+def run_ladder(model, config, rng, pool=None):
     """Run the exploration ladder; returns the final shift and the trace.
 
+    Trace rows carry the 95% relative half-width their ``ci95_rel`` column
+    names, whatever confidence the final estimate uses.
     Raises MaxLevelsExceeded (carrying the trace) if the ladder stalls for
     ``stall_limit`` consecutive levels or runs past ``max_levels``.
     """
@@ -215,7 +217,7 @@ def run_ladder(model, config, rng, pool=None, confidence=0.95):
     if config.gamma is None:
         raise DomainError("ladder config must set gamma")
     d = model.dimension
-    z = z_value(confidence)
+    z = z_value(0.95)
     gamma_o = float(oriented_response(model, config.gamma))
     theta = np.zeros(d)
     trace = LadderTrace()
@@ -331,7 +333,7 @@ def estimate_to_precision(model, gamma, config, target, m0, rng,
     if m0 < 1:
         raise DomainError("batch size must be at least 1")
     cfg = replace(config, gamma=gamma)
-    theta, trace = run_ladder(model, cfg, rng, pool, confidence)
+    theta, trace = run_ladder(model, cfg, rng, pool)
     exploration = trace.exploration_runs
     sample = None
     batch_index = 0

@@ -126,6 +126,15 @@ class TestProbPipeline:
         assert all(a < b for a, b in zip(gammas, gammas[1:]))
         assert gammas[-1] == 3.0
 
+    def test_trace_ci_is_95_percent_at_any_confidence(self):
+        # the ci95_rel column is the 95% half-width whatever --confidence says
+        traces = []
+        for confidence in (0.95, 0.99):
+            _, bundle = run(RunConfig(task="prob", gamma=4.0,
+                                      confidence=confidence, seed=5))
+            traces.append(bundle["trace"])
+        assert traces[0] == traces[1]
+
 
 class TestQuantilePipeline:
     def test_identity_quantile(self, tmp_path):
