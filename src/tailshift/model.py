@@ -274,11 +274,18 @@ class SimulatorPool:
         if self.workers == 1 or n < 2 * self.workers:
             return self._sims[0].evaluate(points)
         bounds = np.linspace(0, n, self.workers + 1).astype(int)
-        chunks = [(self._sims[w], points[bounds[w]:bounds[w + 1]])
-                  for w in range(self.workers) if bounds[w] < bounds[w + 1]]
-        futures = [self._executor.submit(sim.evaluate, chunk)
-                   for sim, chunk in chunks]
-        parts = [f.result() for f in futures]
+        jobs = [(int(bounds[w]),
+                 self._executor.submit(self._sims[w].evaluate,
+                                       points[bounds[w]:bounds[w + 1]]))
+                for w in range(self.workers) if bounds[w] < bounds[w + 1]]
+        parts = []
+        for start, future in jobs:
+            try:
+                parts.append(future.result())
+            except SimulatorError as exc:
+                # a simulator numbers its chunk from 0; report batch positions
+                raise SimulatorError(
+                    str(exc), indices=[start + i for i in exc.indices]) from exc
         return np.concatenate(parts)
 
     def close(self):

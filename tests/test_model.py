@@ -139,6 +139,20 @@ while True:
     sys.stdout.flush()
 """
 
+NAN_AT_327 = """\
+#!/usr/bin/env python3
+import sys
+while True:
+    header = sys.stdin.readline()
+    if not header:
+        break
+    n, d = map(int, header.split()[1:])
+    for _ in range(n):
+        x = float(sys.stdin.readline().split()[0])
+        print("nan" if x == 327.0 else "%.17g" % x)
+    sys.stdout.flush()
+"""
+
 
 def write_sim(tmp_path, name, body):
     path = tmp_path / name
@@ -191,3 +205,14 @@ class TestExternalProcess:
             with pytest.raises(SimulatorError) as err:
                 response_values(model, np.zeros((3, 2)), pool)
         assert 0 in err.value.indices
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_failing_index_is_batch_position(self, tmp_path, workers):
+        command = write_sim(tmp_path, "nan327.py", NAN_AT_327)
+        model = ModelSpec.external(command, 2)
+        pts = np.zeros((400, 2))
+        pts[:, 0] = np.arange(400)
+        with SimulatorPool(command, 2, workers=workers) as pool:
+            with pytest.raises(SimulatorError) as err:
+                response_values(model, pts, pool)
+        assert err.value.indices == (327,)
