@@ -274,18 +274,17 @@ class SimulatorPool:
         if self.workers == 1 or n < 2 * self.workers:
             return self._sims[0].evaluate(points)
         bounds = np.linspace(0, n, self.workers + 1).astype(int)
-        jobs = [(int(bounds[w]),
-                 self._executor.submit(self._sims[w].evaluate,
-                                       points[bounds[w]:bounds[w + 1]]))
-                for w in range(self.workers) if bounds[w] < bounds[w + 1]]
+        # n >= 2 * workers here, so no chunk is empty
+        futures = [self._executor.submit(sim.evaluate, points[lo:hi])
+                   for sim, lo, hi in zip(self._sims, bounds, bounds[1:])]
         parts = []
-        for start, future in jobs:
+        for lo, future in zip(bounds, futures):
             try:
                 parts.append(future.result())
             except SimulatorError as exc:
                 # a simulator numbers its chunk from 0; report batch positions
-                raise SimulatorError(
-                    str(exc), indices=[start + i for i in exc.indices]) from exc
+                raise SimulatorError(str(exc), indices=[
+                    int(lo) + i for i in exc.indices]) from exc
         return np.concatenate(parts)
 
     def close(self):
