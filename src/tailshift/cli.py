@@ -302,85 +302,65 @@ def _fmt(value):
     return str(value)
 
 
-def _table_block(title, columns, rows):
-    lines = [title]
-    widths = [max(len(c), *(len(_fmt(r[c])) for r in rows)) if rows else len(c)
-              for c in columns]
-    lines.append(" | ".join(c.ljust(w) for c, w in zip(columns, widths)))
-    lines.append("-+-".join("-" * w for w in widths))
-    for r in rows:
-        lines.append(" | ".join(_fmt(r[c]).ljust(w)
-                                for c, w in zip(columns, widths)))
-    return lines
+_STRATA_COLUMNS = ("prob", "count", "pilot_dev", "mean")
+_TRACE_COLUMNS = ("iteration", "runs", "gamma", "estimate", "ci95_rel")
+
+
+def _blocks(bundle):
+    """Report blocks shared by the table and CSV emitters.
+
+    Each is (title, columns, rows of values, blank line before it in CSV).
+    """
+    blocks = []
+    if "report" in bundle:
+        r = bundle["report"]
+        blocks.append(("estimate",
+                       ("measure", "tail", "prob", "ci_rel", "runs", "speedup"),
+                       [(bundle["model"], bundle["tail"], r["estimate"],
+                         r["ci_rel"], r["runs_total"], r["speedup"])], False))
+    if "quantile" in bundle:
+        q = bundle["quantile"]
+        blocks.append(("quantile",
+                       ("measure", "p", "quantile", "ci_rel", "runs", "speedup"),
+                       [(bundle["model"], q["p"], q["quantile"], q["ci_rel"],
+                         q["runs_total"], q["speedup"])], False))
+    if "cvar" in bundle:
+        c = bundle["cvar"]
+        blocks.append(("cvar", ("gamma", "cvar", "ci_rel", "runs", "speedup"),
+                       [(c["gamma"], c["cvar"], c["ci_rel"], c["runs"],
+                         c["speedup"])], False))
+    for title, columns in (("strata", _STRATA_COLUMNS),
+                           ("trace", _TRACE_COLUMNS)):
+        if bundle.get(title):
+            blocks.append((title, columns,
+                           [tuple(row[c] for c in columns)
+                            for row in bundle[title]], True))
+    return blocks
 
 
 def _emit_table(bundle):
     lines = [f"task={bundle['task']} model={bundle['model']} "
              f"tail={bundle['tail']} seed={bundle['seed']} status={bundle['status']}"]
-    if "report" in bundle:
-        r = bundle["report"]
-        row = {"measure": bundle["model"], "tail": bundle["tail"],
-               "prob": r["estimate"], "ci_rel": r["ci_rel"],
-               "runs": r["runs_total"], "speedup": r["speedup"]}
-        lines += _table_block("estimate",
-                              ["measure", "tail", "prob", "ci_rel", "runs",
-                               "speedup"], [row])
-    if "quantile" in bundle:
-        q = bundle["quantile"]
-        row = {"measure": bundle["model"], "p": q["p"],
-               "quantile": q["quantile"], "ci_rel": q["ci_rel"],
-               "runs": q["runs_total"], "speedup": q["speedup"]}
-        lines += _table_block("quantile",
-                              ["measure", "p", "quantile", "ci_rel", "runs",
-                               "speedup"], [row])
-    if "cvar" in bundle:
-        c = bundle["cvar"]
-        row = {"gamma": c["gamma"], "cvar": c["cvar"], "ci_rel": c["ci_rel"],
-               "runs": c["runs"], "speedup": c["speedup"]}
-        lines += _table_block("cvar",
-                              ["gamma", "cvar", "ci_rel", "runs", "speedup"],
-                              [row])
-    if bundle.get("strata"):
-        lines += _table_block("strata", ["prob", "count", "pilot_dev", "mean"],
-                              bundle["strata"])
-    if bundle.get("trace"):
-        lines += _table_block("trace",
-                              ["iteration", "runs", "gamma", "estimate",
-                               "ci95_rel"], bundle["trace"])
+    for title, columns, rows, _ in _blocks(bundle):
+        cells = [[_fmt(v) for v in row] for row in rows]
+        widths = [max(len(c), *(len(row[i]) for row in cells))
+                  for i, c in enumerate(columns)]
+        lines.append(title)
+        lines.append(" | ".join(c.ljust(w) for c, w in zip(columns, widths)))
+        lines.append("-+-".join("-" * w for w in widths))
+        for row in cells:
+            lines.append(" | ".join(v.ljust(w) for v, w in zip(row, widths)))
     return ("\n".join(lines) + "\n").encode()
 
 
 def _emit_csv(bundle):
     lines = []
-    if "report" in bundle:
-        r = bundle["report"]
-        lines.append("measure,tail,prob,ci_rel,runs,speedup")
-        lines.append(",".join(_fmt(v) for v in (
-            bundle["model"], bundle["tail"], r["estimate"], r["ci_rel"],
-            r["runs_total"], r["speedup"])))
-    if "quantile" in bundle:
-        q = bundle["quantile"]
-        lines.append("measure,p,quantile,ci_rel,runs,speedup")
-        lines.append(",".join(_fmt(v) for v in (
-            bundle["model"], q["p"], q["quantile"], q["ci_rel"],
-            q["runs_total"], q["speedup"])))
-    if "cvar" in bundle:
-        c = bundle["cvar"]
-        lines.append("gamma,cvar,ci_rel,runs,speedup")
-        lines.append(",".join(_fmt(v) for v in (
-            c["gamma"], c["cvar"], c["ci_rel"], c["runs"], c["speedup"])))
-    if bundle.get("strata"):
-        lines.append("")
-        lines.append("prob,count,pilot_dev,mean")
-        for row in bundle["strata"]:
-            lines.append(",".join(_fmt(row[k])
-                                  for k in ("prob", "count", "pilot_dev", "mean")))
-    if bundle.get("trace"):
-        lines.append("")
-        lines.append("iteration,runs,gamma,estimate,ci95_rel")
-        for row in bundle["trace"]:
-            lines.append(",".join(_fmt(row[k]) for k in (
-                "iteration", "runs", "gamma", "estimate", "ci95_rel")))
+    for _, columns, rows, gap in _blocks(bundle):
+        if gap:
+            lines.append("")
+        lines.append(",".join(columns))
+        for row in rows:
+            lines.append(",".join(_fmt(v) for v in row))
     return ("\n".join(lines) + "\n").encode()
 
 

@@ -19,7 +19,7 @@ from .core import std_normal_quantile
 from .dimred import augment_selection, select_important, solve_shift_in_subspace
 from .errors import (BudgetExhausted, DegenerateBatch, DomainError,
                      MaxLevelsExceeded)
-from .meanshift import WeightedBatch, likelihood_ratio, solve_optimal_shift
+from .meanshift import WeightedBatch, solve_optimal_shift
 from .model import oriented_response, response_values
 
 # Stream id spaces; exploration and final phases never share a stream.
@@ -192,33 +192,43 @@ def _solve_level(batch, selection, config):
     return solve_optimal_shift(batch, **kwargs)
 
 
-def _level_estimate(points, responses, level, theta, n, z):
-    """Exceedance estimate at ``level`` weighted back to the nominal measure."""
-    weights = likelihood_ratio(points, np.zeros_like(theta), theta)
+def weighted_exceedance(responses, weights, level):
+    """Nominal exceedance estimate at ``level`` and its standard error.
+
+    ``weights`` are linear likelihood ratios to the nominal measure.
+    """
     terms = np.where(responses >= level, weights, 0.0)
     estimate = float(terms.mean())
     variance = float((terms * terms).mean() - estimate * estimate)
-    if estimate > 0.0:
-        rel = z * math.sqrt(max(variance, 0.0) / n) / estimate
-    else:
-        rel = math.inf
-    return estimate, rel
+    return estimate, math.sqrt(max(variance, 0.0) / terms.size)
 
 
-def run_ladder(model, config, rng, pool=None):
+def run_ladder(model, config, rng, pool=None, level_rule=None):
     """Run the exploration ladder; returns the final shift and the trace.
 
+    ``level_rule(responses, weights) -> (level, done)`` picks each level from
+    a batch's oriented responses and likelihood-ratio weights; the ladder
+    stops once the shift is solved at a level marked done.  The default rule
+    is the top-rho statistic capped at ``config.gamma``, done at gamma.
     Trace rows carry the 95% relative half-width their ``ci95_rel`` column
     names, whatever confidence the final estimate uses.
-    Raises MaxLevelsExceeded (carrying the trace) if the ladder stalls for
-    ``stall_limit`` consecutive levels or runs past ``max_levels``.
+    Raises MaxLevelsExceeded (carrying the trace) past ``max_levels`` or,
+    under the default rule, after ``stall_limit`` consecutive stalled levels.
     """
     config.validate()
-    if config.gamma is None:
-        raise DomainError("ladder config must set gamma")
+    # a custom rule has no fixed target to stall below
+    stall_floor = -math.inf
+    if level_rule is None:
+        if config.gamma is None:
+            raise DomainError("ladder config must set gamma")
+        gamma_o = float(oriented_response(model, config.gamma))
+        stall_floor = config.progress_floor * max(1.0, abs(gamma_o))
+
+        def level_rule(responses, weights):
+            level = next_level(responses, config.rho, gamma_o)
+            return level, level >= gamma_o
     d = model.dimension
     z = z_value(0.95)
-    gamma_o = float(oriented_response(model, config.gamma))
     theta = np.zeros(d)
     trace = LadderTrace()
     selection = None
@@ -229,7 +239,9 @@ def run_ladder(model, config, rng, pool=None):
         noise = stream.generator.standard_normal((config.n_per_level, d))
         points = noise + theta
         responses = oriented_response(model, response_values(model, points, pool))
-        level = next_level(responses, config.rho, gamma_o)
+        # likelihood ratio N(0, I) / N(theta, I) at each point
+        weights = np.exp(points @ -theta + 0.5 * (theta @ theta))
+        level, done = level_rule(responses, weights)
         batch = WeightedBatch.from_threshold(points, responses, level,
                                              base_shift=theta)
         if _use_dimred(config, d):
@@ -242,8 +254,8 @@ def run_ladder(model, config, rng, pool=None):
                                            max_dim=config.dimred_max))
             trace.selection = selection
         sol = _solve_level(batch, selection, config)
-        estimate, rel = _level_estimate(points, responses, level, theta,
-                                        config.n_per_level, z)
+        estimate, se = weighted_exceedance(responses, weights, level)
+        rel = z * se / estimate if estimate > 0.0 else math.inf
         trace.levels.append(LadderLevel(
             index=k,
             gamma=float(oriented_response(model, level)),
@@ -255,10 +267,9 @@ def run_ladder(model, config, rng, pool=None):
             runs=config.n_per_level,
         ))
         theta = sol.theta
-        if level >= gamma_o:
+        if done:
             return theta, trace
-        if prev_level is not None and (level - prev_level) < (
-                config.progress_floor * max(1.0, abs(gamma_o))):
+        if prev_level is not None and (level - prev_level) < stall_floor:
             stall += 1
             if stall >= config.stall_limit:
                 raise MaxLevelsExceeded(
@@ -267,7 +278,8 @@ def run_ladder(model, config, rng, pool=None):
             stall = 0
         prev_level = level
     raise MaxLevelsExceeded(
-        f"gamma not reached within {config.max_levels} levels", trace=trace)
+        f"ladder target not reached within {config.max_levels} levels",
+        trace=trace)
 
 
 def draw_tail_sample(model, gamma, theta, m, rng, pool=None):
@@ -289,16 +301,15 @@ def report_from_sample(sample, confidence=0.95, runs_exploration=0,
                        gamma=None, converged=None):
     """Probability estimate with CI and speedup from a weighted tail sample."""
     z = z_value(confidence)
-    terms = sample.hit_terms()
     m = sample.size
-    estimate = float(terms.mean())
+    estimate, se = weighted_exceedance(sample.responses,
+                                       np.exp(sample.log_weights), sample.gamma)
     if estimate <= 0.0:
         return EstimateReport(
             estimate=0.0, rel_half_width=math.inf, confidence=confidence,
             runs_exploration=runs_exploration, runs_final=m, speedup=0.0,
             gamma=gamma, theta=sample.theta, converged=False, zero_hits=True)
-    variance = float((terms * terms).mean() - estimate * estimate)
-    rel = z * math.sqrt(max(variance, 0.0) / m) / estimate
+    rel = z * se / estimate
     total = runs_exploration + m
     speedup = mc_equivalent_runs(estimate, rel, confidence) / total if rel > 0 else math.inf
     return EstimateReport(

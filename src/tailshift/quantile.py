@@ -1,8 +1,9 @@
 """Inverse problem: the threshold whose exceedance probability is p.
 
-The ladder is reused without a fixed target level: it climbs until the
-weighted exceedance estimate of the tentative next level drops below p, at
-which point the target quantile lies inside the current batch's range.  The
+The shared ladder runs with a bracket level rule instead of a fixed target
+level: it climbs until the weighted exceedance estimate of the tentative
+next level drops below p, at which point the target quantile lies inside the
+current batch's range.  The
 shift solved there then drives a refinement phase that pools fresh batches
 and inverts the pooled weighted survival curve at p.  The quantile interval
 comes from pushing the probability interval through the local slope of that
@@ -14,14 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dimred import augment_selection, select_important
-from .errors import (BudgetExhausted, DomainError, MaxLevelsExceeded,
-                     NonMonotoneBracket)
-from .meanshift import WeightedBatch, likelihood_ratio
-from .model import oriented_response, response_values
-from .multilevel import (LADDER_STREAM, QUANTILE_STREAM, LadderLevel,
-                         LadderTrace, _solve_level, _use_dimred,
-                         draw_tail_sample, next_level, z_value)
+from .errors import BudgetExhausted, DomainError, NonMonotoneBracket
+from .model import oriented_response
+from .multilevel import (QUANTILE_STREAM, draw_tail_sample, next_level,
+                         run_ladder, weighted_exceedance, z_value)
 
 # refinement is driven this much tighter than the configured probability
 # precision so that round trips through the probability estimator stay
@@ -58,72 +55,27 @@ def _survival_inverse(responses, weights, total, p):
     return float(responses[order[k]])
 
 
-def _exploration(model, p, config, rng, pool):
-    """Climb levels until the target probability is inside the batch range.
+def _bracket_rule(p, rho):
+    """Ladder level rule that brackets the quantile of probability p.
 
-    Returns (theta, pivot level, trace, runs) with the shift solved on the
-    survivors of the pivot level.
+    Levels follow the uncapped top-rho statistic until its weighted
+    exceedance falls to p; that batch's level is where the weighted survival
+    curve crosses p, and it ends the ladder.
     """
-    d = model.dimension
-    trace = LadderTrace()
-    theta = np.zeros(d)
-    selection = None
-    for k in range(1, config.max_levels + 1):
-        stream = rng.child(LADDER_STREAM + k)
-        noise = stream.generator.standard_normal((config.n_per_level, d))
-        points = noise + theta
-        responses = oriented_response(model, response_values(model, points, pool))
-        weights = likelihood_ratio(points, np.zeros(d), theta)
-        tentative = next_level_uncapped(responses, config.rho)
-        exceed = float(np.where(responses >= tentative, weights, 0.0).mean())
-        bracketed = exceed <= p
-        if bracketed:
-            level = _survival_inverse(responses, weights,
-                                      config.n_per_level, p)
-            if level is None:
-                raise NonMonotoneBracket(
-                    "batch weighted mass cannot reach the target probability")
-        else:
-            level = tentative
-        batch = WeightedBatch.from_threshold(points, responses, level,
-                                             base_shift=theta)
-        if _use_dimred(config, d):
-            selection = (select_important(batch, config.dimred_max,
-                                          config.dimred_energy)
-                         if selection is None else
-                         augment_selection(selection, batch,
-                                           max_dim=config.dimred_max))
-            trace.selection = selection
-        sol = _solve_level(batch, selection, config)
-        terms = np.where(responses >= level, weights, 0.0)
-        estimate = float(terms.mean())
-        variance = float((terms * terms).mean() - estimate * estimate)
-        rel = (z_value(0.95) * math.sqrt(max(variance, 0.0) / config.n_per_level)
-               / estimate if estimate > 0.0 else math.inf)
-        trace.levels.append(LadderLevel(
-            index=k,
-            gamma=float(oriented_response(model, level)),
-            theta=sol.theta,
-            survivor_count=batch.survivor_count,
-            estimate=estimate,
-            rel_half_width=rel,
-            newton_iterations=sol.newton_iterations,
-            runs=config.n_per_level,
-        ))
-        theta = sol.theta
-        if bracketed:
-            return theta, level, trace, k * config.n_per_level
-    raise MaxLevelsExceeded(
-        f"target probability not bracketed within {config.max_levels} levels",
-        trace=trace)
+    def rule(responses, weights):
+        tentative = next_level(responses, rho, math.inf)
+        exceed, _ = weighted_exceedance(responses, weights, tentative)
+        if exceed > p:
+            return tentative, False
+        level = _survival_inverse(responses, weights, responses.size, p)
+        if level is None:
+            raise NonMonotoneBracket(
+                "batch weighted mass cannot reach the target probability")
+        return level, True
+    return rule
 
 
-def next_level_uncapped(responses, rho):
-    """Top-rho order statistic with no ceiling (quantile search has none)."""
-    return next_level(responses, rho, math.inf)
-
-
-def _slope_at(responses, weights, total, level):
+def _slope_at(responses, weights, level):
     """Centered-difference slope of the weighted survival curve at ``level``.
 
     The half-step is one weighted standard deviation of the survivor
@@ -134,9 +86,9 @@ def _slope_at(responses, weights, total, level):
     mean = float((weights[hits] * responses[hits]).sum() / wsum)
     var = float((weights[hits] * responses[hits] ** 2).sum() / wsum - mean * mean)
     step = math.sqrt(max(var, 1e-30))
-    g_hi = float(np.where(responses >= level + step, weights, 0.0).sum() / total)
-    g_lo = float(np.where(responses >= level - step, weights, 0.0).sum() / total)
-    return max((g_lo - g_hi) / (2.0 * step), 1e-300), step
+    g_hi, _ = weighted_exceedance(responses, weights, level + step)
+    g_lo, _ = weighted_exceedance(responses, weights, level - step)
+    return max((g_lo - g_hi) / (2.0 * step), 1e-300)
 
 
 def estimate_quantile(model, p, config, rng, m0=1000, precision=0.10,
@@ -150,34 +102,37 @@ def estimate_quantile(model, p, config, rng, m0=1000, precision=0.10,
     """
     if not 0.0 < p < 1.0:
         raise DomainError("target probability must lie in (0, 1)")
-    config.validate()
     z = z_value(confidence)
-    theta, pivot, trace, exploration = _exploration(model, p, config, rng, pool)
+    theta, trace = run_ladder(model, config, rng, pool,
+                              level_rule=_bracket_rule(p, config.rho))
+    exploration = trace.exploration_runs
+    # the last ladder level brackets p; refinement batches are drawn there
+    pivot_gamma = trace.levels[-1].gamma
+    pivot = oriented_response(model, pivot_gamma)
 
-    responses = np.empty(0)
-    log_weights = np.empty(0)
+    sample = None
     widen = 0
     batch_index = 0
     level = pivot
     while True:
-        used = exploration + responses.size
-        if used + m0 > budget:
+        m = sample.size if sample is not None else 0
+        if exploration + m + m0 > budget:
             report = QuantileReport(
                 quantile=float(oriented_response(model, level)),
                 rel_half_width=math.inf, p=p, runs_exploration=exploration,
-                runs_final=responses.size, speedup=0.0, theta=theta,
+                runs_final=m, speedup=0.0, theta=theta,
                 converged=False, confidence=confidence)
             raise BudgetExhausted(
                 f"budget of {budget} runs hit during quantile refinement",
                 report=report, trace=trace)
-        batch = draw_tail_sample(model, oriented_response(model, pivot), theta,
-                                 m0, rng.child(QUANTILE_STREAM + batch_index),
+        batch = draw_tail_sample(model, pivot_gamma, theta, m0,
+                                 rng.child(QUANTILE_STREAM + batch_index),
                                  pool)
         batch_index += 1
-        responses = np.concatenate([responses, batch.responses])
-        log_weights = np.concatenate([log_weights, batch.log_weights])
-        weights = np.exp(log_weights)
-        m = responses.size
+        sample = batch if sample is None else sample.merge(batch)
+        responses = sample.responses
+        weights = np.exp(sample.log_weights)
+        m = sample.size
         level = _survival_inverse(responses, weights, m, p)
         if level is None or level == responses.max():
             # quantile sits beyond the sampled range; widen with more batches
@@ -188,14 +143,11 @@ def estimate_quantile(model, p, config, rng, m0=1000, precision=0.10,
                     "quantile refinement cannot bracket the target probability")
             continue
         widen = 0
-        terms = np.where(responses >= level, weights, 0.0)
-        estimate = float(terms.mean())
-        variance = float((terms * terms).mean() - estimate * estimate)
-        se_p = math.sqrt(max(variance, 0.0) / m)
+        estimate, se_p = weighted_exceedance(responses, weights, level)
         rel_p = z * se_p / estimate
         if rel_p > REFINE_FACTOR * precision:
             continue
-        slope, _ = _slope_at(responses, weights, m, level)
+        slope = _slope_at(responses, weights, level)
         half = z * se_p / slope
         quantile = float(oriented_response(model, level))
         rel = half / max(abs(quantile), 1e-300)

@@ -242,10 +242,13 @@ class TestExternalModel:
 
 
 class TestLadderFailureExit:
-    def test_max_levels_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("target", [["prob", "--gamma", "50.0"],
+                                        ["quantile", "--p", "1e-12"]],
+                             ids=["prob", "quantile"])
+    def test_max_levels_exit_code(self, tmp_path, target):
         from tailshift.cli import EXIT_LADDER
-        code, payload = run_main(tmp_path, [
-            "prob", "--model", "builtin:identity", "--gamma", "50.0",
+        code, payload = run_main(tmp_path, target + [
+            "--model", "builtin:identity",
             "--max-levels", "2", "--seed", "0", "--format", "json"])
         assert code == EXIT_LADDER
         bundle = json.loads(payload)
