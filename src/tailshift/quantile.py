@@ -3,11 +3,11 @@
 The shared ladder runs with a bracket level rule instead of a fixed target
 level: it climbs until the weighted exceedance estimate of the tentative
 next level drops below p, at which point the target quantile lies inside the
-current batch's range.  The
-shift solved there then drives a refinement phase that pools fresh batches
-and inverts the pooled weighted survival curve at p.  The quantile interval
-comes from pushing the probability interval through the local slope of that
-curve (a centered difference, no density estimate).
+current batch's range.  The shift solved there then drives a refinement
+phase that pools fresh batches and inverts the pooled weighted survival
+curve at p.  The quantile interval comes from pushing the probability
+interval through the local slope of that curve (a centered difference, no
+density estimate).
 """
 
 import math
