@@ -7,7 +7,7 @@ shift direction, and important-variable selection for high dimensions.
 """
 
 from .core import (RngStream, sample_std_normal, std_normal_cdf,
-                   std_normal_pdf, std_normal_quantile)
+                   std_normal_quantile)
 from .cvar import (CvarReport, cvar_exact_bias, estimate_cvar,
                    estimate_cvar_unnormalized)
 from .dimred import SubspaceSelection, select_important, solve_shift_in_subspace

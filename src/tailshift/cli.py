@@ -12,6 +12,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from typing import get_args
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from .cvar import estimate_cvar
 from .errors import (BudgetExhausted, ConfigError, MaxLevelsExceeded,
                      SimulatorError, TailshiftError)
 from .model import ModelSpec, SimulatorPool
-from .multilevel import LadderConfig, estimate_to_precision, run_ladder
+from .multilevel import (DIMRED_MODES, LadderConfig, estimate_to_precision,
+                         run_ladder)
 from .quantile import estimate_quantile
 from .stratified import strata_from_shift, stratified_estimate
 
@@ -34,7 +36,10 @@ EXIT_LADDER = 5
 WORKERS_ENV = "TAILSHIFT_WORKERS"
 
 _TASKS = ("prob", "quantile", "cvar", "strata")
-_FORMATS = ("table", "json", "csv")
+# allowed values of the RunConfig fields that take a name
+_CHOICES = {"task": _TASKS, "tail": ("right", "left"), "dimred": DIMRED_MODES,
+            "format": ("table", "json", "csv")}
+_HELP = {"model": "builtin:<identity|linear|skewed> or exec:<command>"}
 
 
 @dataclass
@@ -64,12 +69,12 @@ class RunConfig:
     out: str | None = None
 
     def validate(self):
-        if self.task not in _TASKS:
-            raise ConfigError(f"task: must be one of {_TASKS}, got {self.task!r}")
+        for name, allowed in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"{name}: must be one of {allowed}, got {value!r}")
         if self.dim < 1:
             raise ConfigError(f"dim: must be >= 1, got {self.dim}")
-        if self.tail not in ("right", "left"):
-            raise ConfigError(f"tail: must be 'right' or 'left', got {self.tail!r}")
         if self.batch < 1:
             raise ConfigError(f"batch: must be >= 1, got {self.batch}")
         if not 0.0 < self.precision < 1.0:
@@ -88,8 +93,11 @@ class RunConfig:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise ConfigError(f"workers: must be >= 1, got {self.workers}")
-        if self.dimred not in ("auto", "on", "off"):
-            raise ConfigError(f"dimred: must be auto/on/off, got {self.dimred!r}")
+        if self.dimred_max < 1:
+            raise ConfigError(f"dimred_max: must be >= 1, got {self.dimred_max}")
+        if not 0.0 < self.dimred_energy <= 1.0:
+            raise ConfigError(
+                f"dimred_energy: must lie in (0, 1], got {self.dimred_energy}")
         if self.strata < 2:
             raise ConfigError(f"strata: must be >= 2, got {self.strata}")
         if not 0.0 < self.pilot < 1.0:
@@ -97,8 +105,6 @@ class RunConfig:
         if self.n_total < 2 * self.strata:
             raise ConfigError(
                 f"n_total: must be >= 2 * strata, got {self.n_total}")
-        if self.format not in _FORMATS:
-            raise ConfigError(f"format: must be one of {_FORMATS}, got {self.format!r}")
         if self.task == "quantile":
             if self.p is None or not 0.0 < self.p < 1.0:
                 raise ConfigError("p: quantile task needs p in (0, 1)")
@@ -124,16 +130,13 @@ class RunConfig:
             f"model: expected builtin:<name> or exec:<path>, got {spec!r}")
 
     def ladder_config(self):
-        dimred = {"auto": "auto", "on": True, "off": False}[self.dimred]
-        return LadderConfig(
-            gamma=self.gamma,
-            n_per_level=self.n_per_level,
-            rho=self.rho,
-            max_levels=self.max_levels,
-            dimred=dimred,
-            dimred_max=self.dimred_max,
-            dimred_energy=self.dimred_energy,
-        )
+        return LadderConfig(**{f.name: getattr(self, f.name)
+                               for f in fields(LadderConfig)})
+
+
+def _field_type(f):
+    """T for a RunConfig field declared as T or T | None."""
+    return (get_args(f.type) or (f.type,))[0]
 
 
 def _json_safe(value):
@@ -384,34 +387,31 @@ def _build_parser():
     for task in _TASKS:
         p = sub.add_parser(task)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--model", help="builtin:<identity|linear|skewed> or exec:<command>")
-        p.add_argument("--dim", type=int)
-        p.add_argument("--tail", choices=("right", "left"))
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--p", type=float)
-        p.add_argument("--batch", type=int)
-        p.add_argument("--precision", type=float)
-        p.add_argument("--confidence", type=float)
-        p.add_argument("--rho", type=float)
-        p.add_argument("--n-per-level", dest="n_per_level", type=int)
-        p.add_argument("--max-levels", dest="max_levels", type=int)
-        p.add_argument("--budget", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
-        p.add_argument("--dimred", choices=("auto", "on", "off"))
-        p.add_argument("--dimred-max", dest="dimred_max", type=int)
-        p.add_argument("--dimred-energy", dest="dimred_energy", type=float)
-        p.add_argument("--strata", type=int)
-        p.add_argument("--pilot", type=float)
-        p.add_argument("--n-total", dest="n_total", type=int)
-        p.add_argument("--format", choices=_FORMATS)
-        p.add_argument("--out")
+        for f in fields(RunConfig):
+            if f.name != "task":
+                p.add_argument("--" + f.name.replace("_", "-"),
+                               type=_field_type(f), choices=_CHOICES.get(f.name),
+                               help=_HELP.get(f.name))
     return parser
 
 
+def _check_file_value(f, value):
+    if value is None and type(None) in get_args(f.type):
+        return
+    want = _field_type(f)
+    # JSON has one number type: a whole number may set a float field
+    accepted = (int, float) if want is float else want
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(
+            f"{f.name}: config file value must be {want.__name__}, got {value!r}")
+
+
 def load_config(args):
-    """Resolve the run configuration: defaults, then file, then flags."""
-    values = {"task": args.task}
+    """Resolve the run configuration: defaults, then file, then flags.
+
+    The subcommand always sets the task, whatever the file says.
+    """
+    values = {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -422,14 +422,15 @@ def load_config(args):
             raise ConfigError(f"config: invalid JSON in {args.config!r}: {exc}")
         if not isinstance(file_values, dict):
             raise ConfigError("config: file must hold a JSON object")
-        known = {f.name for f in fields(RunConfig)}
+        known = {f.name: f for f in fields(RunConfig)}
         for key, value in file_values.items():
             if key not in known:
                 raise ConfigError(f"config: unknown field {key!r}")
+            _check_file_value(known[key], value)
             values[key] = value
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
-        if flag is not None and f.name != "task":
+        if flag is not None:
             values[f.name] = flag
     if "workers" not in values and os.environ.get(WORKERS_ENV):
         try:
@@ -437,10 +438,7 @@ def load_config(args):
         except ValueError:
             raise ConfigError(f"workers: bad {WORKERS_ENV} value "
                               f"{os.environ[WORKERS_ENV]!r}")
-    try:
-        config = RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(f"config: {exc}")
+    config = RunConfig(**values)
     config.validate()
     return config
 

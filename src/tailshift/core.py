@@ -56,12 +56,6 @@ def std_normal_cdf(x):
     return float(out) if out.ndim == 0 else out
 
 
-def std_normal_pdf(x):
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return float(out) if out.ndim == 0 else out
-
-
 def std_normal_quantile(p):
     """Inverse standard normal CDF on (0, 1).
 

@@ -7,13 +7,12 @@ keeps that inflation bounded while retaining the coordinates that actually
 drive the failure event.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, NotConverged
-from .meanshift import (ShiftSolution, WeightedBatch, _softmax,
-                        _survivor_terms, solve_optimal_shift)
+from .meanshift import _softmax, _survivor_terms, solve_optimal_shift
 
 
 @dataclass(frozen=True)
@@ -91,52 +90,25 @@ def augment_selection(selection, batch, max_dim, sig_level=3.5):
     return SubspaceSelection(indices=merged, dimension=selection.dimension)
 
 
-def _reduced_batch(batch, selection):
-    idx = selection.indices
-    complement = np.setdiff1d(np.arange(batch.dimension), idx)
-    offsets = batch.points[:, complement] @ batch.base_shift[complement]
-    if batch.log_weight_offset is not None:
-        offsets = offsets + batch.log_weight_offset
-    residual_sq = float(batch.base_shift[complement] @ batch.base_shift[complement])
-    reduced = WeightedBatch(
-        points=batch.points[:, idx],
-        responses=batch.responses,
-        survivors=batch.survivors,
-        base_shift=batch.base_shift[idx],
-        log_weight_offset=offsets,
-    )
-    return reduced, residual_sq
-
-
-def _embed_solution(sol, selection, residual_sq):
-    # The off-subset part of the base shift scales the criterion by a
-    # constant factor the reduced problem cannot see.
-    factor = np.exp(-0.5 * residual_sq)
-    return ShiftSolution(
-        theta=selection.embed(sol.theta),
-        criterion_value=sol.criterion_value * factor,
-        criterion_variance=sol.criterion_variance * factor * factor,
-        newton_iterations=sol.newton_iterations,
-        grad_norm=sol.grad_norm,
-        converged=sol.converged,
-    )
-
-
-def solve_shift_in_subspace(batch, selection, **newton_kwargs):
+def solve_shift_in_subspace(batch, selection):
     """Solve the optimal shift restricted to the selected coordinates.
 
-    The returned shift is full-dimensional with exact zeros off the subset.
+    The base shift must be zero off the subset, as every ladder shift is
+    (the first level starts at zero and selections only grow), so the
+    restricted problem is the batch on the selected columns.  The returned
+    shift is full-dimensional with exact zeros off the subset.
     """
     if selection.dimension != batch.dimension:
         raise DomainError("selection dimension does not match the batch")
-    reduced, residual_sq = _reduced_batch(batch, selection)
-    init = newton_kwargs.pop("theta_init", None)
-    if init is not None:
-        init = np.asarray(init, dtype=float)[selection.indices]
+    idx = selection.indices
+    if np.any(np.delete(batch.base_shift, idx)):
+        raise DomainError("base shift must be zero off the selected coordinates")
+    reduced = replace(batch, points=batch.points[:, idx],
+                      base_shift=batch.base_shift[idx])
     try:
-        sol = solve_optimal_shift(reduced, theta_init=init, **newton_kwargs)
+        sol = solve_optimal_shift(reduced)
     except NotConverged as exc:
-        best = (_embed_solution(exc.best, selection, residual_sq)
+        best = (replace(exc.best, theta=selection.embed(exc.best.theta))
                 if exc.best is not None else None)
         raise NotConverged(str(exc), best=best)
-    return _embed_solution(sol, selection, residual_sq)
+    return replace(sol, theta=selection.embed(sol.theta))

@@ -27,18 +27,12 @@ from .errors import DomainError, NoSurvivors, NotConverged
 
 @dataclass
 class WeightedBatch:
-    """Samples drawn under ``base_shift`` with survivor flags at some level.
-
-    ``log_weight_offset`` carries optional per-sample additive log weights;
-    the subspace solver uses it to fold the fixed out-of-subspace part of the
-    base shift into the objective.
-    """
+    """Samples drawn under ``base_shift`` with survivor flags at some level."""
 
     points: np.ndarray          # (n, d)
     responses: np.ndarray       # (n,) oriented responses
     survivors: np.ndarray       # (n,) bool
     base_shift: np.ndarray      # (d,)
-    log_weight_offset: np.ndarray | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -58,12 +52,10 @@ class WeightedBatch:
             raise DomainError("batch contains non-finite entries")
 
     @classmethod
-    def from_threshold(cls, points, responses, level, base_shift,
-                       log_weight_offset=None):
+    def from_threshold(cls, points, responses, level, base_shift):
         responses = np.asarray(responses, dtype=float)
         return cls(points=points, responses=responses,
-                   survivors=responses >= level, base_shift=base_shift,
-                   log_weight_offset=log_weight_offset)
+                   survivors=responses >= level, base_shift=base_shift)
 
     @property
     def size(self):
@@ -110,10 +102,7 @@ def _survivor_terms(theta, batch):
     if batch.survivor_count == 0:
         raise NoSurvivors("no survivor in the batch")
     pts = batch.points[batch.survivors]
-    expo = -(pts @ (np.asarray(theta, dtype=float) - batch.base_shift))
-    if batch.log_weight_offset is not None:
-        expo = expo + np.asarray(batch.log_weight_offset, dtype=float)[batch.survivors]
-    return pts, expo
+    return pts, -(pts @ (np.asarray(theta, dtype=float) - batch.base_shift))
 
 
 def _softmax(expo):
@@ -225,21 +214,18 @@ def _solution(theta, batch, iterations, grad_norm, converged):
     )
 
 
-def solve_optimal_shift(batch, theta_init=None, tol=1e-8, max_iter=50,
-                        cg_tol=1e-10, armijo_factor=0.5, armijo_slope=1e-4):
+def solve_optimal_shift(batch, tol=1e-8, max_iter=50):
     """Newton solve of the optimal shift on the convexified objective.
 
-    Each Newton system (I + weighted_cov) delta = -grad is solved by
-    conjugate gradient with the Hessian applied matrix-free; an Armijo
-    backtracking line search keeps the objective monotone.  Raises
-    NotConverged (carrying the best iterate) past ``max_iter`` steps.
+    Starts from the batch's base shift.  Each Newton system
+    (I + weighted_cov) delta = -grad is solved by conjugate gradient with the
+    Hessian applied matrix-free; an Armijo backtracking line search keeps the
+    objective monotone.  Raises NotConverged (carrying the best iterate) past
+    ``max_iter`` steps.
     """
     if batch.survivor_count == 0:
         raise NoSurvivors("cannot solve for a shift without survivors")
-    theta = np.array(batch.base_shift if theta_init is None else theta_init,
-                     dtype=float)
-    if theta.shape != (batch.dimension,):
-        raise DomainError("theta_init dimension does not match the batch")
+    theta = batch.base_shift.copy()
     value = log_objective(theta, batch)
     for iteration in range(max_iter):
         pts, expo = _survivor_terms(theta, batch)
@@ -255,7 +241,7 @@ def solve_optimal_shift(batch, theta_init=None, tol=1e-8, max_iter=50,
         def apply_hessian(v):
             return v + centered.T @ (s * (centered @ v))
 
-        delta = _conjugate_gradient(apply_hessian, -grad, cg_tol,
+        delta = _conjugate_gradient(apply_hessian, -grad, 1e-10,
                                     max_iter=min(batch.dimension, pts.shape[0] + 2))
         slope = grad @ delta
         if -slope <= 64.0 * np.finfo(float).eps * max(1.0, abs(value)):
@@ -268,9 +254,9 @@ def solve_optimal_shift(batch, theta_init=None, tol=1e-8, max_iter=50,
         while True:
             candidate = theta + step * delta
             cand_value = log_objective(candidate, batch)
-            if cand_value <= value + armijo_slope * step * slope:
+            if cand_value <= value + 1e-4 * step * slope:
                 break
-            step *= armijo_factor
+            step *= 0.5
             if step < 1e-18:
                 raise NotConverged(
                     "line search failed to make progress",

@@ -86,12 +86,6 @@ class ModelSpec:
             raise ConfigError("external model requires a command")
         return cls(kind="external", dimension=dimension, tail=tail, command=command)
 
-    @property
-    def label(self):
-        if self.kind == "external":
-            return f"exec:{self.command}"
-        return f"builtin:{self.kind}"
-
     def coefficient_stack(self):
         """Stacked coefficient vector c with h(X) ~ N(0, |c|^2); None if no oracle."""
         if self.kind == "identity":

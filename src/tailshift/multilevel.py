@@ -29,6 +29,13 @@ QUANTILE_STREAM = 3_000_000
 STRATA_PILOT_STREAM = 4_000_000
 STRATA_MAIN_STREAM = 4_500_000
 
+DIMRED_MODES = ("auto", "on", "off")
+DIMRED_THRESHOLD = 500      # dimred="auto" selects variables when d exceeds it
+# a level that rises by less than PROGRESS_FLOOR * max(1, |gamma|) stalls;
+# STALL_LIMIT consecutive stalls end the ladder
+PROGRESS_FLOOR = 1e-9
+STALL_LIMIT = 3
+
 
 def z_value(confidence):
     if not 0.0 < confidence < 1.0:
@@ -44,20 +51,15 @@ def mc_equivalent_runs(p, rel_half_width, confidence=0.95):
 
 @dataclass
 class LadderConfig:
-    """Settings of the exploration ladder and its inner Newton solves."""
+    """Settings of the exploration ladder."""
 
     gamma: float | None = None
     n_per_level: int = 1000
     rho: float = 0.10
     max_levels: int = 30
-    newton_tol: float = 1e-8
-    newton_max_iter: int = 50
-    dimred: bool | str = "auto"     # True, False, or "auto" (on when d > threshold)
-    dimred_threshold: int = 500
+    dimred: str = "auto"        # "on", "off", or "auto" (on when d > DIMRED_THRESHOLD)
     dimred_max: int = 200
     dimred_energy: float = 0.99
-    progress_floor: float = 1e-9
-    stall_limit: int = 3
 
     def validate(self):
         if not 0.0 < self.rho < 1.0:
@@ -66,6 +68,9 @@ class LadderConfig:
             raise DomainError("n_per_level must be at least 100")
         if self.max_levels < 1:
             raise DomainError("max_levels must be at least 1")
+        if self.dimred not in DIMRED_MODES:
+            raise DomainError(f"dimred must be one of {DIMRED_MODES}, "
+                              f"got {self.dimred!r}")
 
 
 @dataclass
@@ -178,18 +183,15 @@ def next_level(responses, rho, gamma):
 
 
 def _use_dimred(config, dimension):
-    if config.dimred is True:
-        return True
-    if config.dimred is False:
-        return False
-    return dimension > config.dimred_threshold
+    if config.dimred == "auto":
+        return dimension > DIMRED_THRESHOLD
+    return config.dimred == "on"
 
 
-def _solve_level(batch, selection, config):
-    kwargs = dict(tol=config.newton_tol, max_iter=config.newton_max_iter)
+def _solve_level(batch, selection):
     if selection is not None and selection.size < batch.dimension:
-        return solve_shift_in_subspace(batch, selection, **kwargs)
-    return solve_optimal_shift(batch, **kwargs)
+        return solve_shift_in_subspace(batch, selection)
+    return solve_optimal_shift(batch)
 
 
 def weighted_exceedance(responses, weights, level):
@@ -213,7 +215,7 @@ def run_ladder(model, config, rng, pool=None, level_rule=None):
     Trace rows carry the 95% relative half-width their ``ci95_rel`` column
     names, whatever confidence the final estimate uses.
     Raises MaxLevelsExceeded (carrying the trace) past ``max_levels`` or,
-    under the default rule, after ``stall_limit`` consecutive stalled levels.
+    under the default rule, after ``STALL_LIMIT`` consecutive stalled levels.
     """
     config.validate()
     # a custom rule has no fixed target to stall below
@@ -222,7 +224,7 @@ def run_ladder(model, config, rng, pool=None, level_rule=None):
         if config.gamma is None:
             raise DomainError("ladder config must set gamma")
         gamma_o = float(oriented_response(model, config.gamma))
-        stall_floor = config.progress_floor * max(1.0, abs(gamma_o))
+        stall_floor = PROGRESS_FLOOR * max(1.0, abs(gamma_o))
 
         def level_rule(responses, weights):
             level = next_level(responses, config.rho, gamma_o)
@@ -253,7 +255,7 @@ def run_ladder(model, config, rng, pool=None, level_rule=None):
                          augment_selection(selection, batch,
                                            max_dim=config.dimred_max))
             trace.selection = selection
-        sol = _solve_level(batch, selection, config)
+        sol = _solve_level(batch, selection)
         estimate, se = weighted_exceedance(responses, weights, level)
         rel = z * se / estimate if estimate > 0.0 else math.inf
         trace.levels.append(LadderLevel(
@@ -271,7 +273,7 @@ def run_ladder(model, config, rng, pool=None, level_rule=None):
             return theta, trace
         if prev_level is not None and (level - prev_level) < stall_floor:
             stall += 1
-            if stall >= config.stall_limit:
+            if stall >= STALL_LIMIT:
                 raise MaxLevelsExceeded(
                     f"ladder stalled below gamma after {k} levels", trace=trace)
         else:

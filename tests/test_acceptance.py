@@ -50,8 +50,7 @@ def linear_family_gamma(noise_dim, p):
 
 
 def pipeline(model, gamma, seed, budget, dimred="auto"):
-    config = LadderConfig(gamma=gamma, dimred={"auto": "auto", "on": True,
-                                               "off": False}[dimred])
+    config = LadderConfig(gamma=gamma, dimred=dimred)
     report, trace, sample = estimate_to_precision(
         model, gamma, config, 0.10, 1000, RngStream(seed), budget=budget)
     register_trace(trace)

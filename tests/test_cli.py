@@ -80,6 +80,58 @@ class TestConfigValidation:
         code = main(["prob", "--config", str(cfg)])
         assert code == EXIT_CONFIG
 
+    def test_subcommand_overrides_task_in_config_file(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"task": "cvar", "gamma": 2.0}))
+        code, payload = run_main(tmp_path, ["prob", "--config", str(cfg),
+                                            "--format", "json"])
+        assert code == EXIT_OK
+        bundle = json.loads(payload)
+        assert bundle["task"] == "prob"
+        assert "cvar" not in bundle
+
+    @pytest.mark.parametrize("field, value", [
+        ("dim", "3"), ("dim", 2.5), ("dim", True), ("gamma", "2.0"),
+        ("gamma", False), ("model", 5), ("seed", None)])
+    def test_config_file_wrong_type(self, capsys, tmp_path, field, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"gamma": 1.0, field: value}))
+        code = main(["prob", "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+    def test_config_file_int_for_float_field(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"gamma": 1, "p": None}))
+        code, _ = run_main(tmp_path, ["prob", "--config", str(cfg)])
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("dimred", ["on", "off"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--dimred-max", "0"), ("--dimred-energy", "1.5"),
+        ("--dimred-energy", "0")])
+    def test_selection_settings_out_of_range(self, capsys, flag, value, dimred):
+        code = main(["prob", "--gamma", "1.0", "--dimred", dimred, flag, value])
+        assert code == EXIT_CONFIG
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    def test_every_generated_flag_reaches_run_config(self):
+        from dataclasses import fields
+        from tailshift.cli import _build_parser
+        sample = {"model": "builtin:linear", "dim": 12, "tail": "left",
+                  "gamma": -2.5, "p": 0.25, "batch": 500, "precision": 0.2,
+                  "confidence": 0.9, "rho": 0.2, "n_per_level": 300,
+                  "max_levels": 7, "budget": 5000, "seed": 9, "workers": 2,
+                  "dimred": "off", "dimred_max": 8, "dimred_energy": 0.5,
+                  "strata": 4, "pilot": 0.3, "n_total": 800, "format": "csv",
+                  "out": "report.csv"}
+        assert set(sample) == {f.name for f in fields(RunConfig)} - {"task"}
+        argv = ["cvar"]
+        for name, value in sample.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        config = load_config(_build_parser().parse_args(argv))
+        assert config == RunConfig(task="cvar", **sample)
+
     def test_workers_env_default(self, monkeypatch):
         monkeypatch.setenv("TAILSHIFT_WORKERS", "3")
         parser_args = ["prob", "--model", "builtin:identity", "--gamma", "1.0"]

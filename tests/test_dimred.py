@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from tailshift import (LadderConfig, ModelSpec, NoSurvivors, RngStream,
-                       WeightedBatch, estimate_to_precision, response_values,
-                       select_important, solve_optimal_shift,
-                       solve_shift_in_subspace, variance_criterion)
+from tailshift import (DomainError, LadderConfig, ModelSpec, NoSurvivors,
+                       RngStream, WeightedBatch, estimate_to_precision,
+                       response_values, run_ladder, select_important,
+                       solve_optimal_shift, solve_shift_in_subspace,
+                       variance_criterion)
 from tailshift.multilevel import next_level
 
 
@@ -101,6 +102,31 @@ class TestSubspaceSolve:
             assert (variance_criterion(sub.theta, batch)
                     >= variance_criterion(full.theta, batch) * (1 - 1e-8))
 
+    def test_base_shift_off_subset_rejected(self):
+        model = ModelSpec.linear_family(20)
+        batch = pilot_batch(model, 9, n=500)
+        selection = select_important(batch, max_dim=5, energy=0.99)
+        off = np.setdiff1d(np.arange(20), selection.indices)[0]
+        batch.base_shift[off] = 0.5
+        with pytest.raises(DomainError, match="off the selected"):
+            solve_shift_in_subspace(batch, selection)
+
+
+class TestDimredModes:
+    @pytest.mark.parametrize("dimred, selects", [
+        ("off", False), ("auto", True), ("on", True)])
+    def test_mode_decides_selection_above_threshold(self, dimred, selects):
+        model = ModelSpec.linear_family(510)
+        config = LadderConfig(gamma=2.0, dimred=dimred)
+        _, trace = run_ladder(model, config, RngStream(0))
+        assert (trace.selection is not None) == selects
+
+    @pytest.mark.parametrize("dimred", [True, False, "yes", None])
+    def test_unknown_mode_rejected(self, dimred):
+        config = LadderConfig(gamma=2.0, dimred=dimred)
+        with pytest.raises(DomainError, match="dimred"):
+            run_ladder(ModelSpec.identity(1), config, RngStream(0))
+
 
 class TestDimensionRobustness:
     def test_noise_dimension_grows_mildly(self):
@@ -112,7 +138,7 @@ class TestDimensionRobustness:
             model = ModelSpec.linear_family(10 + nb)
             gamma = float(np.linalg.norm(model.coefficient_stack())
                           * oracles.tail_quantile("2.8e-5"))
-            config = LadderConfig(gamma=gamma, dimred=True)
+            config = LadderConfig(gamma=gamma, dimred="on")
             report, _, _ = estimate_to_precision(
                 model, gamma, config, 0.10, 1000, RngStream(1), budget=60_000)
             assert report.converged
