@@ -53,7 +53,6 @@ class StrataSpec:
 @dataclass
 class AllocationPlan:
     counts: np.ndarray
-    pilot_variances: np.ndarray
 
 
 def strata_from_shift(theta, count):
@@ -141,7 +140,7 @@ def optimal_allocation(probs, variances, total):
         raise DomainError("budget smaller than the stratum count")
     counts = _largest_remainder(mass / mass.sum(), int(total))
     counts = _apply_floor(counts, 1)
-    return AllocationPlan(counts=counts, pilot_variances=variances.copy())
+    return AllocationPlan(counts=counts)
 
 
 def allocation_variance_bound(probs, variances):
@@ -174,26 +173,27 @@ def stratified_estimate(model, gamma, strata, pilot_fraction, total, rng,
                                 pilot_floor)
 
     sums = np.zeros(count)
-    sq_sums = np.zeros(count)
     n_seen = np.zeros(count, dtype=int)
-    pilot_dev = np.zeros(count)
 
     def run_stratum(i, n, stream):
         points = _conditional_rows(strata.direction, strata.levels[i],
                                    strata.levels[i + 1], n, stream)
         values = oriented_response(model, response_values(model, points, pool))
-        hits = (values >= gamma_o).astype(float)
-        sums[i] += hits.sum()
-        sq_sums[i] += (hits * hits).sum()
+        sums[i] += (values >= gamma_o).astype(float).sum()
         n_seen[i] += n
+
+    def bessel_variance():
+        # hits are 0/1, so each stratum's second moment equals its mean;
+        # a stratum with fewer than two samples gets 0
+        out = np.zeros(count)
+        ok = n_seen >= 2
+        mean = sums[ok] / n_seen[ok]
+        out[ok] = np.maximum(mean - mean * mean, 0.0) * n_seen[ok] / (n_seen[ok] - 1)
+        return out
 
     for i in range(count):
         run_stratum(i, pilot_counts[i], rng.child(STRATA_PILOT_STREAM + i))
-        if n_seen[i] >= 2:
-            mean = sums[i] / n_seen[i]
-            pilot_dev[i] = math.sqrt(
-                max(sq_sums[i] / n_seen[i] - mean * mean, 0.0)
-                * n_seen[i] / (n_seen[i] - 1))
+    pilot_dev = np.sqrt(bessel_variance())
 
     remaining = int(total) - int(pilot_counts.sum())
     if pilot_dev.sum() > 0.0:
@@ -210,10 +210,7 @@ def stratified_estimate(model, gamma, strata, pilot_fraction, total, rng,
                         rng.child(STRATA_MAIN_STREAM + i))
 
     means = sums / n_seen
-    pooled_var = np.zeros(count)
-    ok = n_seen >= 2
-    pooled_var[ok] = np.maximum(
-        sq_sums[ok] / n_seen[ok] - means[ok] ** 2, 0.0) * n_seen[ok] / (n_seen[ok] - 1)
+    pooled_var = bessel_variance()
 
     estimate = float(strata.probs @ means)
     variance = float(np.sum(strata.probs ** 2 * pooled_var / n_seen))
