@@ -4,6 +4,8 @@ Everything here goes through mpmath (or plain brute force) so expected values
 stay independent of the library code under test.
 """
 
+import functools
+
 import mpmath as mp
 
 mp.mp.dps = 40
@@ -86,14 +88,21 @@ def truncated_var(a, b):
     return float(1 + (a * mp.npdf(a) - b * mp.npdf(b)) / z - mean ** 2)
 
 
+@functools.lru_cache(maxsize=16)
+def _endpoint_ncdf(a):
+    # a KS test calls truncated_cdf once per draw with the same endpoints
+    return mp.ncdf(mp.mpf(a))
+
+
 def truncated_cdf(x, a, b):
     """CDF of the standard normal truncated to [a, b]."""
+    lo, hi = _endpoint_ncdf(a), _endpoint_ncdf(b)
     x, a, b = mp.mpf(x), mp.mpf(a), mp.mpf(b)
     if x <= a:
         return 0.0
     if x >= b:
         return 1.0
-    return float((mp.ncdf(x) - mp.ncdf(a)) / (mp.ncdf(b) - mp.ncdf(a)))
+    return float((mp.ncdf(x) - lo) / (hi - lo))
 
 
 def cvar_toy_variances(gamma):
