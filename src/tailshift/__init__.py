@@ -6,8 +6,7 @@ multilevel exploration ladder, optional stratification along the optimal
 shift direction, and important-variable selection for high dimensions.
 """
 
-from .core import (RngStream, sample_std_normal, std_normal_cdf,
-                   std_normal_quantile)
+from .core import RngStream, std_normal_cdf, std_normal_quantile
 from .cvar import (CvarReport, cvar_exact_bias, estimate_cvar,
                    estimate_cvar_unnormalized)
 from .dimred import SubspaceSelection, select_important, solve_shift_in_subspace
@@ -15,23 +14,18 @@ from .errors import (BudgetExhausted, ConfigError, DegenerateBatch,
                      DegenerateStratum, DomainError, MaxLevelsExceeded,
                      NonMonotoneBracket, NoSurvivors, NotConverged,
                      SimulatorError, TailshiftError, ZeroHits)
-from .meanshift import (ShiftSolution, WeightedBatch, criterion_variance,
-                        likelihood_ratio, log_objective,
+from .meanshift import (ShiftSolution, WeightedBatch, log_objective,
                         log_objective_gradient, log_objective_hessian,
-                        solve_optimal_shift, variance_criterion,
-                        variance_criterion_gradient,
-                        variance_criterion_hessian)
-from .model import (EvalRecord, ExternalSimulator, ModelSpec, SimulatorPool,
-                    analytic_tail_prob, evaluate_batch, oriented_response,
-                    response_values)
+                        solve_optimal_shift)
+from .model import (ExternalSimulator, ModelSpec, SimulatorPool,
+                    analytic_tail_prob, oriented_response, response_values)
 from .multilevel import (EstimateReport, LadderConfig, LadderLevel,
                          LadderTrace, TailSample, draw_tail_sample,
                          estimate_probability, estimate_to_precision,
                          mc_equivalent_runs, next_level, report_from_sample,
                          run_ladder)
 from .quantile import QuantileReport, estimate_quantile
-from .stratified import (AllocationPlan, StrataSpec, allocation_variance_bound,
-                         conditional_gaussian_sample, optimal_allocation,
-                         strata_from_shift, stratified_estimate)
+from .stratified import (StrataSpec, optimal_allocation, strata_from_shift,
+                         stratified_estimate)
 
 __version__ = "0.1.0"

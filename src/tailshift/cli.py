@@ -105,12 +105,21 @@ class RunConfig:
         if self.n_total < 2 * self.strata:
             raise ConfigError(
                 f"n_total: must be >= 2 * strata, got {self.n_total}")
+        for name in ("gamma", "p"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name}: must be finite, got {value}")
         if self.task == "quantile":
             if self.p is None or not 0.0 < self.p < 1.0:
                 raise ConfigError("p: quantile task needs p in (0, 1)")
-        else:
-            if self.gamma is None or not math.isfinite(self.gamma):
-                raise ConfigError(f"gamma: {self.task} task needs a finite gamma")
+        elif self.gamma is None:
+            raise ConfigError(f"gamma: {self.task} task needs a gamma")
+        if self.out is not None:
+            # fail before the run, not when the finished report is written
+            parent = os.path.dirname(os.path.abspath(self.out))
+            if (os.path.isdir(self.out) or not os.path.isdir(parent)
+                    or not os.access(parent, os.W_OK)):
+                raise ConfigError(f"out: cannot write a report to {self.out!r}")
 
     def build_model(self):
         spec = self.model

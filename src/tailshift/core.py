@@ -30,10 +30,6 @@ class RngStream:
         key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
 
-    def with_stream(self, stream):
-        """Fresh stream with the same seed and a new absolute stream id."""
-        return RngStream(self.seed, stream)
-
     def child(self, offset):
         """Derived stream scoped under this one.
 
@@ -78,9 +74,3 @@ def std_normal_quantile(p):
     polished = np.where((pdf > 0.0) & np.isfinite(step), x + step, x)
     return float(polished) if polished.ndim == 0 else polished
 
-
-def sample_std_normal(rng, d):
-    """One N(0, I_d) draw from the stream; advances the stream state."""
-    if int(d) < 1:
-        raise DomainError("dimension must be at least 1")
-    return rng.generator.standard_normal(int(d))

@@ -72,29 +72,12 @@ class WeightedBatch:
 
 @dataclass
 class ShiftSolution:
-    """Solver output: the shift, the criterion there, and convergence data.
-
-    ``criterion_variance`` is the online variance estimate of the empirical
-    criterion value, usable for a CLT interval on it.
-    """
+    """Solver output: the shift and convergence data."""
 
     theta: np.ndarray
-    criterion_value: float
-    criterion_variance: float
     newton_iterations: int
     grad_norm: float
     converged: bool
-
-
-def likelihood_ratio(x, theta_from, theta_to):
-    """Density ratio f(x; theta_from) / f(x; theta_to) for N(theta, I_d)."""
-    x = np.asarray(x, dtype=float)
-    theta_from = np.asarray(theta_from, dtype=float)
-    theta_to = np.asarray(theta_to, dtype=float)
-    expo = x @ (theta_from - theta_to) + 0.5 * (theta_to @ theta_to
-                                                - theta_from @ theta_from)
-    out = np.exp(expo)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _survivor_terms(theta, batch):
@@ -113,52 +96,6 @@ def _softmax(expo):
 def _log_mean_exp(expo, n):
     m = expo.max()
     return m + np.log(np.exp(expo - m).sum() / n)
-
-
-def variance_criterion(theta, batch):
-    """Empirical second moment of the weighted survivor indicator at ``theta``.
-
-    (1/n) sum_j 1{survivor_j} exp(-(theta - base) . X_j
-                                  + (|theta|^2 - |base|^2) / 2)
-    """
-    theta = np.asarray(theta, dtype=float)
-    _, expo = _survivor_terms(theta, batch)
-    half_norms = 0.5 * (theta @ theta - batch.base_shift @ batch.base_shift)
-    return float(np.exp(half_norms + _log_mean_exp(expo, batch.size)))
-
-
-def criterion_variance(theta, batch):
-    """Variance of the per-sample criterion terms (their second moment minus
-    the squared criterion), the online CLT scale for the criterion value."""
-    theta = np.asarray(theta, dtype=float)
-    _, expo = _survivor_terms(theta, batch)
-    half_norms = 0.5 * (theta @ theta - batch.base_shift @ batch.base_shift)
-    log_terms = expo + half_norms
-    second = np.exp(_log_mean_exp(2.0 * log_terms, batch.size))
-    first = np.exp(_log_mean_exp(log_terms, batch.size))
-    return float(second - first * first)
-
-
-def variance_criterion_gradient(theta, batch):
-    """Exact gradient of the empirical variance criterion.
-
-    Computed with explicit per-sample weights; can overflow for extreme
-    shifts, unlike the log-objective path the solver uses.
-    """
-    theta = np.asarray(theta, dtype=float)
-    pts, expo = _survivor_terms(theta, batch)
-    half_norms = 0.5 * (theta @ theta - batch.base_shift @ batch.base_shift)
-    w = np.exp(expo + half_norms)
-    return (w.sum() * theta - w @ pts) / batch.size
-
-
-def variance_criterion_hessian(theta, batch):
-    theta = np.asarray(theta, dtype=float)
-    pts, expo = _survivor_terms(theta, batch)
-    half_norms = 0.5 * (theta @ theta - batch.base_shift @ batch.base_shift)
-    w = np.exp(expo + half_norms)
-    diff = theta[None, :] - pts
-    return (w.sum() * np.eye(batch.dimension) + diff.T @ (w[:, None] * diff)) / batch.size
 
 
 def log_objective(theta, batch):
@@ -203,11 +140,9 @@ def _conjugate_gradient(apply_a, b, rel_tol, max_iter):
     return x
 
 
-def _solution(theta, batch, iterations, grad_norm, converged):
+def _solution(theta, iterations, grad_norm, converged):
     return ShiftSolution(
         theta=np.asarray(theta, dtype=float).copy(),
-        criterion_value=variance_criterion(theta, batch),
-        criterion_variance=criterion_variance(theta, batch),
         newton_iterations=iterations,
         grad_norm=float(grad_norm),
         converged=converged,
@@ -234,7 +169,7 @@ def solve_optimal_shift(batch, tol=1e-8, max_iter=50):
         grad = theta - mean
         grad_norm = np.linalg.norm(grad)
         if grad_norm <= tol:
-            return _solution(theta, batch, iteration, grad_norm, True)
+            return _solution(theta, iteration, grad_norm, True)
 
         centered = pts - mean
 
@@ -260,12 +195,12 @@ def solve_optimal_shift(batch, tol=1e-8, max_iter=50):
             if step < 1e-18:
                 raise NotConverged(
                     "line search failed to make progress",
-                    best=_solution(theta, batch, iteration, grad_norm, False))
+                    best=_solution(theta, iteration, grad_norm, False))
         theta, value = candidate, cand_value
 
     grad_norm = np.linalg.norm(log_objective_gradient(theta, batch))
     if grad_norm <= tol:
-        return _solution(theta, batch, max_iter, grad_norm, True)
+        return _solution(theta, max_iter, grad_norm, True)
     raise NotConverged(
         f"no convergence within {max_iter} Newton iterations",
-        best=_solution(theta, batch, max_iter, grad_norm, False))
+        best=_solution(theta, max_iter, grad_norm, False))

@@ -97,13 +97,6 @@ class ModelSpec:
         return None
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    point: np.ndarray
-    value: float
-    index: int
-
-
 def oriented_response(model, value):
     """Map responses (or thresholds) so the failure tail is always the right one.
 
@@ -169,16 +162,6 @@ def response_values(model, points, pool=None):
         with SimulatorPool(model.command, model.dimension) as tmp:
             return tmp.evaluate(points)
     return _BUILTINS[model.kind](model, points)
-
-
-def evaluate_batch(model, points, pool=None):
-    """Evaluate a sequence of points, one order-preserving record per point."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1)
-    values = response_values(model, pts, pool=pool)
-    return [EvalRecord(point=pts[i].copy(), value=float(values[i]), index=i)
-            for i in range(pts.shape[0])]
 
 
 class ExternalSimulator:

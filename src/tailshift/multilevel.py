@@ -146,10 +146,6 @@ class TailSample:
     def size(self):
         return self.responses.size
 
-    def hit_terms(self, gamma=None):
-        level = self.gamma if gamma is None else gamma
-        return np.where(self.responses >= level, np.exp(self.log_weights), 0.0)
-
     def merge(self, other):
         if other.gamma != self.gamma or not np.array_equal(other.theta, self.theta):
             raise DomainError("cannot merge samples drawn for different targets")

@@ -9,7 +9,7 @@ optimal allocation, proportional to (stratum mass) x (stratum deviation).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ class StrataSpec:
 
     direction: np.ndarray
     levels: np.ndarray
-    probs: np.ndarray = None
+    probs: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.direction = np.asarray(self.direction, dtype=float)
@@ -48,11 +48,6 @@ class StrataSpec:
     @property
     def count(self):
         return self.levels.size - 1
-
-
-@dataclass
-class AllocationPlan:
-    counts: np.ndarray
 
 
 def strata_from_shift(theta, count):
@@ -79,21 +74,6 @@ def _conditional_rows(u, a, b, n, rng):
     z = std_normal_quantile(args)
     y = rng.generator.standard_normal((n, u.size))
     return z[:, None] * u + (y - np.outer(y @ u, u))
-
-
-def conditional_gaussian_sample(u, a, b, rng):
-    """One N(0, I_d) draw conditioned on a <= u . x <= b.
-
-    Inverse-CDF sampling on the projected coordinate plus an independent
-    Gaussian in the orthogonal complement; the projection of the result lies
-    in [a, b] by construction.
-    """
-    u = np.asarray(u, dtype=float)
-    if a >= b:
-        raise DomainError("stratum bounds must satisfy a < b")
-    if abs(np.linalg.norm(u) - 1.0) > 1e-8:
-        raise DomainError("direction must be a unit vector")
-    return _conditional_rows(u, a, b, 1, rng)[0]
 
 
 def _largest_remainder(quotas, total):
@@ -138,14 +118,7 @@ def optimal_allocation(probs, variances, total):
         raise DomainError("at least one stratum must have positive p_i * v_i")
     if total < probs.size:
         raise DomainError("budget smaller than the stratum count")
-    counts = _largest_remainder(mass / mass.sum(), int(total))
-    counts = _apply_floor(counts, 1)
-    return AllocationPlan(counts=counts)
-
-
-def allocation_variance_bound(probs, variances):
-    """Minimum per-sample variance achievable by the optimal allocation."""
-    return float(np.dot(probs, variances) ** 2)
+    return _apply_floor(_largest_remainder(mass / mass.sum(), int(total)), 1)
 
 
 def stratified_estimate(model, gamma, strata, pilot_fraction, total, rng,
@@ -196,17 +169,12 @@ def stratified_estimate(model, gamma, strata, pilot_fraction, total, rng,
     pilot_dev = np.sqrt(bessel_variance())
 
     remaining = int(total) - int(pilot_counts.sum())
-    if pilot_dev.sum() > 0.0:
-        # optimal allocation can only improve on proportional (Cauchy-Schwarz)
-        assert (allocation_variance_bound(strata.probs, pilot_dev)
-                <= strata.probs @ pilot_dev ** 2 + 1e-12)
-        plan = optimal_allocation(strata.probs, pilot_dev, remaining)
-    else:
-        # pilot saw no variation anywhere; fall back to proportional
-        plan = optimal_allocation(strata.probs, np.ones(count), remaining)
+    # a pilot that saw no variation anywhere falls back to proportional
+    deviations = pilot_dev if pilot_dev.sum() > 0.0 else np.ones(count)
+    counts = optimal_allocation(strata.probs, deviations, remaining)
     for i in range(count):
-        if plan.counts[i] > 0:
-            run_stratum(i, int(plan.counts[i]),
+        if counts[i] > 0:
+            run_stratum(i, int(counts[i]),
                         rng.child(STRATA_MAIN_STREAM + i))
 
     means = sums / n_seen

@@ -1,12 +1,13 @@
 """High-precision oracles for the test suite.
 
-Everything here goes through mpmath (or plain brute force) so expected values
-stay independent of the library code under test.
+Everything here goes through mpmath, or plain explicit-weight numpy, so
+expected values stay independent of the library code under test.
 """
 
 import functools
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 40
 
@@ -119,3 +120,41 @@ def cvar_toy_variances(gamma):
     sigma_bar = var_y1 / p ** 2
     sigma = sigma_bar - ey1 ** 2 * (1 - p) / p ** 3
     return float(sigma), float(sigma_bar)
+
+
+def _criterion_terms(theta, batch):
+    """Survivor points and their explicit weighted-indicator terms at theta.
+
+    exp(-(theta - base) . X_j + (|theta|^2 - |base|^2) / 2) per survivor;
+    these overflow for extreme shifts, which the library's log-space
+    objective avoids.
+    """
+    theta = np.asarray(theta, dtype=float)
+    base = batch.base_shift
+    pts = batch.points[batch.survivors]
+    w = np.exp(-(pts @ (theta - base)) + 0.5 * (theta @ theta - base @ base))
+    return theta, pts, w
+
+
+def variance_criterion(theta, batch):
+    """Empirical second moment of the weighted survivor indicator at theta."""
+    _, _, w = _criterion_terms(theta, batch)
+    return float(w.sum() / batch.size)
+
+
+def variance_criterion_gradient(theta, batch):
+    theta, pts, w = _criterion_terms(theta, batch)
+    return (w.sum() * theta - w @ pts) / batch.size
+
+
+def variance_criterion_hessian(theta, batch):
+    theta, pts, w = _criterion_terms(theta, batch)
+    diff = theta - pts
+    return (w.sum() * np.eye(theta.size)
+            + diff.T @ (w[:, None] * diff)) / batch.size
+
+
+def hit_terms(sample):
+    """Per-run terms 1{response >= gamma} * weight of a TailSample."""
+    return np.where(sample.responses >= sample.gamma,
+                    np.exp(sample.log_weights), 0.0)

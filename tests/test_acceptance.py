@@ -142,7 +142,7 @@ def test_criterion_05_quantile_inversion():
         rep, trace = estimate_quantile(model, 1e-4, LadderConfig(), rng)
         register_trace(trace)
         check = estimate_probability(model, rep.quantile, rep.theta, 1000,
-                                     rng.with_stream(9_000_000))
+                                     RngStream(rng.seed, 9_000_000))
         round_trips += (abs(check.estimate - 1e-4)
                         <= check.rel_half_width * check.estimate)
     assert round_trips >= 45
@@ -216,7 +216,7 @@ def test_criterion_07_unbiasedness_and_coverage():
         theta, trace = run_ladder(model, config, rng)
         register_trace(trace)
         report = estimate_probability(model, gamma, theta, m,
-                                      rng.with_stream(9_100_000))
+                                      RngStream(rng.seed, 9_100_000))
         estimates.append(report.estimate)
         se = report.rel_half_width * report.estimate / 1.96
         variances.append(se * se)
@@ -240,8 +240,8 @@ def test_criterion_08_stratification():
                             for v in np.atleast_1d(x)]))
     assert result.pvalue >= 0.01
 
-    plan = optimal_allocation([0.5, 0.5], [1.0, 3.0], 100)
-    assert plan.counts.tolist() == [25, 75]
+    counts = optimal_allocation([0.5, 0.5], [1.0, 3.0], 100)
+    assert counts.tolist() == [25, 75]
 
     # stratifying along the solved shift halves the variance against
     # importance sampling alone at the same budget
@@ -256,10 +256,10 @@ def test_criterion_08_stratification():
         is_est, st_est = [], []
         for rep in range(20):
             r = estimate_probability(model, gamma, theta, 1000,
-                                     rng.with_stream(7_000_000 + rep))
+                                     RngStream(rng.seed, 7_000_000 + rep))
             is_est.append(r.estimate)
             sr, _ = stratified_estimate(model, gamma, spec, 0.2, 1000,
-                                        rng.with_stream(8_000_000 + rep))
+                                        RngStream(rng.seed, 8_000_000 + rep))
             st_est.append(sr.estimate)
         wins += np.var(st_est) <= 0.5 * np.var(is_est)
     assert wins >= 8

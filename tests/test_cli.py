@@ -115,6 +115,24 @@ class TestConfigValidation:
         assert code == EXIT_CONFIG
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["quantile", "--p", "1e-3", "--gamma", "nan"],
+        ["quantile", "--p", "1e-3", "--gamma", "inf"],
+        ["prob", "--gamma", "2.0", "--p", "inf"]])
+    def test_non_finite_unused_value_rejected(self, capsys, argv):
+        code = main(argv + ["--format", "json"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {argv[-2][2:]}:")
+
+    @pytest.mark.parametrize("out", ["missing/report.txt", "."])
+    def test_unusable_out_path(self, capsys, tmp_path, out):
+        # a missing parent directory, or a path that is itself a directory
+        code = main(["prob", "--gamma", "2.0", "--out", str(tmp_path / out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: out:")
+        assert not (tmp_path / "missing").exists()
+
     def test_every_generated_flag_reaches_run_config(self):
         from dataclasses import fields
         from tailshift.cli import _build_parser

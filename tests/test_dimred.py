@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import variance_criterion
 from tailshift import (DomainError, LadderConfig, ModelSpec, NoSurvivors,
                        RngStream, WeightedBatch, estimate_to_precision,
                        response_values, run_ladder, select_important,
-                       solve_optimal_shift, solve_shift_in_subspace,
-                       variance_criterion)
+                       solve_optimal_shift, solve_shift_in_subspace)
 from tailshift.multilevel import next_level
 
 

@@ -8,20 +8,20 @@ from scipy import stats
 
 import oracles
 from tailshift import (DomainError, ModelSpec, RngStream, SimulatorError,
-                       SimulatorPool, analytic_tail_prob, evaluate_batch,
+                       SimulatorPool, analytic_tail_prob,
                        oriented_response, response_values)
 
 
 class TestBuiltins:
     def test_identity_single_point(self):
-        records = evaluate_batch(ModelSpec.identity(1), [[1.7]])
-        assert records[0].value == 1.7
-        assert records[0].index == 0
+        values = response_values(ModelSpec.identity(1), [[1.7]])
+        assert values.tolist() == [1.7]
 
     def test_linear_dot_product(self):
         model = ModelSpec.linear(np.full(10, 2.0))
-        records = evaluate_batch(model, np.ones((1, 10)))
-        assert records[0].value == pytest.approx(20.0)
+        values = response_values(model, np.ones((1, 10)))
+        assert values.shape == (1,)
+        assert values[0] == pytest.approx(20.0)
 
     def test_linear_sample_mean(self):
         model = ModelSpec.linear_family(50)

@@ -112,7 +112,7 @@ class TestEstimateProbability:
         m = 100_000
         sample = draw_tail_sample(model, 1.5, theta, m, RngStream(4, 50))
         report = report_from_sample(sample)
-        terms = sample.hit_terms()
+        terms = oracles.hit_terms(sample)
         se_is = terms.std() / np.sqrt(m)
         se_mc = np.sqrt(p * (1 - p) / m)
         assert abs(report.estimate - p) <= 3 * se_is
@@ -208,8 +208,8 @@ class TestUnbiasednessAndCoverage:
             rng = RngStream(seed)
             theta, _ = run_ladder(model, config, rng)
             sample = draw_tail_sample(model, 2.5, theta, m,
-                                      rng.with_stream(2_000_000))
-            terms = sample.hit_terms()
+                                      RngStream(rng.seed, 2_000_000))
+            terms = oracles.hit_terms(sample)
             estimates.append(terms.mean())
             variances.append(terms.var() / m)
         pooled_se = np.sqrt(np.sum(variances)) / len(estimates)

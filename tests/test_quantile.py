@@ -34,7 +34,7 @@ class TestQuantileEstimate:
         rng = RngStream(4)
         report, _ = estimate_quantile(model, 1e-4, LadderConfig(), rng)
         check = estimate_probability(model, report.quantile, report.theta,
-                                     1000, rng.with_stream(9_000_000))
+                                     1000, RngStream(rng.seed, 9_000_000))
         half = check.rel_half_width * check.estimate
         assert abs(check.estimate - 1e-4) <= half
 

@@ -5,8 +5,7 @@ from scipy import stats
 import oracles
 from tailshift import (DegenerateStratum, DomainError,
                        LadderConfig, ModelSpec, RngStream, StrataSpec,
-                       allocation_variance_bound, analytic_tail_prob,
-                       conditional_gaussian_sample, optimal_allocation,
+                       analytic_tail_prob, optimal_allocation,
                        run_ladder, strata_from_shift, stratified_estimate)
 from tailshift.stratified import _conditional_rows
 
@@ -49,33 +48,23 @@ class TestConditionalSampler:
                                                   for v in np.atleast_1d(x)]))
         assert result.pvalue >= 0.01
 
-    def test_single_draw_interface(self):
-        u = np.array([0.6, 0.8])
-        x = conditional_gaussian_sample(u, 1.0, 2.0, RngStream(6, 9))
-        assert x.shape == (2,)
-        assert 1.0 - 1e-9 <= x @ u <= 2.0 + 1e-9
-
     def test_degenerate_stratum(self):
         with pytest.raises(DegenerateStratum):
             _conditional_rows(np.array([1.0]), 39.0, 40.0, 10, RngStream(0))
 
-    def test_bad_bounds(self):
-        with pytest.raises(DomainError):
-            conditional_gaussian_sample(np.array([1.0]), 2.0, 1.0, RngStream(0))
-
 
 class TestOptimalAllocation:
     def test_textbook_case(self):
-        plan = optimal_allocation([0.5, 0.5], [1.0, 3.0], 100)
-        np.testing.assert_array_equal(plan.counts, [25, 75])
+        counts = optimal_allocation([0.5, 0.5], [1.0, 3.0], 100)
+        np.testing.assert_array_equal(counts, [25, 75])
 
     def test_equal_deviations_give_proportional(self):
-        plan = optimal_allocation([0.2, 0.3, 0.5], [2.0, 2.0, 2.0], 1000)
-        np.testing.assert_array_equal(plan.counts, [200, 300, 500])
+        counts = optimal_allocation([0.2, 0.3, 0.5], [2.0, 2.0, 2.0], 1000)
+        np.testing.assert_array_equal(counts, [200, 300, 500])
 
     def test_zero_deviation_stratum_keeps_one(self):
-        plan = optimal_allocation([0.9, 0.1], [0.0, 5.0], 10)
-        np.testing.assert_array_equal(plan.counts, [1, 9])
+        counts = optimal_allocation([0.9, 0.1], [0.0, 5.0], 10)
+        np.testing.assert_array_equal(counts, [1, 9])
 
     def test_counts_sum_to_total(self):
         rng = RngStream(7, 9).generator
@@ -83,19 +72,9 @@ class TestOptimalAllocation:
             raw = rng.random(6) + 0.01
             probs = raw / raw.sum()
             variances = rng.random(6)
-            plan = optimal_allocation(probs, variances, 137)
-            assert plan.counts.sum() == 137
-            assert np.all(plan.counts >= 1)
-
-    def test_variance_dominance(self):
-        # (sum p v)^2 <= sum p v^2: optimal never beats proportional
-        rng = RngStream(8, 9).generator
-        for _ in range(50):
-            raw = rng.random(5) + 0.01
-            probs = raw / raw.sum()
-            variances = rng.random(5) * 3
-            assert (allocation_variance_bound(probs, variances)
-                    <= probs @ variances ** 2 + 1e-12)
+            counts = optimal_allocation(probs, variances, 137)
+            assert counts.sum() == 137
+            assert np.all(counts >= 1)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -121,6 +100,11 @@ class TestStrataFromShift:
     def test_zero_shift_rejected(self):
         with pytest.raises(DomainError):
             strata_from_shift(np.zeros(3), 4)
+
+    def test_probs_are_derived_not_passed(self):
+        with pytest.raises(TypeError):
+            StrataSpec(direction=np.array([1.0]),
+                       levels=np.array([-np.inf, np.inf]), probs=np.array([0.5]))
 
 
 class TestStratifiedEstimate:
