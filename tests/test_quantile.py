@@ -3,7 +3,9 @@ import pytest
 
 import oracles
 from tailshift import (BudgetExhausted, DomainError, LadderConfig, ModelSpec,
-                       RngStream, estimate_probability, estimate_quantile)
+                       NonMonotoneBracket, RngStream, estimate_probability,
+                       estimate_quantile)
+from tailshift import quantile as quantile_module
 
 
 class TestQuantileEstimate:
@@ -72,6 +74,39 @@ class TestQuantileEstimate:
                               budget=5000)
         assert err.value.report is not None
         assert not err.value.report.converged
+
+
+class TestRefinementWidening:
+    """The refinement widens while the pooled curve cannot reach p.
+
+    ``_survival_inverse`` is wrapped so the ladder's bracket (its first
+    call) works and every refinement inversion reports the quantile beyond
+    the sampled range.
+    """
+
+    @pytest.fixture
+    def never_brackets(self, monkeypatch):
+        original = quantile_module._survival_inverse
+        calls = []
+
+        def inverse(*args):
+            calls.append(args)
+            return original(*args) if len(calls) == 1 else None
+        monkeypatch.setattr(quantile_module, "_survival_inverse", inverse)
+
+    def test_widen_limit_raises(self, never_brackets):
+        with pytest.raises(NonMonotoneBracket):
+            estimate_quantile(ModelSpec.identity(1), 1e-4, LadderConfig(),
+                              RngStream(2))
+
+    def test_budget_hit_while_widening_reports_pivot(self, never_brackets):
+        with pytest.raises(BudgetExhausted) as err:
+            estimate_quantile(ModelSpec.identity(1), 1e-4, LadderConfig(),
+                              RngStream(2), budget=6000)
+        report, trace = err.value.report, err.value.trace
+        assert report.quantile == trace.levels[-1].gamma
+        assert report.runs_final == 3000
+        assert not report.converged
 
 
 class TestSurvivalInverse:
