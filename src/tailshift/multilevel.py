@@ -295,26 +295,50 @@ def draw_tail_sample(model, gamma, theta, m, rng, pool=None):
     )
 
 
-def report_from_sample(sample, confidence=0.95, runs_exploration=0,
-                       gamma=None, converged=None):
-    """Probability estimate with CI and speedup from a weighted tail sample."""
+def estimate_report(estimate, se, runs_final, confidence=0.95,
+                    runs_exploration=0, gamma=None, theta=None):
+    """Report an estimate with standard error ``se``: CI and speedup.
+
+    A zero estimate is reported as zero hits, not converged; a zero-width
+    interval gets an infinite speedup.
+    """
     z = z_value(confidence)
-    m = sample.size
-    estimate, se = weighted_exceedance(sample.responses,
-                                       np.exp(sample.log_weights), sample.gamma)
-    if estimate <= 0.0:
-        return EstimateReport(
-            estimate=0.0, rel_half_width=math.inf, confidence=confidence,
-            runs_exploration=runs_exploration, runs_final=m, speedup=0.0,
-            gamma=gamma, theta=sample.theta, converged=False, zero_hits=True)
-    rel = z * se / estimate
-    total = runs_exploration + m
-    speedup = mc_equivalent_runs(estimate, rel, confidence) / total if rel > 0 else math.inf
+    hit = estimate > 0.0
+    if hit:
+        rel = z * se / estimate
+        total = runs_exploration + runs_final
+        speedup = mc_equivalent_runs(estimate, rel, confidence) / total if rel > 0 else math.inf
+    else:
+        rel, speedup = math.inf, 0.0
     return EstimateReport(
         estimate=estimate, rel_half_width=rel, confidence=confidence,
-        runs_exploration=runs_exploration, runs_final=m, speedup=speedup,
-        gamma=gamma, theta=sample.theta,
-        converged=True if converged is None else converged)
+        runs_exploration=runs_exploration, runs_final=runs_final,
+        speedup=speedup, gamma=gamma, theta=theta, converged=hit,
+        zero_hits=not hit)
+
+
+def report_from_sample(sample, confidence=0.95, runs_exploration=0,
+                       gamma=None):
+    """Probability estimate with CI and speedup from a weighted tail sample."""
+    estimate, se = weighted_exceedance(sample.responses,
+                                       np.exp(sample.log_weights), sample.gamma)
+    return estimate_report(estimate, se, sample.size, confidence,
+                           runs_exploration, gamma, sample.theta)
+
+
+def pooled_batches(model, gamma, theta, m, rng, stream, room, pool=None):
+    """The final phase: pool batches of m runs drawn under ``theta``.
+
+    Batch i comes from stream ``stream + i``.  Yields the pooled sample
+    after each batch, and stops before a batch that would take the pool
+    past ``room`` runs.
+    """
+    sample = None
+    for i in range(room // m):
+        batch = draw_tail_sample(model, gamma, theta, m,
+                                 rng.child(stream + i), pool)
+        sample = batch if sample is None else sample.merge(batch)
+        yield sample
 
 
 def estimate_probability(model, gamma, theta, m, rng, confidence=0.95,
@@ -344,27 +368,15 @@ def estimate_to_precision(model, gamma, config, target, m0, rng,
     cfg = replace(config, gamma=gamma)
     theta, trace = run_ladder(model, cfg, rng, pool)
     exploration = trace.exploration_runs
-    sample = None
-    batch_index = 0
-    while True:
-        used = exploration + (sample.size if sample is not None else 0)
-        if used + m0 > budget:
-            report = (report_from_sample(sample, confidence, exploration,
-                                         gamma, converged=False)
-                      if sample is not None else
-                      EstimateReport(0.0, math.inf, confidence, exploration,
-                                     0, 0.0, gamma, theta, False, True))
-            raise BudgetExhausted(
-                f"budget of {budget} runs hit before reaching {target:.3g}",
-                report=report, trace=trace)
-        batch = draw_tail_sample(model, gamma, theta, m0,
-                                 rng.child(FINAL_STREAM + batch_index),
-                                 pool)
-        batch_index += 1
-        sample = batch if sample is None else sample.merge(batch)
+    # the partial report when not even one batch fits the budget
+    report = estimate_report(0.0, 0.0, 0, confidence, exploration, gamma,
+                             theta)
+    for sample in pooled_batches(model, gamma, theta, m0, rng, FINAL_STREAM,
+                                 budget - exploration, pool):
         report = report_from_sample(sample, confidence, exploration, gamma)
-        if report.zero_hits:
-            # a failed ladder is surfaced, never silently retried
+        # a failed ladder is surfaced as zero hits, never silently retried
+        if report.zero_hits or report.rel_half_width <= target:
             return report, trace, sample
-        if report.rel_half_width <= target:
-            return report, trace, sample
+    raise BudgetExhausted(
+        f"budget of {budget} runs hit before reaching {target:.3g}",
+        report=replace(report, converged=False), trace=trace)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, DomainError, NonMonotoneBracket
 from .model import oriented_response
-from .multilevel import (QUANTILE_STREAM, draw_tail_sample, next_level,
+from .multilevel import (QUANTILE_STREAM, next_level, pooled_batches,
                          run_ladder, weighted_exceedance, z_value)
 
 # refinement is driven this much tighter than the configured probability
@@ -102,6 +102,8 @@ def estimate_quantile(model, p, config, rng, m0=1000, precision=0.10,
     """
     if not 0.0 < p < 1.0:
         raise DomainError("target probability must lie in (0, 1)")
+    if m0 < 1:
+        raise DomainError("batch size must be at least 1")
     z = z_value(confidence)
     theta, trace = run_ladder(model, config, rng, pool,
                               level_rule=_bracket_rule(p, config.rho))
@@ -110,26 +112,11 @@ def estimate_quantile(model, p, config, rng, m0=1000, precision=0.10,
     pivot_gamma = trace.levels[-1].gamma
     pivot = oriented_response(model, pivot_gamma)
 
-    sample = None
     widen = 0
-    batch_index = 0
     level = pivot
-    while True:
-        m = sample.size if sample is not None else 0
-        if exploration + m + m0 > budget:
-            report = QuantileReport(
-                quantile=float(oriented_response(model, level)),
-                rel_half_width=math.inf, p=p, runs_exploration=exploration,
-                runs_final=m, speedup=0.0, theta=theta,
-                converged=False, confidence=confidence)
-            raise BudgetExhausted(
-                f"budget of {budget} runs hit during quantile refinement",
-                report=report, trace=trace)
-        batch = draw_tail_sample(model, pivot_gamma, theta, m0,
-                                 rng.child(QUANTILE_STREAM + batch_index),
-                                 pool)
-        batch_index += 1
-        sample = batch if sample is None else sample.merge(batch)
+    m = 0
+    for sample in pooled_batches(model, pivot_gamma, theta, m0, rng,
+                                 QUANTILE_STREAM, budget - exploration, pool):
         responses = sample.responses
         weights = np.exp(sample.log_weights)
         m = sample.size
@@ -164,3 +151,11 @@ def estimate_quantile(model, p, config, rng, m0=1000, precision=0.10,
             converged=True,
             confidence=confidence)
         return report, trace
+    report = QuantileReport(
+        quantile=float(oriented_response(model, level)),
+        rel_half_width=math.inf, p=p, runs_exploration=exploration,
+        runs_final=m, speedup=0.0, theta=theta,
+        converged=False, confidence=confidence)
+    raise BudgetExhausted(
+        f"budget of {budget} runs hit during quantile refinement",
+        report=report, trace=trace)

@@ -17,7 +17,7 @@ from .core import std_normal_cdf, std_normal_quantile
 from .errors import DegenerateStratum, DomainError
 from .model import oriented_response, response_values
 from .multilevel import (STRATA_MAIN_STREAM, STRATA_PILOT_STREAM,
-                         EstimateReport, mc_equivalent_runs, z_value)
+                         estimate_report, z_value)
 
 _ONE_BELOW_1 = np.nextafter(1.0, 0.0)
 _ONE_ABOVE_0 = np.nextafter(0.0, 1.0)
@@ -138,7 +138,7 @@ def stratified_estimate(model, gamma, strata, pilot_fraction, total, rng,
     if total < 2 * count:
         raise DomainError("budget must allow two samples per stratum")
     gamma_o = float(oriented_response(model, gamma))
-    z = z_value(confidence)
+    z_value(confidence)     # reject a bad confidence before any model run
 
     pilot_total = int(math.ceil(pilot_fraction * total))
     pilot_floor = 2 if pilot_total >= 2 * count else 1
@@ -182,19 +182,8 @@ def stratified_estimate(model, gamma, strata, pilot_fraction, total, rng,
 
     estimate = float(strata.probs @ means)
     variance = float(np.sum(strata.probs ** 2 * pooled_var / n_seen))
-    half = z * math.sqrt(variance)
-    used = int(n_seen.sum())
-    if estimate > 0.0:
-        rel = half / estimate
-        speedup = mc_equivalent_runs(estimate, rel, confidence) / (
-            used + runs_exploration)
-    else:
-        rel, speedup = math.inf, 0.0
-    report = EstimateReport(
-        estimate=estimate, rel_half_width=rel, confidence=confidence,
-        runs_exploration=runs_exploration, runs_final=used, speedup=speedup,
-        gamma=gamma, theta=None, converged=estimate > 0.0,
-        zero_hits=estimate <= 0.0)
+    report = estimate_report(estimate, math.sqrt(variance), int(n_seen.sum()),
+                             confidence, runs_exploration, gamma)
     rows = [
         {"prob": float(strata.probs[i]), "count": int(n_seen[i]),
          "pilot_dev": float(pilot_dev[i]), "mean": float(means[i])}

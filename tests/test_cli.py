@@ -241,6 +241,16 @@ class TestStrataPipeline:
         half = bundle["report"]["ci_rel"] * bundle["report"]["estimate"]
         assert abs(bundle["report"]["estimate"] - 0.0668072) <= 4 * half
 
+    def test_zero_width_interval(self, tmp_path):
+        # at gamma 0 each slab is all-miss or all-hit: a zero-width interval
+        code, payload = run_main(tmp_path, [
+            "strata", "--model", "builtin:identity", "--gamma", "0",
+            "--strata", "2", "--n-total", "100", "--format", "json"])
+        assert code == EXIT_OK
+        report = json.loads(payload)["report"]
+        assert report["ci_rel"] == 0.0
+        assert report["speedup"] is None
+
 
 class TestEmission:
     def test_same_seed_byte_identical(self, tmp_path):
