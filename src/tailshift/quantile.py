@@ -6,8 +6,8 @@ next level drops below p, at which point the target quantile lies inside the
 current batch's range.  The shift solved there then drives a refinement
 phase that pools fresh batches and inverts the pooled weighted survival
 curve at p.  The quantile interval comes from pushing the probability
-interval through the local slope of that curve (a centered difference, no
-density estimate).
+interval through the local slope of that curve (a centered difference of
+its logarithm, no density estimate).
 """
 
 import math
@@ -76,19 +76,29 @@ def _bracket_rule(p, rho):
 
 
 def _slope_at(responses, weights, level):
-    """Centered-difference slope of the weighted survival curve at ``level``.
+    """Slope -dS/dt of the weighted survival curve S at ``level``.
 
-    The half-step is one weighted standard deviation of the survivor
-    responses, which keeps the difference on the scale of the local tail.
+    S(level) times a centered difference of log S: the tail of S is convex,
+    so a centered difference of S itself overstates the slope, while log S
+    of a Gaussian tail is nearly quadratic, where the centered difference
+    is exact.  The half-step is one weighted standard deviation of the
+    survivor responses, which keeps the difference on the scale of the
+    local tail.  With no weight beyond level + step the difference is
+    one-sided, between level - step and level.
     """
     hits = responses >= level
     wsum = float(weights[hits].sum())
     mean = float((weights[hits] * responses[hits]).sum() / wsum)
     var = float((weights[hits] * responses[hits] ** 2).sum() / wsum - mean * mean)
     step = math.sqrt(max(var, 1e-30))
+    g_at, _ = weighted_exceedance(responses, weights, level)
     g_hi, _ = weighted_exceedance(responses, weights, level + step)
     g_lo, _ = weighted_exceedance(responses, weights, level - step)
-    return max((g_lo - g_hi) / (2.0 * step), 1e-300)
+    if g_hi > 0.0:
+        dlog = (math.log(g_lo) - math.log(g_hi)) / (2.0 * step)
+    else:
+        dlog = (math.log(g_lo) - math.log(g_at)) / step
+    return max(g_at * dlog, 1e-300)
 
 
 def estimate_quantile(model, p, config, rng, m0=1000, precision=0.10,

@@ -122,3 +122,23 @@ class TestSurvivalInverse:
         responses = np.array([1.0, 2.0])
         weights = np.array([1e-8, 1e-8])
         assert _survival_inverse(responses, weights, 2, 0.5) is None
+
+
+class TestSlope:
+    def test_matches_gaussian_density_in_the_tail(self):
+        # unit weights on the N(0, 1) quantile grid (i + 1/2) / n; only the
+        # top 600 points matter, the rest sit far below the difference
+        from tailshift.quantile import _slope_at
+        n, top = 100_000, 600
+        responses = np.zeros(n)
+        responses[n - top:] = [oracles.normal_quantile((i + 0.5) / n)
+                               for i in range(n - top, n)]
+        q = oracles.tail_quantile("1e-3")
+        slope = _slope_at(responses, np.ones(n), q)
+        assert abs(slope / oracles.normal_pdf(q) - 1.0) < 0.02
+
+    def test_one_sided_when_nothing_lies_beyond_the_step(self):
+        # survivors tied at the level: S(level + step) = 0 must not reach log
+        from tailshift.quantile import _slope_at
+        slope = _slope_at(np.array([0.0, 1.0, 2.0, 2.0]), np.ones(4), 2.0)
+        assert np.isfinite(slope) and slope > 0.0
