@@ -290,7 +290,8 @@ def _dispatch(config, model, rng, pool):
         bundle["trace"] = _trace_rows(trace)
         return EXIT_OK, bundle
     # strata: ladder for the direction, then the stratified pass
-    theta, trace = run_ladder(model, ladder_cfg, rng, pool)
+    theta, trace = run_ladder(model, ladder_cfg, rng, pool,
+                              budget=config.budget)
     spec = strata_from_shift(theta, config.strata)
     report, rows = stratified_estimate(
         model, config.gamma, spec, config.pilot, config.n_total, rng,

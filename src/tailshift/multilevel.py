@@ -201,7 +201,8 @@ def weighted_exceedance(responses, weights, level):
     return estimate, math.sqrt(max(variance, 0.0) / terms.size)
 
 
-def run_ladder(model, config, rng, pool=None, level_rule=None):
+def run_ladder(model, config, rng, pool=None, level_rule=None,
+               budget=math.inf):
     """Run the exploration ladder; returns the final shift and the trace.
 
     ``level_rule(responses, weights) -> (level, done)`` picks each level from
@@ -211,7 +212,9 @@ def run_ladder(model, config, rng, pool=None, level_rule=None):
     Trace rows carry the 95% relative half-width their ``ci95_rel`` column
     names, whatever confidence the final estimate uses.
     Raises MaxLevelsExceeded (carrying the trace) past ``max_levels`` or,
-    under the default rule, after ``STALL_LIMIT`` consecutive stalled levels.
+    under the default rule, after ``STALL_LIMIT`` consecutive stalled levels,
+    and BudgetExhausted (carrying the trace) before a level that would take
+    the runs past ``budget``.
     """
     config.validate()
     # a custom rule has no fixed target to stall below
@@ -233,6 +236,9 @@ def run_ladder(model, config, rng, pool=None, level_rule=None):
     stall = 0
     prev_level = None
     for k in range(1, config.max_levels + 1):
+        if k * config.n_per_level > budget:
+            raise BudgetExhausted(
+                f"budget of {budget} runs hit during the ladder", trace=trace)
         stream = rng.child(LADDER_STREAM + k)
         noise = stream.generator.standard_normal((config.n_per_level, d))
         points = noise + theta
@@ -366,7 +372,7 @@ def estimate_to_precision(model, gamma, config, target, m0, rng,
     if m0 < 1:
         raise DomainError("batch size must be at least 1")
     cfg = replace(config, gamma=gamma)
-    theta, trace = run_ladder(model, cfg, rng, pool)
+    theta, trace = run_ladder(model, cfg, rng, pool, budget=budget)
     exploration = trace.exploration_runs
     # the partial report when not even one batch fits the budget
     report = estimate_report(0.0, 0.0, 0, confidence, exploration, gamma,

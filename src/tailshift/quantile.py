@@ -116,7 +116,8 @@ def estimate_quantile(model, p, config, rng, m0=1000, precision=0.10,
         raise DomainError("batch size must be at least 1")
     z = z_value(confidence)
     theta, trace = run_ladder(model, config, rng, pool,
-                              level_rule=_bracket_rule(p, config.rho))
+                              level_rule=_bracket_rule(p, config.rho),
+                              budget=budget)
     exploration = trace.exploration_runs
     # the last ladder level brackets p; refinement batches are drawn there
     pivot_gamma = trace.levels[-1].gamma

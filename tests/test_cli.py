@@ -206,6 +206,25 @@ class TestProbPipeline:
         assert traces[0] == traces[1]
 
 
+class TestLadderBudget:
+    @pytest.mark.parametrize("target", [["prob", "--gamma", "6.0"],
+                                        ["quantile", "--p", "1e-8"],
+                                        ["strata", "--gamma", "6.0"]],
+                             ids=["prob", "quantile", "strata"])
+    def test_ladder_stops_at_the_budget(self, tmp_path, target):
+        code, payload = run_main(tmp_path, target + [
+            "--model", "builtin:identity", "--budget", "1500", "--seed", "0",
+            "--format", "json"])
+        assert code == EXIT_BUDGET
+        bundle = json.loads(payload)
+        assert bundle["status"] == "budget_exhausted"
+        assert len(bundle["trace"]) == 1
+        runs = [sum(row["runs"] for row in bundle["trace"])]
+        runs += [bundle[key]["runs_total"] for key in ("report", "quantile")
+                 if key in bundle]
+        assert max(runs) <= 1500
+
+
 class TestQuantilePipeline:
     def test_identity_quantile(self, tmp_path):
         code, payload = run_main(tmp_path, [
