@@ -224,8 +224,11 @@ class ExternalSimulator:
             try:
                 self._proc.wait(timeout=2.0)
             except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+                self.kill()
+
+    def kill(self):
+        self._proc.kill()
+        self._proc.wait()
 
 
 class SimulatorPool:
@@ -233,7 +236,8 @@ class SimulatorPool:
 
     Batches are split into contiguous index chunks, evaluated concurrently,
     and reassembled in index order, so results do not depend on the worker
-    count.
+    count.  A failed batch kills every simulator, since unread replies
+    would answer the next batch; the pool then fails every later batch.
     """
 
     def __init__(self, command, dimension, workers=1):
@@ -244,9 +248,24 @@ class SimulatorPool:
                       for _ in range(self.workers)]
         self._executor = (ThreadPoolExecutor(max_workers=self.workers)
                           if self.workers > 1 else None)
+        self._failed = False
 
     def evaluate(self, points):
         points = np.asarray(points, dtype=float)
+        if self._failed:
+            raise SimulatorError("simulator pool is unusable after a failed "
+                                 "batch", indices=range(points.shape[0]))
+        try:
+            return self._evaluate(points)
+        except SimulatorError:
+            self._failed = True
+            if self._executor is not None:
+                self._executor.shutdown(wait=True)
+            for sim in self._sims:
+                sim.kill()
+            raise
+
+    def _evaluate(self, points):
         n = points.shape[0]
         if self.workers == 1 or n < 2 * self.workers:
             return self._sims[0].evaluate(points)

@@ -153,6 +153,20 @@ while True:
     sys.stdout.flush()
 """
 
+OOPS_AT_7 = """\
+#!/usr/bin/env python3
+import sys
+while True:
+    header = sys.stdin.readline()
+    if not header:
+        break
+    n, d = map(int, header.split()[1:])
+    for _ in range(n):
+        x = float(sys.stdin.readline().split()[0])
+        print("oops" if x == 7.0 else "%.17g" % x)
+    sys.stdout.flush()
+"""
+
 
 def write_sim(tmp_path, name, body):
     path = tmp_path / name
@@ -216,3 +230,16 @@ class TestExternalProcess:
             with pytest.raises(SimulatorError) as err:
                 response_values(model, pts, pool)
         assert err.value.indices == (327,)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_unusable_after_failed_batch(self, tmp_path, workers):
+        # the replies after a bad one stay unread; a later batch must not
+        # read them as its own
+        command = write_sim(tmp_path, "oops.py", OOPS_AT_7)
+        with SimulatorPool(command, 1, workers=workers) as pool:
+            with pytest.raises(SimulatorError) as err:
+                pool.evaluate(np.array([[1.0], [7.0], [3.0], [4.0]]))
+            assert err.value.indices == (1,)
+            with pytest.raises(SimulatorError) as err:
+                pool.evaluate(np.array([[10.0], [11.0]]))
+            assert err.value.indices == (0, 1)
