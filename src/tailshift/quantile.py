@@ -78,13 +78,11 @@ def _bracket_rule(p, rho):
 def _slope_at(responses, weights, level):
     """Slope -dS/dt of the weighted survival curve S at ``level``.
 
-    S(level) times a centered difference of log S: the tail of S is convex,
-    so a centered difference of S itself overstates the slope, while log S
-    of a Gaussian tail is nearly quadratic, where the centered difference
-    is exact.  The half-step is one weighted standard deviation of the
-    survivor responses, which keeps the difference on the scale of the
-    local tail.  With no weight beyond level + step the difference is
-    one-sided, between level - step and level.
+    S times a centered difference of log S, exact where log S is quadratic
+    as in a Gaussian tail; a difference of S itself overstates the slope of
+    the convex tail.  The half-step is one weighted standard deviation of
+    the survivor responses; with no weight beyond level + step the
+    difference is one-sided.
     """
     hits = responses >= level
     wsum = float(weights[hits].sum())
