@@ -5,9 +5,10 @@ level: it climbs until the weighted exceedance estimate of the tentative
 next level drops below p, at which point the target quantile lies inside the
 current batch's range.  The shift solved there then drives a refinement
 phase that pools fresh batches and inverts the pooled weighted survival
-curve at p.  The quantile interval comes from pushing the probability
-interval through the local slope of that curve (a centered difference of
-its logarithm, no density estimate).
+curve at p; each batch is merged into a pool kept sorted by descending
+response, so the pool is never sorted again.  The quantile interval comes
+from pushing the probability interval through the local slope of that curve
+(a centered difference of its logarithm, no density estimate).
 """
 
 import math
@@ -53,6 +54,19 @@ def _survival_inverse(responses, weights, total, p):
     if k >= responses.size:
         return None
     return float(responses[order[k]])
+
+
+def _merge_sorted(desc_r, desc_w, responses, weights):
+    """Merge a batch into a pool sorted by descending response.
+
+    Pool elements come before batch elements with an equal response, so the
+    result is the stable descending sort of the pool followed by the batch.
+    """
+    order = np.argsort(-responses, kind="stable")
+    responses, weights = responses[order], weights[order]
+    slots = np.searchsorted(-desc_r, -responses, side="right")
+    return (np.insert(desc_r, slots, responses),
+            np.insert(desc_w, slots, weights))
 
 
 def _bracket_rule(p, rho):
@@ -124,13 +138,17 @@ def estimate_quantile(model, p, config, rng, m0=1000, precision=0.10,
     widen = 0
     level = pivot
     m = 0
+    weights = desc_r = desc_w = np.empty(0)
     for sample in pooled_batches(model, pivot_gamma, theta, m0, rng,
                                  QUANTILE_STREAM, budget - exploration, pool):
         responses = sample.responses
-        weights = np.exp(sample.log_weights)
+        batch_w = np.exp(sample.log_weights[m:])
+        weights = np.concatenate([weights, batch_w])
+        desc_r, desc_w = _merge_sorted(desc_r, desc_w, responses[m:], batch_w)
         m = sample.size
-        level = _survival_inverse(responses, weights, m, p)
-        if level is None or level == responses.max():
+        # a stable sort of the already sorted pool takes linear time
+        level = _survival_inverse(desc_r, desc_w, m, p)
+        if level is None or level == desc_r[0]:
             # quantile sits beyond the sampled range; widen with more batches
             widen += 1
             level = pivot
