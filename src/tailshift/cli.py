@@ -322,7 +322,8 @@ _TRACE_COLUMNS = ("iteration", "runs", "gamma", "estimate", "ci95_rel")
 def _blocks(bundle):
     """Report blocks shared by the table and CSV emitters.
 
-    Each is (title, columns, rows of values, blank line before it in CSV).
+    Each is (title, columns, rows of values, blank line before it in CSV
+    when an earlier block precedes it).
     """
     blocks = []
     if "report" in bundle:
@@ -369,7 +370,8 @@ def _emit_table(bundle):
 def _emit_csv(bundle):
     lines = []
     for _, columns, rows, gap in _blocks(bundle):
-        if gap:
+        # a gap separates a block from an earlier one, never opens the output
+        if gap and lines:
             lines.append("")
         lines.append(",".join(columns))
         for row in rows:

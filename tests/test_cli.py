@@ -295,6 +295,29 @@ class TestEmission:
         assert "iteration,runs,gamma,estimate,ci95_rel" in text
         assert text.startswith("measure,tail,prob,ci_rel,runs,speedup")
 
+    CSV_HEADERS = ("measure,tail,prob,ci_rel,runs,speedup",
+                   "measure,p,quantile,ci_rel,runs,speedup",
+                   "gamma,cvar,ci_rel,runs,speedup",
+                   "prob,count,pilot_dev,mean",
+                   "iteration,runs,gamma,estimate,ci95_rel")
+
+    @pytest.mark.parametrize("target", [
+        ["prob", "--gamma", "2.0"],
+        ["prob", "--gamma", "6.0", "--budget", "1500"],
+        ["prob", "--gamma", "50.0", "--max-levels", "2"],
+        ["quantile", "--p", "1e-3"],
+        ["quantile", "--p", "1e-12", "--max-levels", "2"],
+        ["cvar", "--gamma", "1.5"],
+        ["strata", "--gamma", "1.5", "--strata", "4", "--n-total", "800"],
+    ], ids=["prob", "prob-ladder-budget", "prob-max-levels", "quantile",
+            "quantile-max-levels", "cvar", "strata"])
+    def test_csv_starts_with_a_header(self, tmp_path, target):
+        # a report without an estimate block opens with its trace block
+        _, payload = run_main(tmp_path, target + [
+            "--model", "builtin:identity", "--seed", "0", "--format", "csv"])
+        first = payload.decode().split("\n", 1)[0]
+        assert first in self.CSV_HEADERS
+
     def test_non_finite_becomes_null_in_json(self):
         bundle = {"task": "prob", "model": "m", "tail": "right", "seed": 0,
                   "status": "x",
