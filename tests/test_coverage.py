@@ -1,0 +1,64 @@
+"""Coverage of the reported 95% intervals on cheap oracle-backed cells.
+
+Each cell runs the CLI path with its defaults over seeds 0-199 and counts
+the seeds whose interval contains the oracle truth.  A cell fails when that
+count falls more than three binomial standard deviations below the nominal
+rate: covered < 0.95 n - 3 sqrt(n 0.95 0.05), about 180.8 of 200.  A run
+that exits non-zero counts as not covered.  The failure message also gives
+the share of estimates below the truth, since a sequential stopping rule
+that favours low estimates shows there first.
+"""
+
+import math
+
+import pytest
+
+import oracles
+from tailshift.cli import EXIT_OK, RunConfig, run
+
+SEEDS = range(200)
+NOMINAL = 0.95
+
+# name: (RunConfig fields, bundle block, value key, oracle truth)
+CELLS = {
+    "identity-quantile-1e-3": (
+        dict(task="quantile", p=1e-3), "quantile", "quantile",
+        oracles.tail_quantile("1e-3")),
+    "identity-quantile-1e-6": (
+        dict(task="quantile", p=1e-6), "quantile", "quantile",
+        oracles.tail_quantile("1e-6")),
+    "linear-d10-prob-1e-6": (
+        dict(task="prob", model="builtin:linear", dim=10,
+             gamma=math.sqrt(10) * oracles.tail_quantile("1e-6")),
+        "report", "estimate", 1e-6),
+    "linear-d10-prob-1e-10": (
+        dict(task="prob", model="builtin:linear", dim=10,
+             gamma=math.sqrt(10) * oracles.tail_quantile("1e-10")),
+        "report", "estimate", 1e-10),
+    "identity-prob-1e-6": (
+        dict(task="prob", gamma=oracles.tail_quantile("1e-6")),
+        "report", "estimate", 1e-6),
+    "identity-cvar-1e-6": (
+        dict(task="cvar", gamma=oracles.tail_quantile("1e-6")),
+        "cvar", "cvar", oracles.mills_cvar(oracles.tail_quantile("1e-6"))),
+}
+
+
+@pytest.mark.parametrize("name", list(CELLS))
+def test_interval_covers_at_nominal_rate(name):
+    fields, block, key, truth = CELLS[name]
+    n = len(SEEDS)
+    covered = below = failed = 0
+    for seed in SEEDS:
+        code, bundle = run(RunConfig(seed=seed, **fields))
+        if code != EXIT_OK:
+            failed += 1
+            continue
+        estimate = bundle[block][key]
+        covered += abs(estimate - truth) <= bundle[block]["ci_rel"] * abs(estimate)
+        below += estimate < truth
+    bound = NOMINAL * n - 3.0 * math.sqrt(n * NOMINAL * (1.0 - NOMINAL))
+    assert covered >= bound, (
+        f"{name}: {covered}/{n} intervals cover {truth:.6g} (bound "
+        f"{bound:.1f}); {below}/{n} estimates below the truth, "
+        f"{failed} runs failed")

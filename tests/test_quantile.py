@@ -124,6 +124,56 @@ class TestSurvivalInverse:
         assert _survival_inverse(responses, weights, 2, 0.5) is None
 
 
+class TestSortedPool:
+    """The refinement's sorted pool matches a full re-sort of the pool."""
+
+    def test_merge_matches_stable_sort_with_ties_across_batches(self):
+        from tailshift.quantile import _merge_sorted
+        gen = np.random.default_rng(0)
+        desc_r = desc_w = np.empty(0)
+        batches_r, batches_w = [], []
+        for size in (50, 1, 200, 0, 73):
+            # a coarse grid puts equal responses in different batches
+            r = np.round(gen.standard_normal(size) * 2.0) / 2.0
+            w = gen.random(size)
+            desc_r, desc_w = _merge_sorted(desc_r, desc_w, r, w)
+            batches_r.append(r)
+            batches_w.append(w)
+            pooled_r = np.concatenate(batches_r)
+            order = np.argsort(-pooled_r, kind="stable")
+            np.testing.assert_array_equal(desc_r, pooled_r[order])
+            np.testing.assert_array_equal(
+                desc_w, np.concatenate(batches_w)[order])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_level_after_every_batch_matches_full_resort(self, monkeypatch,
+                                                         seed):
+        p = 1e-4
+        original_pooled = quantile_module.pooled_batches
+        original_inverse = quantile_module._survival_inverse
+        samples, levels = [], []
+
+        def pooled(*args, **kwargs):
+            for sample in original_pooled(*args, **kwargs):
+                samples.append(sample)
+                yield sample
+
+        def inverse(*args):
+            level = original_inverse(*args)
+            if samples:  # the ladder's bracket calls come first
+                levels.append(level)
+            return level
+        monkeypatch.setattr(quantile_module, "pooled_batches", pooled)
+        monkeypatch.setattr(quantile_module, "_survival_inverse", inverse)
+        report, _ = estimate_quantile(ModelSpec.identity(1), p,
+                                      LadderConfig(), RngStream(seed))
+        assert report.converged
+        assert len(samples) > 1 and len(levels) == len(samples)
+        for s, level in zip(samples, levels):
+            assert level == original_inverse(
+                s.responses, np.exp(s.log_weights), s.size, p)
+
+
 class TestSlope:
     def test_matches_gaussian_density_in_the_tail(self):
         # unit weights on the N(0, 1) quantile grid (i + 1/2) / n; only the
