@@ -370,7 +370,6 @@ def _emit_table(bundle):
 def _emit_csv(bundle):
     lines = []
     for _, columns, rows, gap in _blocks(bundle):
-        # a gap separates a block from an earlier one, never opens the output
         if gap and lines:
             lines.append("")
         lines.append(",".join(columns))
