@@ -36,6 +36,8 @@ DIMRED_THRESHOLD = 500      # dimred="auto" selects variables when d exceeds it
 PROGRESS_FLOOR = 1e-9
 STALL_LIMIT = 3
 
+_EPS = float(np.finfo(float).eps)
+
 
 def z_value(confidence):
     if not 0.0 < confidence < 1.0:
@@ -146,12 +148,17 @@ class TailSample:
     def size(self):
         return self.responses.size
 
-    def merge(self, other):
-        if other.gamma != self.gamma or not np.array_equal(other.theta, self.theta):
-            raise DomainError("cannot merge samples drawn for different targets")
+    def merge(self, *others):
+        """This sample followed by ``others``, in order, in one pass."""
+        for other in others:
+            if other.gamma != self.gamma or not np.array_equal(other.theta,
+                                                               self.theta):
+                raise DomainError(
+                    "cannot merge samples drawn for different targets")
+        samples = (self, *others)
         return TailSample(
-            responses=np.concatenate([self.responses, other.responses]),
-            log_weights=np.concatenate([self.log_weights, other.log_weights]),
+            responses=np.concatenate([s.responses for s in samples]),
+            log_weights=np.concatenate([s.log_weights for s in samples]),
             gamma=self.gamma,
             theta=self.theta,
         )
@@ -199,6 +206,21 @@ def weighted_exceedance(responses, weights, level):
     estimate = float(terms.mean())
     variance = float((terms * terms).mean() - estimate * estimate)
     return estimate, math.sqrt(max(variance, 0.0) / terms.size)
+
+
+def width_exceeds(s1, s2, n, z, target):
+    """Whether sums ``s1`` of n terms t >= 0 and ``s2`` of their squares put
+    the relative half-width z * se / estimate of ``weighted_exceedance``
+    above ``target`` by more than rounding.
+
+    Any order of summing n non-negative terms lands within about n * eps of
+    the true sum, so when this is True the reduction of the same terms in
+    any other order, pooled in draw order included, exceeds ``target`` too.
+    With no hits (s1 = 0) it is False.
+    """
+    err = (2 * n + 16) * _EPS
+    return (n * s2 * (1.0 - err)
+            > (1.0 + n * (target / z) ** 2) * s1 * s1 * (1.0 + err) ** 2)
 
 
 def run_ladder(model, config, rng, pool=None, level_rule=None,
@@ -333,18 +355,14 @@ def report_from_sample(sample, confidence=0.95, runs_exploration=0,
 
 
 def pooled_batches(model, gamma, theta, m, rng, stream, room, pool=None):
-    """The final phase: pool batches of m runs drawn under ``theta``.
+    """The final phase: batches of m runs drawn under ``theta``.
 
-    Batch i comes from stream ``stream + i``.  Yields the pooled sample
-    after each batch, and stops before a batch that would take the pool
-    past ``room`` runs.
+    Batch i comes from stream ``stream + i``.  Yields each fresh batch, and
+    stops before a batch that would take the pooled runs past ``room``.
     """
-    sample = None
     for i in range(room // m):
-        batch = draw_tail_sample(model, gamma, theta, m,
-                                 rng.child(stream + i), pool)
-        sample = batch if sample is None else sample.merge(batch)
-        yield sample
+        yield draw_tail_sample(model, gamma, theta, m,
+                               rng.child(stream + i), pool)
 
 
 def estimate_probability(model, gamma, theta, m, rng, confidence=0.95,
@@ -377,12 +395,28 @@ def estimate_to_precision(model, gamma, config, target, m0, rng,
     # the partial report when not even one batch fits the budget
     report = estimate_report(0.0, 0.0, 0, confidence, exploration, gamma,
                              theta)
-    for sample in pooled_batches(model, gamma, theta, m0, rng, FINAL_STREAM,
-                                 budget - exploration, pool):
+    z = z_value(confidence)
+    batches = []
+    n, s1, s2 = 0, 0.0, 0.0
+    for batch in pooled_batches(model, gamma, theta, m0, rng, FINAL_STREAM,
+                                budget - exploration, pool):
+        batches.append(batch)
+        terms = np.where(batch.responses >= batch.gamma,
+                         np.exp(batch.log_weights), 0.0)
+        s1 += float(terms.sum())
+        s2 += float((terms * terms).sum())
+        n += batch.size
+        if width_exceeds(s1, s2, n, z, target):
+            continue
+        # the running sums allow a stop; the pool in draw order decides it
+        sample = batches[0].merge(*batches[1:])
         report = report_from_sample(sample, confidence, exploration, gamma)
         # a failed ladder is surfaced as zero hits, never silently retried
         if report.zero_hits or report.rel_half_width <= target:
             return report, trace, sample
+    if batches:
+        report = report_from_sample(batches[0].merge(*batches[1:]),
+                                    confidence, exploration, gamma)
     raise BudgetExhausted(
         f"budget of {budget} runs hit before reaching {target:.3g}",
         report=replace(report, converged=False), trace=trace)

@@ -5,10 +5,14 @@ level: it climbs until the weighted exceedance estimate of the tentative
 next level drops below p, at which point the target quantile lies inside the
 current batch's range.  The shift solved there then drives a refinement
 phase that pools fresh batches and inverts the pooled weighted survival
-curve at p; each batch is merged into a pool kept sorted by descending
-response, so the pool is never sorted again.  The quantile interval comes
-from pushing the probability interval through the local slope of that curve
-(a centered difference of its logarithm, no density estimate).
+curve at p.  Each batch costs one insert into a pool kept sorted by
+descending response and one cumulative sum over it: the hits at the
+inverted level are a prefix of that pool, so the stop test reads the
+probability estimate and its second moment from there.  Only when that test
+allows a stop is the pool reduced in draw order, once, for the report.  The
+quantile interval comes from pushing the probability interval through the
+local slope of that curve (a centered difference of its logarithm, no
+density estimate).
 """
 
 import math
@@ -19,7 +23,8 @@ import numpy as np
 from .errors import BudgetExhausted, DomainError, NonMonotoneBracket
 from .model import oriented_response
 from .multilevel import (QUANTILE_STREAM, next_level, pooled_batches,
-                         run_ladder, weighted_exceedance, z_value)
+                         run_ladder, weighted_exceedance, width_exceeds,
+                         z_value)
 
 # refinement is driven this much tighter than the configured probability
 # precision so that round trips through the probability estimator stay
@@ -46,14 +51,23 @@ class QuantileReport:
         return self.runs_exploration + self.runs_final
 
 
-def _survival_inverse(responses, weights, total, p):
-    """Largest t with (1/total) sum_{y_i >= t} w_i >= p, or None."""
-    order = np.argsort(-responses, kind="stable")
-    cum = np.cumsum(weights[order])
+def _survival_inverse(desc_r, desc_w, total, p):
+    """Largest t with (1/total) sum_{y_i >= t} w_i >= p, or None.
+
+    ``desc_r`` holds the responses sorted by descending value and
+    ``desc_w`` their weights.
+    """
+    cum = np.cumsum(desc_w)
     k = int(np.searchsorted(cum, p * total, side="left"))
-    if k >= responses.size:
+    if k >= desc_r.size:
         return None
-    return float(responses[order[k]])
+    return float(desc_r[k])
+
+
+def _count_at_least(desc_r, values):
+    """Number of elements of descending ``desc_r`` at least each value."""
+    # the reversed view is ascending, and searching it copies nothing
+    return desc_r.size - np.searchsorted(desc_r[::-1], values, side="left")
 
 
 def _merge_sorted(desc_r, desc_w, responses, weights):
@@ -64,7 +78,7 @@ def _merge_sorted(desc_r, desc_w, responses, weights):
     """
     order = np.argsort(-responses, kind="stable")
     responses, weights = responses[order], weights[order]
-    slots = np.searchsorted(-desc_r, -responses, side="right")
+    slots = _count_at_least(desc_r, responses)
     return (np.insert(desc_r, slots, responses),
             np.insert(desc_w, slots, weights))
 
@@ -81,7 +95,9 @@ def _bracket_rule(p, rho):
         exceed, _ = weighted_exceedance(responses, weights, tentative)
         if exceed > p:
             return tentative, False
-        level = _survival_inverse(responses, weights, responses.size, p)
+        order = np.argsort(-responses, kind="stable")
+        level = _survival_inverse(responses[order], weights[order],
+                                  responses.size, p)
         if level is None:
             raise NonMonotoneBracket(
                 "batch weighted mass cannot reach the target probability")
@@ -138,15 +154,15 @@ def estimate_quantile(model, p, config, rng, m0=1000, precision=0.10,
     widen = 0
     level = pivot
     m = 0
-    weights = desc_r = desc_w = np.empty(0)
-    for sample in pooled_batches(model, pivot_gamma, theta, m0, rng,
-                                 QUANTILE_STREAM, budget - exploration, pool):
-        responses = sample.responses
-        batch_w = np.exp(sample.log_weights[m:])
-        weights = np.concatenate([weights, batch_w])
-        desc_r, desc_w = _merge_sorted(desc_r, desc_w, responses[m:], batch_w)
-        m = sample.size
-        # a stable sort of the already sorted pool takes linear time
+    target = REFINE_FACTOR * precision
+    batches = []
+    desc_r = desc_w = np.empty(0)
+    for batch in pooled_batches(model, pivot_gamma, theta, m0, rng,
+                                QUANTILE_STREAM, budget - exploration, pool):
+        batches.append(batch)
+        desc_r, desc_w = _merge_sorted(desc_r, desc_w, batch.responses,
+                                       np.exp(batch.log_weights))
+        m = desc_r.size
         level = _survival_inverse(desc_r, desc_w, m, p)
         if level is None or level == desc_r[0]:
             # quantile sits beyond the sampled range; widen with more batches
@@ -157,9 +173,16 @@ def estimate_quantile(model, p, config, rng, m0=1000, precision=0.10,
                     "quantile refinement cannot bracket the target probability")
             continue
         widen = 0
+        # the hits at level are a prefix of the sorted pool
+        hits_w = desc_w[:_count_at_least(desc_r, level)]
+        if width_exceeds(float(hits_w.sum()), float((hits_w * hits_w).sum()),
+                         m, z, target):
+            continue
+        # the sorted pool allows a stop; the pool in draw order decides it
+        sample = batches[0].merge(*batches[1:])
+        responses, weights = sample.responses, np.exp(sample.log_weights)
         estimate, se_p = weighted_exceedance(responses, weights, level)
-        rel_p = z * se_p / estimate
-        if rel_p > REFINE_FACTOR * precision:
+        if z * se_p / estimate > target:
             continue
         slope = _slope_at(responses, weights, level)
         half = z * se_p / slope

@@ -44,12 +44,16 @@ CELLS = {
 }
 
 
-@pytest.mark.parametrize("name", list(CELLS))
-def test_interval_covers_at_nominal_rate(name):
-    fields, block, key, truth = CELLS[name]
-    n = len(SEEDS)
+def coverage_bound(n):
+    """Fewest covering seeds of n that pass: three binomial SDs below nominal."""
+    return NOMINAL * n - 3.0 * math.sqrt(n * NOMINAL * (1.0 - NOMINAL))
+
+
+def tally(fields, block, key, truth, seeds):
+    """(covered, below, failed, runs) over ``seeds``; runs of successful runs."""
     covered = below = failed = 0
-    for seed in SEEDS:
+    runs = []
+    for seed in seeds:
         code, bundle = run(RunConfig(seed=seed, **fields))
         if code != EXIT_OK:
             failed += 1
@@ -57,8 +61,20 @@ def test_interval_covers_at_nominal_rate(name):
         estimate = bundle[block][key]
         covered += abs(estimate - truth) <= bundle[block]["ci_rel"] * abs(estimate)
         below += estimate < truth
-    bound = NOMINAL * n - 3.0 * math.sqrt(n * NOMINAL * (1.0 - NOMINAL))
-    assert covered >= bound, (
-        f"{name}: {covered}/{n} intervals cover {truth:.6g} (bound "
-        f"{bound:.1f}); {below}/{n} estimates below the truth, "
-        f"{failed} runs failed")
+        runs.append((bundle.get("report") or bundle[block])["runs_total"])
+    return covered, below, failed, runs
+
+
+def shortfall_message(name, n, covered, below, failed, truth):
+    return (f"{name}: {covered}/{n} intervals cover {truth:.6g} (bound "
+            f"{coverage_bound(n):.1f}); {below}/{n} estimates below the "
+            f"truth, {failed} runs failed")
+
+
+@pytest.mark.parametrize("name", list(CELLS))
+def test_interval_covers_at_nominal_rate(name):
+    fields, block, key, truth = CELLS[name]
+    n = len(SEEDS)
+    covered, below, failed, _ = tally(fields, block, key, truth, SEEDS)
+    assert covered >= coverage_bound(n), shortfall_message(
+        name, n, covered, below, failed, truth)

@@ -246,6 +246,39 @@ class TestTailSample:
         b = draw_tail_sample(model, 1.0, np.ones(1), 15, RngStream(0, 2))
         assert a.merge(b).size == 25
 
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_multiway_merge_equals_chained_merges(self, count):
+        model = ModelSpec.identity(2)
+        theta = np.array([1.0, 0.5])
+        first, *rest = [draw_tail_sample(model, 1.0, theta, 5 + i,
+                                         RngStream(0, i)) for i in range(count)]
+        chained = first
+        for other in rest:
+            chained = chained.merge(other)
+        merged = first.merge(*rest)
+        np.testing.assert_array_equal(merged.responses, chained.responses)
+        np.testing.assert_array_equal(merged.log_weights, chained.log_weights)
+        assert merged.gamma == chained.gamma
+        np.testing.assert_array_equal(merged.theta, chained.theta)
+        assert merged.size == sum(5 + i for i in range(count))
+
+    @pytest.mark.parametrize("bad", ["gamma", "theta"])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_multiway_merge_rejects_any_mismatch(self, bad, position):
+        model = ModelSpec.identity(2)
+        theta = np.array([1.0, 0.5])
+        others = []
+        for i in range(3):
+            gamma, shift = 1.0, theta
+            if i == position:
+                gamma, shift = ((2.0, theta) if bad == "gamma"
+                                else (1.0, np.array([1.0, 0.25])))
+            others.append(draw_tail_sample(model, gamma, shift, 5,
+                                           RngStream(0, i + 1)))
+        first = draw_tail_sample(model, 1.0, theta, 5, RngStream(0, 0))
+        with pytest.raises(DomainError):
+            first.merge(*others)
+
 
 class TestMaxLevelsExceeded:
     def test_level_cap_carries_trace(self):

@@ -112,7 +112,8 @@ class TestRefinementWidening:
 class TestSurvivalInverse:
     def test_inverts_weighted_curve(self):
         from tailshift.quantile import _survival_inverse
-        responses = np.array([1.0, 2.0, 3.0, 4.0])
+        # the pool comes sorted by descending response
+        responses = np.array([4.0, 3.0, 2.0, 1.0])
         weights = np.ones(4)
         # G(3.0) = 2/4 = 0.5
         assert _survival_inverse(responses, weights, 4, 0.5) == 3.0
@@ -154,9 +155,10 @@ class TestSortedPool:
         samples, levels = [], []
 
         def pooled(*args, **kwargs):
-            for sample in original_pooled(*args, **kwargs):
-                samples.append(sample)
-                yield sample
+            # record the pooled sample as of each fresh batch
+            for batch in original_pooled(*args, **kwargs):
+                samples.append(samples[-1].merge(batch) if samples else batch)
+                yield batch
 
         def inverse(*args):
             level = original_inverse(*args)
@@ -170,8 +172,9 @@ class TestSortedPool:
         assert report.converged
         assert len(samples) > 1 and len(levels) == len(samples)
         for s, level in zip(samples, levels):
+            order = np.argsort(-s.responses, kind="stable")
             assert level == original_inverse(
-                s.responses, np.exp(s.log_weights), s.size, p)
+                s.responses[order], np.exp(s.log_weights)[order], s.size, p)
 
 
 class TestSlope:
