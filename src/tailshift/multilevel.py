@@ -36,8 +36,6 @@ DIMRED_THRESHOLD = 500      # dimred="auto" selects variables when d exceeds it
 PROGRESS_FLOOR = 1e-9
 STALL_LIMIT = 3
 
-_EPS = float(np.finfo(float).eps)
-
 
 def z_value(confidence):
     if not 0.0 < confidence < 1.0:
@@ -218,7 +216,7 @@ def width_exceeds(s1, s2, n, z, target):
     any other order, pooled in draw order included, exceeds ``target`` too.
     With no hits (s1 = 0) it is False.
     """
-    err = (2 * n + 16) * _EPS
+    err = (2 * n + 16) * float(np.finfo(float).eps)
     return (n * s2 * (1.0 - err)
             > (1.0 + n * (target / z) ** 2) * s1 * s1 * (1.0 + err) ** 2)
 

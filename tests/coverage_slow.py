@@ -1,15 +1,16 @@
 """Coverage of the reported 95% intervals on slow oracle-backed cells.
 
 The tier-1 slice (``test_coverage.py``) covers cheap cells; the cells here
-take minutes, so pytest does not collect this file.  Run it from the root
+take about a minute together on 2 vCPUs, so pytest does not collect this
+file.  Run it from the root
 of a checkout:
 
-    PYTHONPATH=src python tests/coverage_slow.py [CELL ...]
+    PYTHONPATH=src python tests/coverage_slow.py
 
-It runs each named cell (all of them by default) through the CLI path over
-its seeds, prints one line per cell with the tier-1 slice's bound and
-shortfall message, and rewrites the cells' rows of ``coverage_slow.md``
-beside this file.  It exits 1 when a cell covers fewer seeds than the bound.
+It runs each cell through the CLI path over its seeds, prints one line per
+cell with the tier-1 slice's bound and shortfall message, and rewrites the
+table ``coverage_slow.md`` beside this file.  It exits 1 when a cell covers
+fewer seeds than the bound.
 """
 
 import math
@@ -74,32 +75,20 @@ def measure(name):
     return row, ok
 
 
-def read_rows():
-    if not os.path.exists(TABLE):
-        return {}
-    with open(TABLE) as fh:
-        lines = fh.readlines()
-    return {line.split("|")[1].strip(): line for line in lines
-            if line.startswith("| ") and line.split("|")[1].strip() in CELLS}
-
-
-def main(names):
-    unknown = [n for n in names if n not in CELLS]
-    if unknown:
-        sys.exit(f"unknown cell(s) {unknown}; known: {list(CELLS)}")
-    rows = read_rows()
-    passed = True
-    for name in names or list(CELLS):
-        rows[name], ok = measure(name)
+def main():
+    rows, passed = [], True
+    for name in CELLS:
+        row, ok = measure(name)
+        rows.append(row)
         passed &= ok
     with open(TABLE, "w") as fh:
         fh.write("# Slow coverage cells\n\nWritten by `tests/coverage_slow.py`"
                  " (CLI defaults unless the cell names a setting; median runs"
                  " over the runs that exit 0).\n\n")
         fh.write(HEADER)
-        fh.writelines(rows[n] for n in CELLS if n in rows)
+        fh.writelines(rows)
     return 0 if passed else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
