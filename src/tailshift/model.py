@@ -188,8 +188,11 @@ class ExternalSimulator:
     def evaluate(self, points):
         points = np.asarray(points, dtype=float)
         n, d = points.shape
+        # one format string per row; converting row by row keeps the
+        # Python floats of only one row alive at a time
+        row_fmt = " ".join([_REAL_FMT] * d)
         lines = [f"EVAL {n} {d}"]
-        lines.extend(" ".join(_REAL_FMT % v for v in row) for row in points)
+        lines.extend(row_fmt % tuple(row.tolist()) for row in points)
         try:
             self._proc.stdin.write("\n".join(lines) + "\n")
             self._proc.stdin.flush()

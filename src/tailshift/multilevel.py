@@ -206,6 +206,11 @@ def weighted_exceedance(responses, weights, level):
     return estimate, math.sqrt(max(variance, 0.0) / terms.size)
 
 
+def summation_slack(n):
+    """Relative rounding bound on any summation order of n terms t >= 0."""
+    return (2 * n + 16) * float(np.finfo(float).eps)
+
+
 def width_exceeds(s1, s2, n, z, target):
     """Whether sums ``s1`` of n terms t >= 0 and ``s2`` of their squares put
     the relative half-width z * se / estimate of ``weighted_exceedance``
@@ -216,7 +221,7 @@ def width_exceeds(s1, s2, n, z, target):
     any other order, pooled in draw order included, exceeds ``target`` too.
     With no hits (s1 = 0) it is False.
     """
-    err = (2 * n + 16) * float(np.finfo(float).eps)
+    err = summation_slack(n)
     return (n * s2 * (1.0 - err)
             > (1.0 + n * (target / z) ** 2) * s1 * s1 * (1.0 + err) ** 2)
 

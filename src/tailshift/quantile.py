@@ -5,14 +5,16 @@ level: it climbs until the weighted exceedance estimate of the tentative
 next level drops below p, at which point the target quantile lies inside the
 current batch's range.  The shift solved there then drives a refinement
 phase that pools fresh batches and inverts the pooled weighted survival
-curve at p.  Each batch costs one insert into a pool kept sorted by
-descending response and one cumulative sum over it: the hits at the
-inverted level are a prefix of that pool, so the stop test reads the
-probability estimate and its second moment from there.  Only when that test
-allows a stop is the pool reduced in draw order, once, for the report.  The
-quantile interval comes from pushing the probability interval through the
-local slope of that curve (a centered difference of its logarithm, no
-density estimate).
+curve at p.  The pool is kept sorted by descending response, so the hits
+at the inverted level are a prefix of it and the stop test reads the
+probability estimate and its second moment from there.  Each such full
+pass also brackets the iterate between two pool levels; a later batch only
+adds its terms to running sums over that bracket, and the sorted pool is
+touched again (all pending batches merged at once) only when those sums
+cannot rule out a stop.  Only when the stop test allows a stop is the pool
+reduced in draw order, once, for the report.  The quantile interval comes
+from pushing the probability interval through the local slope of that
+curve (a centered difference of its logarithm, no density estimate).
 """
 
 import math
@@ -23,8 +25,8 @@ import numpy as np
 from .errors import BudgetExhausted, DomainError, NonMonotoneBracket
 from .model import oriented_response
 from .multilevel import (QUANTILE_STREAM, next_level, pooled_batches,
-                         run_ladder, weighted_exceedance, width_exceeds,
-                         z_value)
+                         run_ladder, summation_slack, weighted_exceedance,
+                         width_exceeds, z_value)
 
 # refinement is driven this much tighter than the configured probability
 # precision so that round trips through the probability estimator stay
@@ -51,14 +53,13 @@ class QuantileReport:
         return self.runs_exploration + self.runs_final
 
 
-def _survival_inverse(desc_r, desc_w, total, p):
-    """Largest t with (1/total) sum_{y_i >= t} w_i >= p, or None.
+def _survival_inverse(desc_r, cum, mass):
+    """Largest t with sum_{y_i >= t} w_i >= mass, or None.
 
-    ``desc_r`` holds the responses sorted by descending value and
-    ``desc_w`` their weights.
+    ``desc_r`` holds the responses sorted by descending value and ``cum``
+    the cumulative sum of their weights in that order.
     """
-    cum = np.cumsum(desc_w)
-    k = int(np.searchsorted(cum, p * total, side="left"))
+    k = int(np.searchsorted(cum, mass, side="left"))
     if k >= desc_r.size:
         return None
     return float(desc_r[k])
@@ -75,12 +76,62 @@ def _merge_sorted(desc_r, desc_w, responses, weights):
 
     Pool elements come before batch elements with an equal response, so the
     result is the stable descending sort of the pool followed by the batch.
+    Merging the concatenation of several batches in draw order therefore
+    gives the same pool as merging them one at a time.
     """
     order = np.argsort(-responses, kind="stable")
     responses, weights = responses[order], weights[order]
     slots = _count_at_least(desc_r, responses)
     return (np.insert(desc_r, slots, responses),
             np.insert(desc_w, slots, weights))
+
+
+def _merge_batches(desc_r, desc_w, batches, weights):
+    """Merge ``batches``, with their linear ``weights``, in one pass."""
+    return _merge_sorted(desc_r, desc_w,
+                         np.concatenate([b.responses for b in batches]),
+                         np.concatenate(weights))
+
+
+def _bracket(desc_r, desc_w, cum, mass, delta):
+    """Pool levels lo <= hi around the crossing of ``mass``, with their sums.
+
+    hi is where the cumulative weight of the sorted pool reaches
+    mass * (1 - delta), lo where it reaches mass * (1 + delta) (-inf if it
+    never does).  Returns lo, hi and the ``_bracket_sums`` of the pool.
+    """
+    k_hi, k_lo = np.searchsorted(cum, [mass * (1.0 - delta),
+                                       mass * (1.0 + delta)], side="left")
+    hi = float(desc_r[k_hi])
+    lo = float(desc_r[k_lo]) if k_lo < desc_r.size else -math.inf
+    c_lo, c_hi = _count_at_least(desc_r, [lo, hi])
+    top = desc_w[:c_hi]
+    return lo, hi, np.array([cum[c_lo - 1], cum[c_hi - 1], top @ top])
+
+
+def _bracket_sums(responses, weights, lo, hi):
+    """Sums of w 1{r >= lo}, w 1{r >= hi} and w^2 1{r >= hi}."""
+    top = weights[responses >= hi]
+    return np.array([weights[responses >= lo].sum(), top.sum(), top @ top])
+
+
+def _rules_out_stop(sums, m, p, z, target):
+    """Whether bracket sums over a pool of m runs rule out a stop there.
+
+    With s_lo >= p * m and s_hi < p * m, each beyond the rounding of any
+    summation order, the sorted pool's cumulative weights cross p * m at a
+    level in [lo, hi): below the top response, so the iterate needs no
+    widening, and its hits hold {r >= hi} and lie within {r >= lo}.  s_lo
+    then bounds the hits' weight sum from above and q_hi their squared sum
+    from below, so a half-width above ``target`` from these is one at the
+    iterate too.
+    """
+    s_lo, s_hi, q_hi = sums
+    mass = p * m
+    err = summation_slack(m)
+    return (s_lo * (1.0 - err) >= mass * (1.0 + err)
+            and s_hi * (1.0 + err) < mass * (1.0 - err)
+            and width_exceeds(s_lo, q_hi, m, z, target))
 
 
 def _bracket_rule(p, rho):
@@ -96,8 +147,9 @@ def _bracket_rule(p, rho):
         if exceed > p:
             return tentative, False
         order = np.argsort(-responses, kind="stable")
-        level = _survival_inverse(responses[order], weights[order],
-                                  responses.size, p)
+        level = _survival_inverse(responses[order],
+                                  np.cumsum(weights[order]),
+                                  p * responses.size)
         if level is None:
             raise NonMonotoneBracket(
                 "batch weighted mass cannot reach the target probability")
@@ -105,21 +157,22 @@ def _bracket_rule(p, rho):
     return rule
 
 
-def _slope_at(responses, weights, level):
+def _slope_at(responses, weights, level, g_at):
     """Slope -dS/dt of the weighted survival curve S at ``level``.
 
     S times a centered difference of log S, exact where log S is quadratic
     as in a Gaussian tail; a difference of S itself overstates the slope of
-    the convex tail.  The half-step is one weighted standard deviation of
+    the convex tail.  ``g_at`` is S(level), the ``weighted_exceedance``
+    estimate there.  The half-step is one weighted standard deviation of
     the survivor responses; with no weight beyond level + step the
     difference is one-sided.
     """
     hits = responses >= level
-    wsum = float(weights[hits].sum())
-    mean = float((weights[hits] * responses[hits]).sum() / wsum)
-    var = float((weights[hits] * responses[hits] ** 2).sum() / wsum - mean * mean)
+    w, r = weights[hits], responses[hits]
+    wsum = float(w.sum())
+    mean = float((w * r).sum() / wsum)
+    var = float((w * r ** 2).sum() / wsum - mean * mean)
     step = math.sqrt(max(var, 1e-30))
-    g_at, _ = weighted_exceedance(responses, weights, level)
     g_hi, _ = weighted_exceedance(responses, weights, level + step)
     g_lo, _ = weighted_exceedance(responses, weights, level - step)
     if g_hi > 0.0:
@@ -155,36 +208,51 @@ def estimate_quantile(model, p, config, rng, m0=1000, precision=0.10,
     level = pivot
     m = 0
     target = REFINE_FACTOR * precision
-    batches = []
+    batches, weights = [], []   # draw order, with each batch's linear weights
+    merged = 0                  # leading batches already in the sorted pool
     desc_r = desc_w = np.empty(0)
+    bracket = None
     for batch in pooled_batches(model, pivot_gamma, theta, m0, rng,
                                 QUANTILE_STREAM, budget - exploration, pool):
         batches.append(batch)
-        desc_r, desc_w = _merge_sorted(desc_r, desc_w, batch.responses,
-                                       np.exp(batch.log_weights))
-        m = desc_r.size
-        level = _survival_inverse(desc_r, desc_w, m, p)
+        weights.append(np.exp(batch.log_weights))
+        m += batch.size
+        if bracket is not None:
+            lo, hi, sums = bracket
+            sums += _bracket_sums(batch.responses, weights[-1], lo, hi)
+            if _rules_out_stop(sums, m, p, z, target):
+                # no stop and no widening on this batch: widen stays 0
+                continue
+        desc_r, desc_w = _merge_batches(desc_r, desc_w, batches[merged:],
+                                        weights[merged:])
+        merged = len(batches)
+        cum = np.cumsum(desc_w)
+        level = _survival_inverse(desc_r, cum, p * m)
         if level is None or level == desc_r[0]:
             # quantile sits beyond the sampled range; widen with more batches
             widen += 1
             level = pivot
+            bracket = None
             if widen > _WIDEN_LIMIT:
                 raise NonMonotoneBracket(
                     "quantile refinement cannot bracket the target probability")
             continue
         widen = 0
         # the hits at level are a prefix of the sorted pool
-        hits_w = desc_w[:_count_at_least(desc_r, level)]
-        if width_exceeds(float(hits_w.sum()), float((hits_w * hits_w).sum()),
-                         m, z, target):
+        hits = _count_at_least(desc_r, level)
+        s1, s2 = float(cum[hits - 1]), float(desc_w[:hits] @ desc_w[:hits])
+        # bracket the iterate's mass by its relative standard error
+        delta = math.sqrt(max(m * s2 / (s1 * s1) - 1.0, 0.0) / m)
+        bracket = _bracket(desc_r, desc_w, cum, p * m, delta)
+        if width_exceeds(s1, s2, m, z, target):
             continue
         # the sorted pool allows a stop; the pool in draw order decides it
-        sample = batches[0].merge(*batches[1:])
-        responses, weights = sample.responses, np.exp(sample.log_weights)
-        estimate, se_p = weighted_exceedance(responses, weights, level)
+        responses = np.concatenate([b.responses for b in batches])
+        pooled_w = np.concatenate(weights)
+        estimate, se_p = weighted_exceedance(responses, pooled_w, level)
         if z * se_p / estimate > target:
             continue
-        slope = _slope_at(responses, weights, level)
+        slope = _slope_at(responses, pooled_w, level, estimate)
         half = z * se_p / slope
         quantile = float(oriented_response(model, level))
         rel = half / max(abs(quantile), 1e-300)
@@ -201,6 +269,11 @@ def estimate_quantile(model, p, config, rng, m0=1000, precision=0.10,
             converged=True,
             confidence=confidence)
         return report, trace
+    if merged < len(batches):
+        # the budget ran out on skipped batches; report their iterate
+        desc_r, desc_w = _merge_batches(desc_r, desc_w, batches[merged:],
+                                        weights[merged:])
+        level = _survival_inverse(desc_r, np.cumsum(desc_w), p * m)
     report = QuantileReport(
         quantile=float(oriented_response(model, level)),
         rel_half_width=math.inf, p=p, runs_exploration=exploration,

@@ -167,6 +167,22 @@ while True:
     sys.stdout.flush()
 """
 
+RECORD_REQUESTS = """\
+#!/usr/bin/env python3
+import sys
+with open(sys.argv[1], "w") as log:
+    while True:
+        header = sys.stdin.readline()
+        if not header:
+            break
+        log.write(header)
+        n, d = map(int, header.split()[1:])
+        for _ in range(n):
+            log.write(sys.stdin.readline())
+            print("0")
+        sys.stdout.flush()
+"""
+
 
 def write_sim(tmp_path, name, body):
     path = tmp_path / name
@@ -184,6 +200,22 @@ class TestExternalProcess:
         with SimulatorPool(command, 4) as pool:
             values = response_values(model, pts, pool)
         np.testing.assert_array_equal(values, pts[:, 0])
+
+    def test_request_text_is_the_per_value_format(self, tmp_path):
+        # one format string per row must write what "%.17g" % v per value
+        # and a space between them writes, for awkward doubles too
+        log = tmp_path / "requests.txt"
+        command = write_sim(tmp_path, "record.py", RECORD_REQUESTS) + f" {log}"
+        tiny = np.finfo(float).tiny
+        pts = np.array([[-0.0, 0.0, 5e-324, tiny / 3.0],
+                        [1e300, -1e300, 3.0, -42.0],
+                        [1.0, 2.0 ** 53, 0.1, -1.7976931348623157e308]])
+        with SimulatorPool(command, 4) as pool:
+            pool.evaluate(pts)
+        want = "EVAL 3 4\n" + "".join(
+            " ".join("%.17g" % v for v in row) + "\n" for row in pts)
+        assert log.read_text() == want
+        assert "-0 0 4.9406564584124654e-324" in want
 
     def test_sum_model(self, tmp_path):
         command = write_sim(tmp_path, "sum.py", SUM_MODEL)

@@ -114,15 +114,15 @@ class TestSurvivalInverse:
         from tailshift.quantile import _survival_inverse
         # the pool comes sorted by descending response
         responses = np.array([4.0, 3.0, 2.0, 1.0])
-        weights = np.ones(4)
+        cum = np.cumsum(np.ones(4))
         # G(3.0) = 2/4 = 0.5
-        assert _survival_inverse(responses, weights, 4, 0.5) == 3.0
+        assert _survival_inverse(responses, cum, 4 * 0.5) == 3.0
 
     def test_none_when_mass_insufficient(self):
         from tailshift.quantile import _survival_inverse
-        responses = np.array([1.0, 2.0])
-        weights = np.array([1e-8, 1e-8])
-        assert _survival_inverse(responses, weights, 2, 0.5) is None
+        responses = np.array([2.0, 1.0])
+        cum = np.cumsum([1e-8, 1e-8])
+        assert _survival_inverse(responses, cum, 2 * 0.5) is None
 
 
 class TestSortedPool:
@@ -149,6 +149,8 @@ class TestSortedPool:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_level_after_every_batch_matches_full_resort(self, monkeypatch,
                                                          seed):
+        # the loop computes a level only on batches its bracket cannot skip;
+        # each one must equal a full re-sort of the pool as of its batch
         p = 1e-4
         original_pooled = quantile_module.pooled_batches
         original_inverse = quantile_module._survival_inverse
@@ -163,35 +165,42 @@ class TestSortedPool:
         def inverse(*args):
             level = original_inverse(*args)
             if samples:  # the ladder's bracket calls come first
-                levels.append(level)
+                levels.append((len(samples), level))
             return level
         monkeypatch.setattr(quantile_module, "pooled_batches", pooled)
         monkeypatch.setattr(quantile_module, "_survival_inverse", inverse)
         report, _ = estimate_quantile(ModelSpec.identity(1), p,
                                       LadderConfig(), RngStream(seed))
         assert report.converged
-        assert len(samples) > 1 and len(levels) == len(samples)
-        for s, level in zip(samples, levels):
+        # the first batch and the stop batch always take a full pass
+        assert len(samples) > 1 and levels[0][0] == 1
+        assert levels[-1][0] == len(samples)
+        for batch_count, level in levels:
+            s = samples[batch_count - 1]
             order = np.argsort(-s.responses, kind="stable")
             assert level == original_inverse(
-                s.responses[order], np.exp(s.log_weights)[order], s.size, p)
+                s.responses[order], np.cumsum(np.exp(s.log_weights)[order]),
+                p * s.size)
 
 
 class TestSlope:
     def test_matches_gaussian_density_in_the_tail(self):
         # unit weights on the N(0, 1) quantile grid (i + 1/2) / n; only the
         # top 600 points matter, the rest sit far below the difference
+        from tailshift.multilevel import weighted_exceedance
         from tailshift.quantile import _slope_at
         n, top = 100_000, 600
         responses = np.zeros(n)
         responses[n - top:] = [oracles.normal_quantile((i + 0.5) / n)
                                for i in range(n - top, n)]
         q = oracles.tail_quantile("1e-3")
-        slope = _slope_at(responses, np.ones(n), q)
+        g_at, _ = weighted_exceedance(responses, np.ones(n), q)
+        slope = _slope_at(responses, np.ones(n), q, g_at)
         assert abs(slope / oracles.normal_pdf(q) - 1.0) < 0.02
 
     def test_one_sided_when_nothing_lies_beyond_the_step(self):
         # survivors tied at the level: S(level + step) = 0 must not reach log
         from tailshift.quantile import _slope_at
-        slope = _slope_at(np.array([0.0, 1.0, 2.0, 2.0]), np.ones(4), 2.0)
+        slope = _slope_at(np.array([0.0, 1.0, 2.0, 2.0]), np.ones(4), 2.0,
+                          0.5)
         assert np.isfinite(slope) and slope > 0.0
