@@ -265,8 +265,8 @@ def run_ladder(model, config, rng, pool=None, level_rule=None,
             raise BudgetExhausted(
                 f"budget of {budget} runs hit during the ladder", trace=trace)
         stream = rng.child(LADDER_STREAM + k)
-        noise = stream.generator.standard_normal((config.n_per_level, d))
-        points = noise + theta
+        points = stream.generator.standard_normal((config.n_per_level, d))
+        points += theta
         responses = oriented_response(model, response_values(model, points, pool))
         # likelihood ratio N(0, I) / N(theta, I) at each point
         weights = np.exp(points @ -theta + 0.5 * (theta @ theta))
@@ -316,11 +316,14 @@ def draw_tail_sample(model, gamma, theta, m, rng, pool=None):
     if m < 1:
         raise DomainError("sample size must be at least 1")
     theta = np.asarray(theta, dtype=float)
-    noise = rng.generator.standard_normal((int(m), model.dimension))
-    values = response_values(model, noise + theta, pool)
+    points = rng.generator.standard_normal((int(m), model.dimension))
+    # the weights read the raw draws; shifting in place then saves an m x d copy
+    log_weights = -(points @ theta) - 0.5 * theta @ theta
+    points += theta
+    values = response_values(model, points, pool)
     return TailSample(
         responses=oriented_response(model, values),
-        log_weights=-(noise @ theta) - 0.5 * theta @ theta,
+        log_weights=log_weights,
         gamma=float(oriented_response(model, gamma)),
         theta=theta,
     )
