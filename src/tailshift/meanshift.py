@@ -121,23 +121,17 @@ def log_objective_hessian(theta, batch):
     return np.eye(batch.dimension) + centered.T @ (s[:, None] * centered)
 
 
-def _conjugate_gradient(apply_a, b, rel_tol, max_iter):
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rr = r @ r
-    floor = rel_tol * np.sqrt(rr)
-    for _ in range(max_iter):
-        if np.sqrt(rr) <= floor:
-            break
-        ap = apply_a(p)
-        alpha = rr / (p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        rr_new = r @ r
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    return x
+def _newton_step(a, grad):
+    """Solve (I + a^T a) delta = -grad for a k x d factor ``a``.
+
+    Uses the d x d system when d <= k, otherwise the k x k Woodbury form
+    -grad + a^T (I + a a^T)^-1 a grad.
+    """
+    k, d = a.shape
+    if d <= k:
+        return np.linalg.solve(np.eye(d) + a.T @ a, -grad)
+    ag = a @ grad
+    return a.T @ np.linalg.solve(np.eye(k) + a @ a.T, ag) - grad
 
 
 def _solution(theta, iterations, grad_norm, converged):
@@ -153,9 +147,9 @@ def solve_optimal_shift(batch, tol=1e-8, max_iter=50):
     """Newton solve of the optimal shift on the convexified objective.
 
     Starts from the batch's base shift.  Each Newton system
-    (I + weighted_cov) delta = -grad is solved by conjugate gradient with the
-    Hessian applied matrix-free; an Armijo backtracking line search keeps the
-    objective monotone.  Raises NotConverged (carrying the best iterate) past
+    (I + weighted_cov) delta = -grad is solved directly, in whichever of the
+    dimension and the survivor count is smaller; an Armijo backtracking line
+    search keeps the objective monotone.  Raises NotConverged (carrying the best iterate) past
     ``max_iter`` steps.
     """
     if batch.survivor_count == 0:
@@ -171,13 +165,7 @@ def solve_optimal_shift(batch, tol=1e-8, max_iter=50):
         if grad_norm <= tol:
             return _solution(theta, iteration, grad_norm, True)
 
-        centered = pts - mean
-
-        def apply_hessian(v):
-            return v + centered.T @ (s * (centered @ v))
-
-        delta = _conjugate_gradient(apply_hessian, -grad, 1e-10,
-                                    max_iter=min(batch.dimension, pts.shape[0] + 2))
+        delta = _newton_step(np.sqrt(s)[:, None] * (pts - mean), grad)
         slope = grad @ delta
         if -slope <= 64.0 * np.finfo(float).eps * max(1.0, abs(value)):
             # the predicted decrease is below the objective's float
