@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, NotConverged
-from .meanshift import _softmax, _survivor_terms, solve_optimal_shift
+from .errors import DomainError, NoSurvivors, NotConverged
+from .meanshift import solve_optimal_shift
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,8 @@ class SubspaceSelection:
 def select_important(batch, max_dim=200, energy=0.99, sig_level=2.5):
     """Rank coordinates and keep the smallest prefix holding most of the mass.
 
-    The ranking statistic is the magnitude of the survivor-weighted coordinate
-    mean, which is the unconstrained one-step shift estimate from the batch's
-    base shift (the plain survivor mean on a pilot batch).
+    The ranking statistic is the magnitude of the plain survivor mean of
+    each coordinate, whatever shift the batch was drawn under.
     Before ranking, each coordinate's statistic is soft-thresholded at
     ``sig_level`` times its own standard error: a mean that small is
     indistinguishable from zero, and keeping such coordinates only feeds
@@ -52,8 +51,10 @@ def select_important(batch, max_dim=200, energy=0.99, sig_level=2.5):
         raise DomainError("energy threshold must lie in (0, 1]")
     if max_dim < 1:
         raise DomainError("max_dim must be at least 1")
-    pts, expo = _survivor_terms(batch.base_shift, batch)
-    weights = _softmax(expo)
+    if batch.survivor_count == 0:
+        raise NoSurvivors("no survivor in the batch")
+    pts = batch.points[batch.survivors]
+    weights = np.full(pts.shape[0], 1.0 / pts.shape[0])
     mean = weights @ pts
     se = np.sqrt((weights ** 2) @ (pts - mean) ** 2)
     stat = np.maximum(np.abs(mean) - sig_level * se, 0.0)

@@ -5,17 +5,25 @@ x by the density ratio
 
     f(x; from) / f(x; to) = exp((from - to) . x + (|to|^2 - |from|^2) / 2).
 
-The best shift minimises the second moment of the weighted survivor indicator
-(the variance criterion).  That criterion is smooth and strongly convex, but
-its curvature shrinks with the event probability, so the solver instead works
-on a log-transformed objective with the same stationary point whose Hessian
-never drops below the identity:
+The best shift minimises the second moment, under the nominal law, of the
+final estimator's weighted survivor indicator (the variance criterion).  From
+a batch drawn under the base shift b that moment is
 
-    J(theta) = |theta|^2 / 2 + log( (1/n) sum_survivors exp(-(theta - base) . X_j) )
+    E_b[ 1_A (f_0 / f_b)(X) (f_0 / f_theta)(X) ],
+
+whose exponent is -(theta + b) . X: one ratio carries the batch back to the
+nominal law, the other is the final estimator's weight.  The criterion is
+smooth and strongly convex, but its curvature shrinks with the event
+probability, so the solver instead works on a log-transformed objective with
+the same stationary point whose Hessian never drops below the identity:
+
+    J(theta) = |theta|^2 / 2 + log( (1/n) sum_survivors exp(-(theta + b) . X_j) )
 
 grad J(theta) = theta - weighted_mean(X);  hess J(theta) = I + weighted_cov(X).
 
-All weight sums run through log-sum-exp so large shifts cannot overflow.
+Each Newton step solves that Hessian system directly, in the smaller of the
+dimension and the survivor count.  All weight sums run through log-sum-exp
+so large shifts cannot overflow.
 """
 
 from dataclasses import dataclass
@@ -85,7 +93,7 @@ def _survivor_terms(theta, batch):
     if batch.survivor_count == 0:
         raise NoSurvivors("no survivor in the batch")
     pts = batch.points[batch.survivors]
-    return pts, -(pts @ (np.asarray(theta, dtype=float) - batch.base_shift))
+    return pts, -(pts @ (np.asarray(theta, dtype=float) + batch.base_shift))
 
 
 def _softmax(expo):

@@ -125,14 +125,15 @@ def cvar_toy_variances(gamma):
 def _criterion_terms(theta, batch):
     """Survivor points and their explicit weighted-indicator terms at theta.
 
-    exp(-(theta - base) . X_j + (|theta|^2 - |base|^2) / 2) per survivor;
-    these overflow for extreme shifts, which the library's log-space
-    objective avoids.
+    exp(-(theta + base) . X_j + (|theta|^2 + |base|^2) / 2) per survivor:
+    the ratio f_0 / f_base back to the nominal law times the final weight
+    f_0 / f_theta.  These overflow for extreme shifts, which the library's
+    log-space objective avoids.
     """
     theta = np.asarray(theta, dtype=float)
     base = batch.base_shift
     pts = batch.points[batch.survivors]
-    w = np.exp(-(pts @ (theta - base)) + 0.5 * (theta @ theta - base @ base))
+    w = np.exp(-(pts @ (theta + base)) + 0.5 * (theta @ theta + base @ base))
     return theta, pts, w
 
 

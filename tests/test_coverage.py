@@ -24,6 +24,9 @@ CELLS = {
     "identity-quantile-1e-3": (
         dict(task="quantile", p=1e-3), "quantile", "quantile",
         oracles.tail_quantile("1e-3")),
+    "identity-quantile-1e-4": (
+        dict(task="quantile", p=1e-4), "quantile", "quantile",
+        oracles.tail_quantile("1e-4")),
     "identity-quantile-1e-6": (
         dict(task="quantile", p=1e-6), "quantile", "quantile",
         oracles.tail_quantile("1e-6")),

@@ -130,8 +130,8 @@ class TestDimredModes:
 
 class TestDimensionRobustness:
     def test_noise_dimension_grows_mildly(self):
-        # fixed-regime runs at |B| = 100 and |B| = 5000: the run count may
-        # grow with dimension but only by a small factor
+        # fixed-regime runs at |B| = 100 and |B| = 5000 over seeds 1-5: the
+        # median run count may grow with dimension but only by a small factor
         import oracles
         runs = {}
         for nb in (100, 5000):
@@ -139,8 +139,12 @@ class TestDimensionRobustness:
             gamma = float(np.linalg.norm(model.coefficient_stack())
                           * oracles.tail_quantile("2.8e-5"))
             config = LadderConfig(gamma=gamma, dimred="on")
-            report, _, _ = estimate_to_precision(
-                model, gamma, config, 0.10, 1000, RngStream(1), budget=60_000)
-            assert report.converged
-            runs[nb] = report.runs_total
+            counts = []
+            for seed in range(1, 6):
+                report, _, _ = estimate_to_precision(
+                    model, gamma, config, 0.10, 1000, RngStream(seed),
+                    budget=60_000)
+                assert report.converged
+                counts.append(report.runs_total)
+            runs[nb] = float(np.median(counts))
         assert runs[5000] <= 4 * runs[100]

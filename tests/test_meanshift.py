@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, stats
 
 import oracles
 from oracles import (variance_criterion, variance_criterion_gradient,
@@ -129,15 +129,31 @@ class TestSolver:
         assert argmin == pytest.approx(1.78, abs=0.02)
         assert abs(sol.theta[0] - argmin) <= 0.05
 
+    @pytest.mark.parametrize("base", [0.0, 4.0, 5.5])
+    def test_solved_shift_does_not_depend_on_base_shift(self, base):
+        # the survivors of a batch drawn under N(base, 1) at gamma = 4.753,
+        # drawn exactly from N(base, 1) conditioned on x >= gamma (the
+        # non-survivors never enter the solve); whatever the base, the
+        # shift must land on the minimizer 4.855 of e^(t^2) Phi(-(gamma + t))
+        gamma, n = 4.753, 20_000
+        u = RngStream(7, int(10 * base)).generator.random(n)
+        points = base + stats.norm.isf(u * stats.norm.sf(gamma - base))
+        batch = WeightedBatch(points[:, None], points, np.ones(n, bool),
+                              np.array([base]))
+        argmin = oracles.optimal_shift_1d(gamma)
+        assert argmin == pytest.approx(4.855, abs=1e-3)
+        assert abs(solve_optimal_shift(batch).theta[0] - argmin) <= 0.05
+
     def test_all_survivors_shift_stays_near_zero(self):
         batch = make_batch(8, n=100_000, d=2, gamma=-np.inf)
         sol = solve_optimal_shift(batch, tol=1e-2)
         assert np.linalg.norm(sol.theta) <= 0.1
 
-    def test_matches_direct_criterion_minimizer(self):
+    @pytest.mark.parametrize("base", [None, [0.6, -0.4]])
+    def test_matches_direct_criterion_minimizer(self, base):
         # independent route: root-find the raw criterion's gradient
         for seed in range(3):
-            batch = make_batch(seed, n=50, d=2, gamma=0.8)
+            batch = make_batch(seed, n=50, d=2, gamma=0.8, base_shift=base)
             sol = solve_optimal_shift(batch, tol=1e-12)
             direct = optimize.root(
                 lambda t: variance_criterion_gradient(t, batch),

@@ -13,23 +13,22 @@ class TestQuantileEstimate:
         model = ModelSpec.identity(1)
         report, trace = estimate_quantile(model, 1e-4, LadderConfig(),
                                           RngStream(2))
-        truth = oracles.tail_quantile("1e-4")
-        half = report.rel_half_width * abs(report.quantile)
         assert report.converged
-        assert abs(report.quantile - truth) <= half
+        # coverage of the truth is counted over 200 seeds in test_coverage.py
         # interval widths in the sub-percent regime
         assert report.rel_half_width <= 0.01
         assert report.runs_exploration % 1000 == 0
 
     def test_scaled_linear_model(self):
-        # doubling every coefficient doubles the quantile
-        model = ModelSpec.linear([2.0])
-        report, _ = estimate_quantile(model, 1e-4, LadderConfig(),
-                                      RngStream(3))
-        truth = 2.0 * oracles.tail_quantile("1e-4")
-        assert truth == pytest.approx(7.438033, abs=1e-6)
-        half = report.rel_half_width * abs(report.quantile)
-        assert abs(report.quantile - truth) <= half
+        # doubling every coefficient doubles the quantile, draw for draw:
+        # same seed, same shifts, twice the responses
+        unit, _ = estimate_quantile(ModelSpec.identity(1), 1e-4,
+                                    LadderConfig(), RngStream(3))
+        report, _ = estimate_quantile(ModelSpec.linear([2.0]), 1e-4,
+                                      LadderConfig(), RngStream(3))
+        assert report.quantile == 2.0 * unit.quantile
+        assert report.rel_half_width == unit.rel_half_width
+        assert report.runs_final == unit.runs_final
 
     def test_round_trip_through_probability(self):
         model = ModelSpec.identity(1)
