@@ -157,8 +157,8 @@ def solve_optimal_shift(batch, tol=1e-8, max_iter=50):
     Starts from the batch's base shift.  Each Newton system
     (I + weighted_cov) delta = -grad is solved directly, in whichever of the
     dimension and the survivor count is smaller; an Armijo backtracking line
-    search keeps the objective monotone.  Raises NotConverged (carrying the best iterate) past
-    ``max_iter`` steps.
+    search keeps the objective monotone.  Raises NotConverged (carrying the
+    best iterate) past ``max_iter`` steps.
     """
     if batch.survivor_count == 0:
         raise NoSurvivors("cannot solve for a shift without survivors")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import optimize, stats
@@ -8,6 +10,7 @@ from oracles import (variance_criterion, variance_criterion_gradient,
 from tailshift import (ModelSpec, NoSurvivors, NotConverged, RngStream,
                        WeightedBatch, log_objective, log_objective_gradient,
                        log_objective_hessian, solve_optimal_shift)
+from tailshift.meanshift import _newton_step
 
 
 def make_batch(seed, n=200, d=3, gamma=0.5, base_shift=None):
@@ -111,6 +114,16 @@ class TestDerivatives:
 
 
 class TestSolver:
+    @pytest.mark.parametrize("k, d", [(30, 5), (5, 30)])
+    def test_newton_step_solves_the_hessian_system(self, k, d):
+        # both branches: the d x d system (d <= k) and the Woodbury form
+        gen = RngStream(k, d).generator
+        a = gen.standard_normal((k, d))
+        grad = gen.standard_normal(d)
+        delta = _newton_step(a, grad)
+        np.testing.assert_allclose((np.eye(d) + a.T @ a) @ delta, -grad,
+                                   rtol=0, atol=1e-10)
+
     def test_single_point_batch(self):
         target = np.array([1.3, -0.7, 0.2])
         points = np.tile(target, (5, 1))
@@ -149,10 +162,10 @@ class TestSolver:
         sol = solve_optimal_shift(batch, tol=1e-2)
         assert np.linalg.norm(sol.theta) <= 0.1
 
-    @pytest.mark.parametrize("base", [None, [0.6, -0.4]])
-    def test_matches_direct_criterion_minimizer(self, base):
-        # independent route: root-find the raw criterion's gradient
-        for seed in range(3):
+    def test_matches_direct_criterion_minimizer(self):
+        # independent route: root-find the raw criterion's gradient, for
+        # batches drawn under no shift and under a base shift
+        for seed, base in itertools.product(range(3), (None, [0.6, -0.4])):
             batch = make_batch(seed, n=50, d=2, gamma=0.8, base_shift=base)
             sol = solve_optimal_shift(batch, tol=1e-12)
             direct = optimize.root(
