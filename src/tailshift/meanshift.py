@@ -88,12 +88,16 @@ class ShiftSolution:
     converged: bool
 
 
-def _survivor_terms(theta, batch):
-    """Survivor points and their log weights exp-arguments at ``theta``."""
+def _survivor_rows(batch):
+    """The batch's survivor points, gathered once per solve."""
     if batch.survivor_count == 0:
         raise NoSurvivors("no survivor in the batch")
-    pts = batch.points[batch.survivors]
-    return pts, -(pts @ (np.asarray(theta, dtype=float) + batch.base_shift))
+    return batch.points[batch.survivors]
+
+
+def _exponents(theta, pts, batch):
+    """Log weight exp-arguments -(theta + b) . X of survivor rows ``pts``."""
+    return -(pts @ (np.asarray(theta, dtype=float) + batch.base_shift))
 
 
 def _softmax(expo):
@@ -106,24 +110,31 @@ def _log_mean_exp(expo, n):
     return m + np.log(np.exp(expo - m).sum() / n)
 
 
+def _objective(theta, pts, batch):
+    return float(0.5 * theta @ theta
+                 + _log_mean_exp(_exponents(theta, pts, batch), batch.size))
+
+
+def _gradient(theta, pts, batch):
+    return theta - _softmax(_exponents(theta, pts, batch)) @ pts
+
+
 def log_objective(theta, batch):
     """Convexified objective sharing its stationary point with the criterion."""
     theta = np.asarray(theta, dtype=float)
-    _, expo = _survivor_terms(theta, batch)
-    return float(0.5 * theta @ theta + _log_mean_exp(expo, batch.size))
+    return _objective(theta, _survivor_rows(batch), batch)
 
 
 def log_objective_gradient(theta, batch):
     theta = np.asarray(theta, dtype=float)
-    pts, expo = _survivor_terms(theta, batch)
-    return theta - _softmax(expo) @ pts
+    return _gradient(theta, _survivor_rows(batch), batch)
 
 
 def log_objective_hessian(theta, batch):
     """I + weighted covariance of the survivor points; always >= I."""
     theta = np.asarray(theta, dtype=float)
-    pts, expo = _survivor_terms(theta, batch)
-    s = _softmax(expo)
+    pts = _survivor_rows(batch)
+    s = _softmax(_exponents(theta, pts, batch))
     mean = s @ pts
     centered = pts - mean
     return np.eye(batch.dimension) + centered.T @ (s[:, None] * centered)
@@ -162,11 +173,11 @@ def solve_optimal_shift(batch, tol=1e-8, max_iter=50):
     """
     if batch.survivor_count == 0:
         raise NoSurvivors("cannot solve for a shift without survivors")
+    pts = batch.points[batch.survivors]
     theta = batch.base_shift.copy()
-    value = log_objective(theta, batch)
+    value = _objective(theta, pts, batch)
     for iteration in range(max_iter):
-        pts, expo = _survivor_terms(theta, batch)
-        s = _softmax(expo)
+        s = _softmax(_exponents(theta, pts, batch))
         mean = s @ pts
         grad = theta - mean
         grad_norm = np.linalg.norm(grad)
@@ -179,12 +190,12 @@ def solve_optimal_shift(batch, tol=1e-8, max_iter=50):
             # the predicted decrease is below the objective's float
             # resolution; the quadratic model rules here, take the raw step
             theta = theta + delta
-            value = log_objective(theta, batch)
+            value = _objective(theta, pts, batch)
             continue
         step = 1.0
         while True:
             candidate = theta + step * delta
-            cand_value = log_objective(candidate, batch)
+            cand_value = _objective(candidate, pts, batch)
             if cand_value <= value + 1e-4 * step * slope:
                 break
             step *= 0.5
@@ -194,7 +205,7 @@ def solve_optimal_shift(batch, tol=1e-8, max_iter=50):
                     best=_solution(theta, iteration, grad_norm, False))
         theta, value = candidate, cand_value
 
-    grad_norm = np.linalg.norm(log_objective_gradient(theta, batch))
+    grad_norm = np.linalg.norm(_gradient(theta, pts, batch))
     if grad_norm <= tol:
         return _solution(theta, max_iter, grad_norm, True)
     raise NotConverged(
