@@ -16,7 +16,7 @@ from typing import get_args
 
 import numpy as np
 
-from .core import RngStream
+from .core import SEED_LIMIT, RngStream
 from .cvar import estimate_cvar
 from .errors import (BudgetExhausted, ConfigError, MaxLevelsExceeded,
                      SimulatorError, TailshiftError)
@@ -89,8 +89,8 @@ class RunConfig:
             raise ConfigError(f"max_levels: must be >= 1, got {self.max_levels}")
         if self.budget < 1:
             raise ConfigError(f"budget: must be >= 1, got {self.budget}")
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError(f"seed: must lie in [0, 2**32), got {self.seed}")
         if self.workers < 1:
             raise ConfigError(f"workers: must be >= 1, got {self.workers}")
         if self.dimred_max < 1:
@@ -292,6 +292,10 @@ def _dispatch(config, model, rng, pool):
     # strata: ladder for the direction, then the stratified pass
     theta, trace = run_ladder(model, ladder_cfg, rng, pool,
                               budget=config.budget)
+    if trace.exploration_runs + config.n_total > config.budget:
+        raise BudgetExhausted(
+            f"budget of {config.budget} runs leaves no room for "
+            f"{config.n_total} stratified runs", trace=trace)
     spec = strata_from_shift(theta, config.strata)
     report, rows = stratified_estimate(
         model, config.gamma, spec, config.pilot, config.n_total, rng,

@@ -55,8 +55,10 @@ def select_important(batch, max_dim=200, energy=0.99, sig_level=2.5):
         raise NoSurvivors("no survivor in the batch")
     pts = batch.points[batch.survivors]
     weights = np.full(pts.shape[0], 1.0 / pts.shape[0])
-    mean = weights @ pts
-    se = np.sqrt((weights ** 2) @ (pts - mean) ** 2)
+    # einsum, not BLAS: selection runs where batches draw in row blocks, and
+    # a threaded gemv would leave an OpenBLAS worker spinning on their cores
+    mean = np.einsum("i,ij->j", weights, pts)
+    se = np.sqrt(np.einsum("i,ij->j", weights ** 2, (pts - mean) ** 2))
     stat = np.maximum(np.abs(mean) - sig_level * se, 0.0)
     if not stat.any():
         # nothing clears the noise floor; fall back to the raw magnitudes

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import std_normal_cdf
+from .core import row_dot, std_normal_cdf
 from .errors import ConfigError, DomainError, SimulatorError
 
 _REAL_FMT = "%.17g"
@@ -127,9 +127,9 @@ def _identity_values(model, points):
 
 def _linear_values(model, points):
     k = model.coeff_a.size
-    out = points[:, :k] @ model.coeff_a
+    out = row_dot(points[:, :k], model.coeff_a, points.size)
     if model.coeff_b.size:
-        out = out + points[:, k:] @ model.coeff_b
+        out = out + row_dot(points[:, k:], model.coeff_b, points.size)
     return out
 
 

@@ -8,6 +8,10 @@ of its responses (capped at the target), and the shift is re-solved on the
 new survivors.  Events at each level are therefore never rare.  A final,
 independent batch under the last shift produces the unbiased probability
 estimate and its confidence interval.
+
+Every ladder level and final batch is one ``RngStream.shifted_normals`` draw
+from its own child stream of the run's root stream, which returns the
+shifted points together with their log likelihood ratios to the nominal law.
 """
 
 import math
@@ -22,7 +26,9 @@ from .errors import (BudgetExhausted, DegenerateBatch, DomainError,
 from .meanshift import WeightedBatch, solve_optimal_shift
 from .model import oriented_response, response_values
 
-# Stream id spaces; exploration and final phases never share a stream.
+# Stream id spaces; exploration and final phases never share a stream.  Each
+# offset below names one batch; a batch drawn in row blocks takes the
+# batch stream's own children for them.
 LADDER_STREAM = 1_000
 FINAL_STREAM = 2_000_000
 QUANTILE_STREAM = 3_000_000
@@ -264,12 +270,10 @@ def run_ladder(model, config, rng, pool=None, level_rule=None,
         if k * config.n_per_level > budget:
             raise BudgetExhausted(
                 f"budget of {budget} runs hit during the ladder", trace=trace)
-        stream = rng.child(LADDER_STREAM + k)
-        points = stream.generator.standard_normal((config.n_per_level, d))
-        points += theta
+        points, log_weights = rng.child(LADDER_STREAM + k).shifted_normals(
+            config.n_per_level, theta)
         responses = oriented_response(model, response_values(model, points, pool))
-        # likelihood ratio N(0, I) / N(theta, I) at each point
-        weights = np.exp(points @ -theta + 0.5 * (theta @ theta))
+        weights = np.exp(log_weights)
         level, done = level_rule(responses, weights)
         batch = WeightedBatch.from_threshold(points, responses, level,
                                              base_shift=theta)
@@ -316,10 +320,7 @@ def draw_tail_sample(model, gamma, theta, m, rng, pool=None):
     if m < 1:
         raise DomainError("sample size must be at least 1")
     theta = np.asarray(theta, dtype=float)
-    points = rng.generator.standard_normal((int(m), model.dimension))
-    # the weights read the raw draws; shifting in place then saves an m x d copy
-    log_weights = -(points @ theta) - 0.5 * theta @ theta
-    points += theta
+    points, log_weights = rng.shifted_normals(int(m), theta)
     values = response_values(model, points, pool)
     return TailSample(
         responses=oriented_response(model, values),

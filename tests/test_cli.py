@@ -45,6 +45,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="batch"):
             config.validate()
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 32])
+    def test_seed_outside_one_word_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig(task="prob", gamma=1.0, seed=seed).validate()
+
     def test_missing_gamma(self):
         with pytest.raises(ConfigError, match="gamma"):
             RunConfig(task="prob").validate()
@@ -224,6 +229,19 @@ class TestLadderBudget:
                  if key in bundle]
         assert max(runs) <= 1500
 
+    def test_strata_pass_stays_inside_the_budget(self, tmp_path):
+        # the ladder fits the budget but the stratified pass would cross it
+        code, payload = run_main(tmp_path, [
+            "strata", "--model", "builtin:identity", "--gamma", "1.5",
+            "--budget", "2000", "--n-total", "10000", "--seed", "0",
+            "--format", "json"])
+        assert code == EXIT_BUDGET
+        bundle = json.loads(payload)
+        assert bundle["status"] == "budget_exhausted"
+        assert "report" not in bundle and "strata" not in bundle
+        assert 1 <= len(bundle["trace"]) <= 2
+        assert sum(row["runs"] for row in bundle["trace"]) <= 2000
+
 
 class TestQuantilePipeline:
     def test_identity_quantile(self, tmp_path):
@@ -376,3 +394,21 @@ class TestLadderFailureExit:
         bundle = json.loads(payload)
         assert bundle["status"] == "ladder_failed"
         assert len(bundle["trace"]) == 2
+
+
+class TestDrawThreads:
+    @pytest.mark.parametrize("dim, gamma", [(110, 12.74), (1010, 13.0)])
+    def test_report_bytes_do_not_depend_on_draw_threads(self, monkeypatch,
+                                                        dim, gamma):
+        from concurrent.futures import ThreadPoolExecutor
+        from tailshift import core
+        config = RunConfig(task="prob", model="builtin:linear", dim=dim,
+                           gamma=gamma, seed=3, format="json")
+        payloads = []
+        for threads in (1, 2, 3):
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                monkeypatch.setattr(core, "_block_pool", pool)
+                code, bundle = run(config)
+            assert code == EXIT_OK
+            payloads.append(emit_report(bundle, "json"))
+        assert payloads[0] == payloads[1] == payloads[2]

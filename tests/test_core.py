@@ -4,6 +4,7 @@ import pytest
 import oracles
 from tailshift import (DomainError, RngStream, std_normal_cdf,
                        std_normal_quantile)
+from tailshift.core import BLOCK_VALUES, block_count
 
 
 class TestNormalCdf:
@@ -92,9 +93,79 @@ class TestRngStream:
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
             RngStream(-1)
+        with pytest.raises(DomainError):
+            RngStream(2 ** 32)
+
+    def test_stream_ids_are_checked_not_masked(self):
+        with pytest.raises(DomainError):
+            RngStream(0, -1)
+        rng = RngStream(9, 2)
+        for bad in (-1, 2 ** 23, 2 ** 64 + 7):
+            with pytest.raises(DomainError):
+                rng.child(bad)
+        assert rng.child(2 ** 23 - 1).stream == (3 << 23) - 1
+        # ids past 64 bits stay distinct instead of wrapping
+        a = RngStream(9, 2 ** 64 + 5).generator.standard_normal(4)
+        b = RngStream(9, 5).generator.standard_normal(4)
+        assert not np.array_equal(a, b)
+
+    def test_stream_is_seeded_by_seed_and_stream_words(self):
+        want = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence([42, 3]))).standard_normal(5)
+        np.testing.assert_array_equal(
+            RngStream(42, 3).generator.standard_normal(5), want)
 
     def test_sample_moments(self):
         # CLT bounds: |mean| <= 4/sqrt(n), variance within 5% of 1
         draws = RngStream(123, 1).generator.standard_normal(100_000)
         assert abs(draws.mean()) <= 4.0 / np.sqrt(100_000)
         assert abs(draws.var() - 1.0) <= 0.05
+
+
+class TestShiftedNormals:
+    @staticmethod
+    def theta(d):
+        return np.linspace(-1.0, 2.0, d)
+
+    def test_block_rule(self):
+        assert block_count(1000, 131) == 1
+        assert block_count(1000, 132) == 2
+        assert block_count(1000, 1010) == 8
+        # never more blocks than rows
+        assert block_count(1, 10 * BLOCK_VALUES) == 1
+
+    def test_small_batch_is_one_draw_from_its_stream(self):
+        m, d = 1000, BLOCK_VALUES // 1000
+        theta = self.theta(d)
+        points, _ = RngStream(5, 7).shifted_normals(m, theta)
+        raw = RngStream(5, 7).generator.standard_normal((m, d))
+        np.testing.assert_array_equal(points, raw + theta)
+
+    @pytest.mark.parametrize("m, d", [(1000, 132), (1000, 1010), (7, 40_000)])
+    def test_large_batch_is_its_blocks_child_draws(self, m, d):
+        theta = self.theta(d)
+        rng = RngStream(5, 7)
+        points, _ = rng.shifted_normals(m, theta)
+        blocks = block_count(m, d)
+        assert blocks > 1
+        bounds = [j * m // blocks for j in range(blocks + 1)]
+        raw = np.concatenate([
+            rng.child(j).generator.standard_normal((bounds[j + 1] - bounds[j], d))
+            for j in range(blocks)])
+        np.testing.assert_array_equal(points, raw + theta)
+
+    @pytest.mark.parametrize("m, d", [(500, 3), (1000, 1010)])
+    def test_log_weights_read_the_raw_rows(self, m, d):
+        theta = self.theta(d)
+        points, log_weights = RngStream(11, 2).shifted_normals(m, theta)
+        raw = points - theta
+        want = -(raw @ theta) - 0.5 * (theta @ theta)
+        np.testing.assert_allclose(log_weights, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    def test_same_stream_same_batch(self):
+        theta = self.theta(1010)
+        a = RngStream(3, 4).shifted_normals(1000, theta)
+        b = RngStream(3, 4).shifted_normals(1000, theta)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
