@@ -162,10 +162,3 @@ class TestShiftedNormals:
         want = -(raw @ theta) - 0.5 * (theta @ theta)
         np.testing.assert_allclose(log_weights, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
-
-    def test_same_stream_same_batch(self):
-        theta = self.theta(1010)
-        a = RngStream(3, 4).shifted_normals(1000, theta)
-        b = RngStream(3, 4).shifted_normals(1000, theta)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
