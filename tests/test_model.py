@@ -1,6 +1,7 @@
 import os
 import stat
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import oracles
 from tailshift import (DomainError, ModelSpec, RngStream, SimulatorError,
                        SimulatorPool, analytic_tail_prob,
                        oriented_response, response_values)
+from tailshift import model as model_module
 
 
 class TestBuiltins:
@@ -167,10 +169,24 @@ while True:
     sys.stdout.flush()
 """
 
-RECORD_REQUESTS = """\
+OOPS_THEN_STALL = """\
 #!/usr/bin/env python3
 import sys
-with open(sys.argv[1], "w") as log:
+import time
+sys.stdin.readline()
+sys.stdin.readline()
+print("oops", flush=True)
+time.sleep(600)
+"""
+
+RECORD_REQUESTS = """\
+#!/usr/bin/env python3
+import os
+import sys
+path = sys.argv[1]
+if os.path.isdir(path):
+    path = os.path.join(path, str(os.getpid()))
+with open(path, "w") as log:
     while True:
         header = sys.stdin.readline()
         if not header:
@@ -182,6 +198,11 @@ with open(sys.argv[1], "w") as log:
             print("0")
         sys.stdout.flush()
 """
+
+
+def per_value_text(points):
+    return "".join(" ".join("%.16e" % v for v in row) + "\n"
+                   for row in points.tolist())
 
 
 def write_sim(tmp_path, name, body):
@@ -202,7 +223,7 @@ class TestExternalProcess:
         np.testing.assert_array_equal(values, pts[:, 0])
 
     def test_request_text_is_the_per_value_format(self, tmp_path):
-        # one format string per row must write what "%.17g" % v per value
+        # one format string per row must write what "%.16e" % v per value
         # and a space between them writes, for awkward doubles too
         log = tmp_path / "requests.txt"
         command = write_sim(tmp_path, "record.py", RECORD_REQUESTS) + f" {log}"
@@ -213,9 +234,29 @@ class TestExternalProcess:
         with SimulatorPool(command, 4) as pool:
             pool.evaluate(pts)
         want = "EVAL 3 4\n" + "".join(
-            " ".join("%.17g" % v for v in row) + "\n" for row in pts)
+            " ".join("%.16e" % v for v in row) + "\n" for row in pts)
         assert log.read_text() == want
-        assert "-0 0 4.9406564584124654e-324" in want
+        assert ("-0.0000000000000000e+00 0.0000000000000000e+00 "
+                "4.9406564584124654e-324") in want
+
+    @pytest.mark.parametrize("block_values", [1, 7, 8192, 10 ** 9])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_request_bytes_independent_of_blocks_and_workers(
+            self, tmp_path, monkeypatch, block_values, workers):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        command = write_sim(tmp_path, "record.py", RECORD_REQUESTS) + f" {logs}"
+        pts = RngStream(8).generator.standard_normal((60, 7))
+        pts[[3, 40], [2, 6]] = [0.0, np.nan]
+        monkeypatch.setattr(model_module, "_BLOCK_VALUES", block_values)
+        with SimulatorPool(command, 7, workers=workers) as pool:
+            pool.evaluate(pts)
+        body = per_value_text(pts)
+        # each simulator logs its chunk: the rows below one header line
+        chunks = [path.read_text().split("\n", 1)[1]
+                  for path in logs.iterdir()]
+        assert len(chunks) == workers
+        assert "".join(sorted(chunks, key=body.index)) == body
 
     def test_sum_model(self, tmp_path):
         command = write_sim(tmp_path, "sum.py", SUM_MODEL)
@@ -272,6 +313,110 @@ class TestExternalProcess:
             with pytest.raises(SimulatorError) as err:
                 pool.evaluate(np.array([[1.0], [7.0], [3.0], [4.0]]))
             assert err.value.indices == (1,)
+            assert "malformed simulator reply 'oops'" in str(err.value)
             with pytest.raises(SimulatorError) as err:
                 pool.evaluate(np.array([[10.0], [11.0]]))
             assert err.value.indices == (0, 1)
+
+    def test_simulator_may_reply_before_reading_the_whole_request(
+            self, tmp_path):
+        # 5000 replies overflow a 64 KB pipe while the engine still writes
+        command = write_sim(tmp_path, "sum.py", SUM_MODEL)
+        pts = RngStream(9).generator.standard_normal((5000, 5))
+        pool = SimulatorPool(command, 5, workers=1)
+        out = run_with_deadline(pool, pts)
+        pool.close()
+        np.testing.assert_allclose(out, pts.sum(axis=1), rtol=1e-12)
+
+    def test_failed_batch_leaves_no_writer_thread(self, tmp_path):
+        # the simulator stops reading after one bad reply, which would
+        # block a writer forever on the full pipe
+        command = write_sim(tmp_path, "stall.py", OOPS_THEN_STALL)
+        pool = SimulatorPool(command, 5, workers=1)
+        pts = RngStream(9).generator.standard_normal((5000, 5))
+        err = run_with_deadline(pool, pts)
+        pool.close()
+        assert isinstance(err, SimulatorError)
+        assert str(err) == "malformed simulator reply 'oops'"
+        assert err.indices == (0,)
+        assert not [t for t in threading.enumerate()
+                    if t.name == "simulator-request-writer"]
+
+
+def run_with_deadline(pool, points, seconds=30.0):
+    """pool.evaluate(points), or its SimulatorError; fails after a deadline."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(pool.evaluate(points))
+        except SimulatorError as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    if thread.is_alive():
+        pool.kill()
+        thread.join(timeout=10.0)
+        pytest.fail(f"batch still running after {seconds} s")
+    return outcome[0]
+
+
+class TestRequestEncoding:
+    """The request bytes are "%.16e" % v per value, in every code path."""
+
+    @staticmethod
+    def encoded(points):
+        points = np.asarray(points, dtype=float)
+        return b"".join(bytes(block) for block in model_module._request(points))
+
+    def check(self, points):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        want = ("EVAL %d %d\n" % points.shape + per_value_text(points)).split("\n")
+        got = self.encoded(points).decode().split("\n")
+        assert len(got) == len(want)
+        # the first differing line only: a diff of the whole text is slow
+        assert next(((g, w) for g, w in zip(got, want) if g != w), None) is None
+
+    def test_awkward_doubles(self):
+        tiny = np.finfo(float).tiny
+        big = np.finfo(float).max
+        values = [0.0, -0.0, 5e-324, tiny / 3.0, tiny, 1e300, -1e300, big,
+                  -big, 2.0 ** 53, 2.0 ** 53 + 2, 0.1, -0.1, 1.0, -1.0,
+                  9.9999999999999999, 0.99999999999999999, 99999999999999999.0,
+                  np.inf, -np.inf, np.nan]
+        self.check(np.array(values)[:, None])
+
+    def test_powers_of_ten_and_neighbours(self):
+        powers = np.array([10.0 ** k for k in range(-8, 18)])
+        values = np.concatenate([powers, np.nextafter(powers, 0.0),
+                                 np.nextafter(powers, np.inf)])
+        # one value per row exercises the per-row path on its own rows,
+        # one row of all of them the per-row path inside a plain block
+        self.check(values[:, None])
+        self.check(-values[:, None])
+        self.check(values[None, :])
+
+    def test_exact_ties_round_half_to_even(self):
+        # m + 1/4 and m + 3/4 are doubles for 2**50 <= m < 2**51 (about
+        # 1.1e15 to 2.3e15), and each has 18 significant digits ending in 5
+        base = RngStream(10).generator.integers(2 ** 50, 2 ** 51, 200)
+        values = np.concatenate([base + 0.25, base + 0.75]).astype(float)
+        assert np.all(values % 1.0 > 0)
+        self.check(values[:, None])
+
+    def test_random_magnitudes(self):
+        gen = RngStream(11).generator
+        values = (gen.standard_normal(200_000)
+                  * 10.0 ** gen.uniform(-9.0, 19.0, 200_000))
+        self.check(values.reshape(-1, 8))
+
+    def test_random_bit_patterns(self):
+        bits = RngStream(12).generator.integers(0, 2 ** 64, 50_000,
+                                                dtype=np.uint64)
+        self.check(bits.view(float).reshape(-1, 5))
+
+    def test_standard_normal_batches(self):
+        pts = RngStream(13).generator.standard_normal((3000, 110))
+        self.check(pts)
