@@ -359,15 +359,15 @@ class ExternalSimulator:
         return values
 
     def close(self):
-        if self._proc.poll() is None:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                self._proc.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
-                self.kill()
+        try:
+            self._proc.stdin.close()
+        except OSError:
+            pass  # the simulator is gone; the pipe is closed all the same
+        try:
+            self._proc.wait(timeout=2.0)
+        except subprocess.TimeoutExpired:
+            self.kill()
+        self._proc.stdout.close()
 
     def kill(self):
         self._proc.kill()

@@ -1,5 +1,6 @@
 import os
 import stat
+import sys
 import textwrap
 import threading
 
@@ -275,6 +276,22 @@ class TestExternalProcess:
             with SimulatorPool(command, 3, workers=workers) as pool:
                 outs.append(response_values(model, pts, pool))
         np.testing.assert_array_equal(outs[0], outs[1])
+
+    def test_workers_beyond_cores_under_fast_thread_switching(self, tmp_path):
+        # four chunk threads and their writers share two cores; a lost or
+        # misplaced reply would break the sums
+        command = write_sim(tmp_path, "sum.py", SUM_MODEL)
+        gen = RngStream(14).generator
+        batches = [gen.standard_normal((400, 3)) for _ in range(10)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SimulatorPool(command, 3, workers=4) as pool:
+                for pts in batches:
+                    np.testing.assert_allclose(run_with_deadline(pool, pts),
+                                               pts.sum(axis=1), rtol=1e-12)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_dead_simulator_raises_with_indices(self, tmp_path):
         command = write_sim(tmp_path, "die.py", DIE_AFTER_ONE)
