@@ -274,8 +274,7 @@ def _dispatch(config, model, rng, pool):
         bundle["selected"] = _selection_list(trace)
         if config.task == "cvar" and not report.zero_hits:
             bundle["cvar"] = _cvar_dict(
-                estimate_cvar(sample, confidence=config.confidence,
-                              tail=config.tail),
+                estimate_cvar(sample, confidence=config.confidence),
                 speedup=report.speedup)
         bundle["trace"] = _trace_rows(trace)
         return (EXIT_OK if report.converged else EXIT_BUDGET), bundle
@@ -291,7 +290,7 @@ def _dispatch(config, model, rng, pool):
         return EXIT_OK, bundle
     # strata: ladder for the direction, then the stratified pass
     theta, trace = run_ladder(model, ladder_cfg, rng, pool,
-                              budget=config.budget)
+                              budget=config.budget, gamma=config.gamma)
     if trace.exploration_runs + config.n_total > config.budget:
         raise BudgetExhausted(
             f"budget of {config.budget} runs leaves no room for "
@@ -319,10 +318,6 @@ def _fmt(value):
     return str(value)
 
 
-_STRATA_COLUMNS = ("prob", "count", "pilot_dev", "mean")
-_TRACE_COLUMNS = ("iteration", "runs", "gamma", "estimate", "ci95_rel")
-
-
 def _blocks(bundle):
     """Report blocks shared by the table and CSV emitters.
 
@@ -347,12 +342,11 @@ def _blocks(bundle):
         blocks.append(("cvar", ("gamma", "cvar", "ci_rel", "runs", "speedup"),
                        [(c["gamma"], c["cvar"], c["ci_rel"], c["runs"],
                          c["speedup"])], False))
-    for title, columns in (("strata", _STRATA_COLUMNS),
-                           ("trace", _TRACE_COLUMNS)):
+    for title in ("strata", "trace"):
         if bundle.get(title):
-            blocks.append((title, columns,
-                           [tuple(row[c] for c in columns)
-                            for row in bundle[title]], True))
+            rows = bundle[title]
+            blocks.append((title, tuple(rows[0]),
+                           [tuple(row.values()) for row in rows], True))
     return blocks
 
 

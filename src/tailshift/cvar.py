@@ -45,8 +45,11 @@ def _tail_moments(sample):
     }
 
 
-def estimate_cvar(sample, confidence=0.95, tail="right"):
+def estimate_cvar(sample, confidence=0.95):
     """Self-normalized conditional tail mean with a CLT interval.
+
+    The tail is the sample's own, so a left-tail CVaR and its gamma are
+    negated back into model units.
 
     The plug-in variance follows the three-term asymptotic formula with every
     population moment replaced by its importance-sampling counterpart from
@@ -62,7 +65,7 @@ def estimate_cvar(sample, confidence=0.95, tail="right"):
     z = z_value(confidence)
     rel = (z * math.sqrt(sigma_sq / m["n"]) / abs(cvar_o)
            if cvar_o != 0.0 else math.inf)
-    sign = -1.0 if tail == "left" else 1.0
+    sign = -1.0 if sample.tail == "left" else 1.0
     return CvarReport(
         cvar=sign * cvar_o,
         rel_half_width=rel,

@@ -171,9 +171,7 @@ def solve_optimal_shift(batch, tol=1e-8, max_iter=50):
     search keeps the objective monotone.  Raises NotConverged (carrying the
     best iterate) past ``max_iter`` steps.
     """
-    if batch.survivor_count == 0:
-        raise NoSurvivors("cannot solve for a shift without survivors")
-    pts = batch.points[batch.survivors]
+    pts = _survivor_rows(batch)
     theta = batch.base_shift.copy()
     value = _objective(theta, pts, batch)
     for iteration in range(max_iter):

@@ -182,16 +182,15 @@ class ModelSpec:
                    coeff_a=a, coeff_b=b)
 
     @classmethod
-    def linear_family(cls, dimension, important=10, major=1.0, minor=0.01,
-                      tail="right"):
+    def linear_family(cls, dimension, tail="right"):
         """Linear model with a small block of dominant coordinates.
 
-        The leading min(important, dimension) coordinates get coefficient
-        ``major``; the remaining ones get ``minor``, so they act as noise
-        variables of known ground truth.
+        The leading min(10, dimension) coordinates get coefficient 1.0; the
+        remaining ones get 0.01, so they act as noise variables of known
+        ground truth.
         """
-        k = min(int(important), int(dimension))
-        return cls.linear(np.full(k, major), np.full(int(dimension) - k, minor),
+        k = min(10, int(dimension))
+        return cls.linear(np.full(k, 1.0), np.full(int(dimension) - k, 0.01),
                           tail=tail)
 
     @classmethod
@@ -389,8 +388,7 @@ class SimulatorPool:
         self.workers = int(workers)
         self._sims = [ExternalSimulator(command, dimension)
                       for _ in range(self.workers)]
-        self._executor = (ThreadPoolExecutor(max_workers=self.workers)
-                          if self.workers > 1 else None)
+        self._executor = ThreadPoolExecutor(max_workers=self.workers)
         self._failed = False
 
     def evaluate(self, points):
@@ -407,10 +405,9 @@ class SimulatorPool:
 
     def _evaluate(self, points):
         n = points.shape[0]
-        if self.workers == 1 or n < 2 * self.workers:
-            return self._sims[0].evaluate(points)
-        bounds = np.linspace(0, n, self.workers + 1).astype(int)
-        # n >= 2 * workers here, so no chunk is empty
+        # no chunk is empty unless the batch is
+        chunks = max(1, min(self.workers, n))
+        bounds = np.linspace(0, n, chunks + 1).astype(int)
         futures = [self._executor.submit(sim.evaluate, points[lo:hi])
                    for sim, lo, hi in zip(self._sims, bounds, bounds[1:])]
         parts = []
@@ -424,8 +421,7 @@ class SimulatorPool:
         return np.concatenate(parts)
 
     def close(self):
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
+        self._executor.shutdown(wait=True)
         for sim in self._sims:
             sim.close()
 
@@ -433,8 +429,7 @@ class SimulatorPool:
         """Kill every simulator; a chunk still running then fails at once."""
         for sim in self._sims:
             sim.kill()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
+        self._executor.shutdown(wait=True)
 
     def __enter__(self):
         return self

@@ -59,7 +59,6 @@ def mc_equivalent_runs(p, rel_half_width, confidence=0.95):
 class LadderConfig:
     """Settings of the exploration ladder."""
 
-    gamma: float | None = None
     n_per_level: int = 1000
     rho: float = 0.10
     max_levels: int = 30
@@ -147,6 +146,7 @@ class TailSample:
     log_weights: np.ndarray
     gamma: float                # oriented threshold
     theta: np.ndarray
+    tail: str = "right"         # the model's failure tail
 
     @property
     def size(self):
@@ -155,8 +155,8 @@ class TailSample:
     def merge(self, *others):
         """This sample followed by ``others``, in order, in one pass."""
         for other in others:
-            if other.gamma != self.gamma or not np.array_equal(other.theta,
-                                                               self.theta):
+            if (other.gamma != self.gamma or other.tail != self.tail
+                    or not np.array_equal(other.theta, self.theta)):
                 raise DomainError(
                     "cannot merge samples drawn for different targets")
         samples = (self, *others)
@@ -165,6 +165,7 @@ class TailSample:
             log_weights=np.concatenate([s.log_weights for s in samples]),
             gamma=self.gamma,
             theta=self.theta,
+            tail=self.tail,
         )
 
 
@@ -233,13 +234,13 @@ def width_exceeds(s1, s2, n, z, target):
 
 
 def run_ladder(model, config, rng, pool=None, level_rule=None,
-               budget=math.inf):
+               budget=math.inf, gamma=None):
     """Run the exploration ladder; returns the final shift and the trace.
 
     ``level_rule(responses, weights) -> (level, done)`` picks each level from
     a batch's oriented responses and likelihood-ratio weights; the ladder
     stops once the shift is solved at a level marked done.  The default rule
-    is the top-rho statistic capped at ``config.gamma``, done at gamma.
+    is the top-rho statistic capped at ``gamma``, done at gamma.
     Trace rows carry the 95% relative half-width their ``ci95_rel`` column
     names, whatever confidence the final estimate uses.
     Raises MaxLevelsExceeded (carrying the trace) past ``max_levels`` or,
@@ -251,9 +252,9 @@ def run_ladder(model, config, rng, pool=None, level_rule=None,
     # a custom rule has no fixed target to stall below
     stall_floor = -math.inf
     if level_rule is None:
-        if config.gamma is None:
-            raise DomainError("ladder config must set gamma")
-        gamma_o = float(oriented_response(model, config.gamma))
+        if gamma is None:
+            raise DomainError("the ladder needs a gamma or a level rule")
+        gamma_o = float(oriented_response(model, gamma))
         stall_floor = PROGRESS_FLOOR * max(1.0, abs(gamma_o))
 
         def level_rule(responses, weights):
@@ -327,6 +328,7 @@ def draw_tail_sample(model, gamma, theta, m, rng, pool=None):
         log_weights=log_weights,
         gamma=float(oriented_response(model, gamma)),
         theta=theta,
+        tail=model.tail,
     )
 
 
@@ -396,8 +398,8 @@ def estimate_to_precision(model, gamma, config, target, m0, rng,
         raise DomainError("target relative half-width must lie in (0, 1)")
     if m0 < 1:
         raise DomainError("batch size must be at least 1")
-    cfg = replace(config, gamma=gamma)
-    theta, trace = run_ladder(model, cfg, rng, pool, budget=budget)
+    theta, trace = run_ladder(model, config, rng, pool, budget=budget,
+                              gamma=gamma)
     exploration = trace.exploration_runs
     # the partial report when not even one batch fits the budget
     report = estimate_report(0.0, 0.0, 0, confidence, exploration, gamma,

@@ -51,7 +51,7 @@ def linear_family_gamma(noise_dim, p):
 
 
 def pipeline(model, gamma, seed, budget, dimred="auto"):
-    config = LadderConfig(gamma=gamma, dimred=dimred)
+    config = LadderConfig(dimred=dimred)
     report, trace, sample = estimate_to_precision(
         model, gamma, config, 0.10, 1000, RngStream(seed), budget=budget)
     register_trace(trace)
@@ -208,12 +208,12 @@ def test_criterion_07_unbiasedness_and_coverage():
     model = ModelSpec.identity(1)
     gamma = 2.5
     p = oracles.normal_tail(gamma)
-    config = LadderConfig(gamma=gamma)
+    config = LadderConfig()
     m = 1000
     estimates, variances, covered = [], [], 0
     for seed in range(200):
         rng = RngStream(seed)
-        theta, trace = run_ladder(model, config, rng)
+        theta, trace = run_ladder(model, config, rng, gamma=gamma)
         register_trace(trace)
         report = estimate_probability(model, gamma, theta, m,
                                       RngStream(rng.seed, 9_100_000))
@@ -250,7 +250,7 @@ def test_criterion_08_stratification():
     wins = 0
     for seed in range(10):
         rng = RngStream(seed)
-        theta, trace = run_ladder(model, LadderConfig(gamma=gamma), rng)
+        theta, trace = run_ladder(model, LadderConfig(), rng, gamma=gamma)
         register_trace(trace)
         spec = strata_from_shift(theta, 20)
         is_est, st_est = [], []

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import oracles
+from test_multilevel import CAPPED_AT_3
 from tailshift import ConfigError
-from tailshift.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, EXIT_SIMULATOR,
-                           RunConfig, emit_report, load_config, main, run)
+from tailshift.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_LADDER, EXIT_OK,
+                           EXIT_SIMULATOR, RunConfig, emit_report, load_config,
+                           main, run)
 
 LINEAR_SIM = """\
 #!/usr/bin/env python3
@@ -97,7 +99,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("dim", "3"), ("dim", 2.5), ("dim", True), ("gamma", "2.0"),
-        ("gamma", False), ("model", 5), ("seed", None)])
+        ("gamma", False), ("model", 5), ("seed", None),
+        ("tail", "sideways"), ("format", "sideways")])
     def test_config_file_wrong_type(self, capsys, tmp_path, field, value):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"gamma": 1.0, field: value}))
@@ -154,6 +157,33 @@ class TestConfigValidation:
             argv += ["--" + name.replace("_", "-"), str(value)]
         config = load_config(_build_parser().parse_args(argv))
         assert config == RunConfig(task="cvar", **sample)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--dim", "0"), ("--precision", "1.0"), ("--confidence", "0"),
+        ("--rho", "1.5"), ("--n-per-level", "99"), ("--max-levels", "0"),
+        ("--budget", "0"), ("--workers", "0"), ("--strata", "1"),
+        ("--pilot", "0"), ("--n-total", "39")])
+    def test_setting_out_of_range(self, capsys, flag, value):
+        code = main(["prob", "--gamma", "1.0", flag, value])
+        assert code == EXIT_CONFIG
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"config error: {name}:")
+
+    @pytest.mark.parametrize("text", [None, "{gamma: 1}", "[1.0]"],
+                             ids=["missing", "not-json", "not-an-object"])
+    def test_unusable_config_file(self, capsys, tmp_path, text):
+        cfg = tmp_path / "run.json"
+        if text is not None:
+            cfg.write_text(text)
+        code = main(["prob", "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: config:")
+
+    def test_workers_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("TAILSHIFT_WORKERS", "two")
+        code = main(["prob", "--gamma", "1.0"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: workers:")
 
     def test_workers_env_default(self, monkeypatch):
         monkeypatch.setenv("TAILSHIFT_WORKERS", "3")
@@ -386,7 +416,6 @@ class TestLadderFailureExit:
                                         ["quantile", "--p", "1e-12"]],
                              ids=["prob", "quantile"])
     def test_max_levels_exit_code(self, tmp_path, target):
-        from tailshift.cli import EXIT_LADDER
         code, payload = run_main(tmp_path, target + [
             "--model", "builtin:identity",
             "--max-levels", "2", "--seed", "0", "--format", "json"])
@@ -394,6 +423,14 @@ class TestLadderFailureExit:
         bundle = json.loads(payload)
         assert bundle["status"] == "ladder_failed"
         assert len(bundle["trace"]) == 2
+
+    def test_stalled_ladder_exit_code(self, tmp_path):
+        command = write_sim(tmp_path, body=CAPPED_AT_3, name="capped.py")
+        code, bundle = run(RunConfig(task="prob", model=f"exec:{command}",
+                                     dim=2, gamma=4.0, seed=0))
+        assert code == EXIT_LADDER
+        assert bundle["status"] == "ladder_failed"
+        assert len(bundle["trace"]) == 6
 
 
 class TestDrawThreads:

@@ -69,7 +69,7 @@ class TestSelfNormalized:
         model = ModelSpec.identity(1, tail="left")
         sample = draw_tail_sample(model, -1.5, np.array([-1.78]), 100_000,
                                   RngStream(6, 500))
-        report = estimate_cvar(sample, tail="left")
+        report = estimate_cvar(sample)
         assert report.cvar == pytest.approx(-oracles.mills_cvar(1.5), abs=0.02)
         assert report.gamma == -1.5
         assert report.cvar <= report.gamma
@@ -127,7 +127,7 @@ class TestSameSampleEconomy:
         # costs zero extra model evaluations; check the bookkeeping agrees
         from tailshift import estimate_to_precision
         model = ModelSpec.identity(1)
-        config = LadderConfig(gamma=2.0)
+        config = LadderConfig()
         report, _, sample = estimate_to_precision(model, 2.0, config, 0.10,
                                                   1000, RngStream(10))
         cv = estimate_cvar(sample)

@@ -117,15 +117,15 @@ class TestDimredModes:
         ("off", False), ("auto", True), ("on", True)])
     def test_mode_decides_selection_above_threshold(self, dimred, selects):
         model = ModelSpec.linear_family(510)
-        config = LadderConfig(gamma=2.0, dimred=dimred)
-        _, trace = run_ladder(model, config, RngStream(0))
+        config = LadderConfig(dimred=dimred)
+        _, trace = run_ladder(model, config, RngStream(0), gamma=2.0)
         assert (trace.selection is not None) == selects
 
     @pytest.mark.parametrize("dimred", [True, False, "yes", None])
     def test_unknown_mode_rejected(self, dimred):
-        config = LadderConfig(gamma=2.0, dimred=dimred)
+        config = LadderConfig(dimred=dimred)
         with pytest.raises(DomainError, match="dimred"):
-            run_ladder(ModelSpec.identity(1), config, RngStream(0))
+            run_ladder(ModelSpec.identity(1), config, RngStream(0), gamma=2.0)
 
 
 class TestDimensionRobustness:
@@ -138,7 +138,7 @@ class TestDimensionRobustness:
             model = ModelSpec.linear_family(10 + nb)
             gamma = float(np.linalg.norm(model.coefficient_stack())
                           * oracles.tail_quantile("2.8e-5"))
-            config = LadderConfig(gamma=gamma, dimred="on")
+            config = LadderConfig(dimred="on")
             counts = []
             for seed in range(1, 6):
                 report, _, _ = estimate_to_precision(

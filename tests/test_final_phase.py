@@ -32,8 +32,8 @@ SEEDS = range(4)
 
 def reference_prob(model, gamma, target, rng, budget=1_000_000, m0=1000):
     """(report, pooled sample, converged), reducing the pool every batch."""
-    config = dataclasses.replace(LadderConfig(), gamma=gamma)
-    theta, trace = run_ladder(model, config, rng, budget=budget)
+    theta, trace = run_ladder(model, LadderConfig(), rng, budget=budget,
+                              gamma=gamma)
     exploration = trace.exploration_runs
     report = estimate_report(0.0, 0.0, 0, 0.95, exploration, gamma, theta)
     sample = None

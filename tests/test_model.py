@@ -180,6 +180,13 @@ print("oops", flush=True)
 time.sleep(600)
 """
 
+REPLY_THEN_EXIT = """\
+#!/usr/bin/env python3
+import sys
+n = int(sys.stdin.readline().split()[1])
+sys.stdout.write("0.0\\n" * n)
+"""
+
 RECORD_REQUESTS = """\
 #!/usr/bin/env python3
 import os
@@ -301,6 +308,27 @@ class TestExternalProcess:
             with pytest.raises(SimulatorError) as err:
                 response_values(model, np.zeros((4, 2)), pool)
         assert len(err.value.indices) > 0
+
+    def test_simulator_that_stops_reading_fails_the_whole_batch(
+            self, tmp_path):
+        # every reply arrives, but the request no longer fits the pipe of a
+        # simulator that has exited
+        command = write_sim(tmp_path, "reply_exit.py", REPLY_THEN_EXIT)
+        pool = SimulatorPool(command, 50, workers=1)
+        pts = RngStream(10).generator.standard_normal((5000, 50))
+        err = run_with_deadline(pool, pts)
+        pool.close()
+        assert isinstance(err, SimulatorError)
+        assert str(err) == ("simulator process died while receiving a batch: "
+                            "[Errno 32] Broken pipe")
+        assert err.indices == tuple(range(5000))
+
+    def test_external_model_without_a_pool(self, tmp_path):
+        # response_values starts and closes a one-batch simulator itself
+        command = write_sim(tmp_path, "sum.py", SUM_MODEL)
+        pts = RngStream(11).generator.standard_normal((20, 3))
+        values = response_values(ModelSpec.external(command, 3), pts)
+        np.testing.assert_allclose(values, pts.sum(axis=1), rtol=1e-12)
 
     def test_non_finite_reply_rejected(self, tmp_path):
         command = write_sim(tmp_path, "nan.py", NAN_MODEL)

@@ -11,6 +11,20 @@ from tailshift import (BudgetExhausted, DegenerateBatch, DomainError,
                        mc_equivalent_runs, next_level, report_from_sample,
                        run_ladder)
 
+# an exec: simulator whose response is min(x1, 3)
+CAPPED_AT_3 = """\
+import sys
+while True:
+    header = sys.stdin.readline()
+    if not header:
+        break
+    n, d = map(int, header.split()[1:])
+    for _ in range(n):
+        x1 = float(sys.stdin.readline().split()[0])
+        print("%.17g" % min(x1, 3.0))
+    sys.stdout.flush()
+"""
+
 
 class TestNextLevel:
     def test_order_statistic_convention(self):
@@ -46,8 +60,8 @@ class TestRunLadder:
     def test_single_level_when_gamma_easy(self):
         # gamma below the first batch's level: one level, solved once
         model = ModelSpec.identity(1)
-        theta, trace = run_ladder(model, LadderConfig(gamma=0.0),
-                                  RngStream(0))
+        theta, trace = run_ladder(model, LadderConfig(), RngStream(0),
+                                  gamma=0.0)
         assert len(trace.levels) == 1
         assert trace.levels[0].gamma == 0.0
 
@@ -56,26 +70,27 @@ class TestRunLadder:
         argmin = oracles.optimal_shift_1d(4.0)
         assert argmin == pytest.approx(4.2, abs=0.1)
         model = ModelSpec.identity(1)
-        config = LadderConfig(gamma=4.0)
+        config = LadderConfig()
         for seed in range(50):
-            theta, trace = run_ladder(model, config, RngStream(seed))
+            theta, trace = run_ladder(model, config, RngStream(seed),
+                                      gamma=4.0)
             assert 2 <= len(trace.levels) <= 5
             assert 3.5 <= theta[0] <= 4.6
 
     def test_levels_strictly_increase_to_gamma(self):
         model = ModelSpec.identity(1)
         for seed in range(10):
-            _, trace = run_ladder(model, LadderConfig(gamma=4.5),
-                                  RngStream(seed))
+            _, trace = run_ladder(model, LadderConfig(), RngStream(seed),
+                                  gamma=4.5)
             gammas = [lvl.gamma for lvl in trace.levels]
             assert all(a < b for a, b in zip(gammas, gammas[1:]))
             assert gammas[-1] == 4.5
 
     def test_survivor_floor(self):
         model = ModelSpec.identity(1)
-        config = LadderConfig(gamma=4.0, rho=0.10)
+        config = LadderConfig(rho=0.10)
         for seed in range(10):
-            _, trace = run_ladder(model, config, RngStream(seed))
+            _, trace = run_ladder(model, config, RngStream(seed), gamma=4.0)
             floor = math.ceil(config.rho * config.n_per_level) - 1
             assert all(lvl.survivor_count >= floor for lvl in trace.levels)
 
@@ -83,7 +98,7 @@ class TestRunLadder:
         # exploration-phase shape: estimates drop by one decade or more per
         # level and the last one lands near the true tail probability
         model = ModelSpec.identity(1)
-        _, trace = run_ladder(model, LadderConfig(gamma=5.0), RngStream(3))
+        _, trace = run_ladder(model, LadderConfig(), RngStream(3), gamma=5.0)
         estimates = [lvl.estimate for lvl in trace.levels]
         ratios = [b / a for a, b in zip(estimates, estimates[1:])]
         assert all(1e-4 <= r <= 0.6 for r in ratios)
@@ -91,8 +106,8 @@ class TestRunLadder:
 
     def test_left_tail(self):
         model = ModelSpec.identity(1, tail="left")
-        theta, trace = run_ladder(model, LadderConfig(gamma=-4.0),
-                                  RngStream(1))
+        theta, trace = run_ladder(model, LadderConfig(), RngStream(1),
+                                  gamma=-4.0)
         assert theta[0] <= -3.5
         gammas = [lvl.gamma for lvl in trace.levels]
         assert all(a > b for a, b in zip(gammas, gammas[1:]))
@@ -123,7 +138,7 @@ class TestEstimateProbability:
 
     def test_linear_model_after_ladder(self):
         model = ModelSpec.linear([1.0])
-        theta, _ = run_ladder(model, LadderConfig(gamma=4.0), RngStream(7))
+        theta, _ = run_ladder(model, LadderConfig(), RngStream(7), gamma=4.0)
         report = estimate_probability(model, 4.0, theta, 10_000,
                                       RngStream(7, 99))
         p = oracles.normal_tail(4.0)
@@ -152,7 +167,7 @@ class TestSpeedup:
 
     def test_speedup_below_one_for_common_events(self):
         model = ModelSpec.identity(1)
-        config = LadderConfig(gamma=0.0)
+        config = LadderConfig()
         report, _, _ = estimate_to_precision(model, 0.0, config, 0.10, 1000,
                                              RngStream(2))
         assert report.speedup < 1.0
@@ -161,7 +176,7 @@ class TestSpeedup:
 class TestEstimateToPrecision:
     def test_target_met_in_first_batch(self):
         model = ModelSpec.identity(1)
-        config = LadderConfig(gamma=0.0)
+        config = LadderConfig()
         report, trace, sample = estimate_to_precision(
             model, 0.0, config, 0.10, 1000, RngStream(1))
         assert report.runs_final == 1000
@@ -170,7 +185,7 @@ class TestEstimateToPrecision:
 
     def test_runs_are_multiples_of_batch(self):
         model = ModelSpec.identity(1)
-        config = LadderConfig(gamma=3.0)
+        config = LadderConfig()
         report, trace, _ = estimate_to_precision(
             model, 3.0, config, 0.10, 1000, RngStream(5))
         assert report.runs_final % 1000 == 0
@@ -178,7 +193,7 @@ class TestEstimateToPrecision:
 
     def test_budget_exhausted_carries_partial(self):
         model = ModelSpec.identity(1)
-        config = LadderConfig(gamma=4.0)
+        config = LadderConfig()
         with pytest.raises(BudgetExhausted) as err:
             estimate_to_precision(model, 4.0, config, 0.001, 1000,
                                   RngStream(0), budget=6000)
@@ -188,7 +203,7 @@ class TestEstimateToPrecision:
 
     def test_deterministic_given_seed(self):
         model = ModelSpec.linear_family(20)
-        config = LadderConfig(gamma=10.0)
+        config = LadderConfig()
         a = estimate_to_precision(model, 10.0, config, 0.10, 1000, RngStream(3))
         b = estimate_to_precision(model, 10.0, config, 0.10, 1000, RngStream(3))
         assert a[0].estimate == b[0].estimate
@@ -201,12 +216,12 @@ class TestUnbiasednessAndCoverage:
         # runs the full 200)
         model = ModelSpec.identity(1)
         p = oracles.normal_tail(2.5)
-        config = LadderConfig(gamma=2.5)
+        config = LadderConfig()
         estimates, variances = [], []
         m = 1000
         for seed in range(50):
             rng = RngStream(seed)
-            theta, _ = run_ladder(model, config, rng)
+            theta, _ = run_ladder(model, config, rng, gamma=2.5)
             sample = draw_tail_sample(model, 2.5, theta, m,
                                       RngStream(rng.seed, 2_000_000))
             terms = oracles.hit_terms(sample)
@@ -220,7 +235,7 @@ class TestUnbiasednessAndCoverage:
         model = ModelSpec.linear_family(110)
         gamma = 4.0 * np.linalg.norm(model.coefficient_stack())
         p = analytic_tail_prob(model, gamma)
-        config = LadderConfig(gamma=gamma)
+        config = LadderConfig()
         covered = 0
         runs = 100
         for seed in range(runs):
@@ -262,18 +277,20 @@ class TestTailSample:
         np.testing.assert_array_equal(merged.theta, chained.theta)
         assert merged.size == sum(5 + i for i in range(count))
 
-    @pytest.mark.parametrize("bad", ["gamma", "theta"])
+    @pytest.mark.parametrize("bad", ["gamma", "theta", "tail"])
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_multiway_merge_rejects_any_mismatch(self, bad, position):
         model = ModelSpec.identity(2)
         theta = np.array([1.0, 0.5])
+        mismatch = {"gamma": (model, 2.0, theta),
+                    "theta": (model, 1.0, np.array([1.0, 0.25])),
+                    # the same oriented threshold, for the other tail
+                    "tail": (ModelSpec.identity(2, tail="left"), -1.0, theta)}
         others = []
         for i in range(3):
-            gamma, shift = 1.0, theta
-            if i == position:
-                gamma, shift = ((2.0, theta) if bad == "gamma"
-                                else (1.0, np.array([1.0, 0.25])))
-            others.append(draw_tail_sample(model, gamma, shift, 5,
+            drawn, gamma, shift = (mismatch[bad] if i == position
+                                   else (model, 1.0, theta))
+            others.append(draw_tail_sample(drawn, gamma, shift, 5,
                                            RngStream(0, i + 1)))
         first = draw_tail_sample(model, 1.0, theta, 5, RngStream(0, 0))
         with pytest.raises(DomainError):
@@ -284,7 +301,22 @@ class TestMaxLevelsExceeded:
     def test_level_cap_carries_trace(self):
         from tailshift import MaxLevelsExceeded
         model = ModelSpec.identity(1)
-        config = LadderConfig(gamma=20.0, max_levels=2)
+        config = LadderConfig(max_levels=2)
         with pytest.raises(MaxLevelsExceeded) as err:
-            run_ladder(model, config, RngStream(0))
+            run_ladder(model, config, RngStream(0), gamma=20.0)
         assert len(err.value.trace.levels) == 2
+
+    def test_stall_below_gamma_carries_trace(self, tmp_path):
+        # the response never exceeds 3, so the levels stop at 3 below gamma 4
+        from tailshift import MaxLevelsExceeded, SimulatorPool
+        sim = tmp_path / "capped.py"
+        sim.write_text(CAPPED_AT_3)
+        model = ModelSpec.external(f"python3 {sim}", 2)
+        with SimulatorPool(model.command, 2) as pool:
+            with pytest.raises(MaxLevelsExceeded) as err:
+                run_ladder(model, LadderConfig(), RngStream(0), pool,
+                           gamma=4.0)
+        assert str(err.value) == "ladder stalled below gamma after 6 levels"
+        levels = [lvl.gamma for lvl in err.value.trace.levels]
+        assert levels == pytest.approx([1.28, 2.78, 3.0, 3.0, 3.0, 3.0],
+                                       abs=0.005)

@@ -75,6 +75,16 @@ class TestQuantileEstimate:
         assert not err.value.report.converged
 
 
+class TestBracketRule:
+    def test_batch_too_light_to_reach_p(self):
+        # the tentative level's exceedance is below p, yet the whole
+        # batch's weight is too: no level of it has exceedance p
+        from tailshift.quantile import _bracket_rule
+        rule = _bracket_rule(0.5, 0.10)
+        with pytest.raises(NonMonotoneBracket):
+            rule(np.arange(100.0), np.full(100, 1e-9))
+
+
 class TestRefinementWidening:
     """The refinement widens while the pooled curve cannot reach p.
 

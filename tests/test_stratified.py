@@ -154,8 +154,8 @@ class TestStratifiedEstimate:
         p = analytic_tail_prob(model, gamma)
         estimates, variances = [], []
         for seed in range(10):
-            theta, trace = run_ladder(model, LadderConfig(gamma=gamma),
-                                      RngStream(seed))
+            theta, trace = run_ladder(model, LadderConfig(), RngStream(seed),
+                                      gamma=gamma)
             spec = strata_from_shift(theta, 20)
             report, _ = stratified_estimate(
                 model, gamma, spec, 0.2, 20_000, RngStream(seed),
