@@ -54,7 +54,6 @@ class RunConfig:
     precision: float = 0.10
     confidence: float = 0.95
     rho: float = 0.10
-    n_per_level: int = 1000
     max_levels: int = 30
     budget: int = 1_000_000
     seed: int = 0
@@ -83,8 +82,6 @@ class RunConfig:
             raise ConfigError(f"confidence: must lie in (0, 1), got {self.confidence}")
         if not 0.0 < self.rho < 1.0:
             raise ConfigError(f"rho: must lie in (0, 1), got {self.rho}")
-        if self.n_per_level < 100:
-            raise ConfigError(f"n_per_level: must be >= 100, got {self.n_per_level}")
         if self.max_levels < 1:
             raise ConfigError(f"max_levels: must be >= 1, got {self.max_levels}")
         if self.budget < 1:

@@ -41,6 +41,12 @@ DIMRED_THRESHOLD = 500      # dimred="auto" selects variables when d exceeds it
 # STALL_LIMIT consecutive stalls end the ladder
 PROGRESS_FLOOR = 1e-9
 STALL_LIMIT = 3
+# each ladder level draws level_size(d, rho) runs: enough for
+# SURVIVORS_PER_DIM top-rho survivors per input dimension, within
+# [LEVEL_FLOOR, LEVEL_CAP]
+SURVIVORS_PER_DIM = 2
+LEVEL_FLOOR = 300
+LEVEL_CAP = 1000
 
 
 def z_value(confidence):
@@ -55,11 +61,22 @@ def mc_equivalent_runs(p, rel_half_width, confidence=0.95):
     return z * z * (1.0 - p) / (p * rel_half_width * rel_half_width)
 
 
+def level_size(dimension, rho):
+    """Runs per ladder level for a d-dimensional model at survival rate rho.
+
+    The smallest n with rho * n >= SURVIVORS_PER_DIM * d, kept inside
+    [LEVEL_FLOOR, LEVEL_CAP].  Variable selection does not lower it: the
+    selection is made from full-dimension survivors.
+    """
+    # small slack so exact-fraction quotients do not round up, as in next_level
+    need = math.ceil(SURVIVORS_PER_DIM * dimension / rho - 1e-9)
+    return min(LEVEL_CAP, max(LEVEL_FLOOR, need))
+
+
 @dataclass
 class LadderConfig:
     """Settings of the exploration ladder."""
 
-    n_per_level: int = 1000
     rho: float = 0.10
     max_levels: int = 30
     dimred: str = "auto"        # "on", "off", or "auto" (on when d > DIMRED_THRESHOLD)
@@ -69,8 +86,6 @@ class LadderConfig:
     def validate(self):
         if not 0.0 < self.rho < 1.0:
             raise DomainError("rho must lie in (0, 1)")
-        if self.n_per_level < 100:
-            raise DomainError("n_per_level must be at least 100")
         if self.max_levels < 1:
             raise DomainError("max_levels must be at least 1")
         if self.dimred not in DIMRED_MODES:
@@ -261,6 +276,7 @@ def run_ladder(model, config, rng, pool=None, level_rule=None,
             level = next_level(responses, config.rho, gamma_o)
             return level, level >= gamma_o
     d = model.dimension
+    n = level_size(d, config.rho)
     z = z_value(0.95)
     theta = np.zeros(d)
     trace = LadderTrace()
@@ -268,11 +284,11 @@ def run_ladder(model, config, rng, pool=None, level_rule=None,
     stall = 0
     prev_level = None
     for k in range(1, config.max_levels + 1):
-        if k * config.n_per_level > budget:
+        if k * n > budget:
             raise BudgetExhausted(
                 f"budget of {budget} runs hit during the ladder", trace=trace)
         points, log_weights = rng.child(LADDER_STREAM + k).shifted_normals(
-            config.n_per_level, theta)
+            n, theta)
         responses = oriented_response(model, response_values(model, points, pool))
         weights = np.exp(log_weights)
         level, done = level_rule(responses, weights)
@@ -298,7 +314,7 @@ def run_ladder(model, config, rng, pool=None, level_rule=None,
             estimate=estimate,
             rel_half_width=rel,
             newton_iterations=sol.newton_iterations,
-            runs=config.n_per_level,
+            runs=n,
         ))
         theta = sol.theta
         if done:

@@ -87,6 +87,34 @@ class TestConfigValidation:
         code = main(["prob", "--config", str(cfg)])
         assert code == EXIT_CONFIG
 
+    def test_removed_level_size_flag_rejected(self, capsys):
+        # the ladder sizes its levels from the input dimension
+        with pytest.raises(SystemExit) as err:
+            main(["prob", "--gamma", "1.0", "--n-per-level", "300"])
+        assert err.value.code == EXIT_CONFIG
+        assert "--n-per-level" in capsys.readouterr().err
+
+    def test_removed_level_size_field_in_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"gamma": 1.0, "n_per_level": 300}))
+        code = main(["prob", "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: config: unknown field 'n_per_level'\n")
+
+    def test_readme_flag_table_has_one_row_per_field(self):
+        from dataclasses import fields
+        readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              os.pardir, "README.md")
+        with open(readme) as fh:
+            rows = [line.split("|")[1] for line in fh
+                    if line.startswith("| `--")]
+        # a row may document two flags, as "`--gamma` / `--p`"
+        documented = [flag.strip().strip("`")[2:].replace("-", "_")
+                      for row in rows for flag in row.split("/")]
+        assert sorted(documented) == sorted(
+            f.name for f in fields(RunConfig) if f.name != "task")
+
     def test_subcommand_overrides_task_in_config_file(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"task": "cvar", "gamma": 2.0}))
@@ -146,8 +174,7 @@ class TestConfigValidation:
         from tailshift.cli import _build_parser
         sample = {"model": "builtin:linear", "dim": 12, "tail": "left",
                   "gamma": -2.5, "p": 0.25, "batch": 500, "precision": 0.2,
-                  "confidence": 0.9, "rho": 0.2, "n_per_level": 300,
-                  "max_levels": 7, "budget": 5000, "seed": 9, "workers": 2,
+                  "confidence": 0.9, "rho": 0.2, "max_levels": 7, "budget": 5000, "seed": 9, "workers": 2,
                   "dimred": "off", "dimred_max": 8, "dimred_energy": 0.5,
                   "strata": 4, "pilot": 0.3, "n_total": 800, "format": "csv",
                   "out": "report.csv"}
@@ -160,7 +187,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("flag, value", [
         ("--dim", "0"), ("--precision", "1.0"), ("--confidence", "0"),
-        ("--rho", "1.5"), ("--n-per-level", "99"), ("--max-levels", "0"),
+        ("--rho", "1.5"), ("--max-levels", "0"),
         ("--budget", "0"), ("--workers", "0"), ("--strata", "1"),
         ("--pilot", "0"), ("--n-total", "39")])
     def test_setting_out_of_range(self, capsys, flag, value):
@@ -248,16 +275,17 @@ class TestLadderBudget:
                              ids=["prob", "quantile", "strata"])
     def test_ladder_stops_at_the_budget(self, tmp_path, target):
         code, payload = run_main(tmp_path, target + [
-            "--model", "builtin:identity", "--budget", "1500", "--seed", "0",
+            "--model", "builtin:identity", "--budget", "450", "--seed", "0",
             "--format", "json"])
         assert code == EXIT_BUDGET
         bundle = json.loads(payload)
         assert bundle["status"] == "budget_exhausted"
+        # one 300-run level fits, the second would cross the budget
         assert len(bundle["trace"]) == 1
         runs = [sum(row["runs"] for row in bundle["trace"])]
         runs += [bundle[key]["runs_total"] for key in ("report", "quantile")
                  if key in bundle]
-        assert max(runs) <= 1500
+        assert max(runs) <= 450
 
     def test_strata_pass_stays_inside_the_budget(self, tmp_path):
         # the ladder fits the budget but the stratified pass would cross it

@@ -10,6 +10,7 @@ from tailshift import (BudgetExhausted, DegenerateBatch, DomainError,
                        estimate_probability, estimate_to_precision,
                        mc_equivalent_runs, next_level, report_from_sample,
                        run_ladder)
+from tailshift.multilevel import level_size
 
 # an exec: simulator whose response is min(x1, 3)
 CAPPED_AT_3 = """\
@@ -56,6 +57,23 @@ class TestNextLevel:
             next_level(np.arange(10.0), 1.5, 1.0)
 
 
+class TestLevelSize:
+    @pytest.mark.parametrize("d, rho, n", [
+        (1, 0.1, 300), (15, 0.1, 300), (16, 0.1, 320), (20, 0.1, 400),
+        (30, 0.1, 600), (49, 0.1, 980), (50, 0.1, 1000), (110, 0.1, 1000),
+        (1010, 0.1, 1000), (30, 0.2, 300), (40, 0.2, 400), (100, 0.2, 1000),
+        (101, 0.2, 1000), (80, 0.5, 320), (250, 0.5, 1000),
+        # 2 * 84 / 0.35 is 480.00000000000006 in floating point
+        (84, 0.35, 480)])
+    def test_table(self, d, rho, n):
+        assert level_size(d, rho) == n
+
+    def test_ladder_draws_the_rule_size(self):
+        model = ModelSpec.linear_family(20)
+        _, trace = run_ladder(model, LadderConfig(), RngStream(0), gamma=10.0)
+        assert [lvl.runs for lvl in trace.levels] == [400] * len(trace.levels)
+
+
 class TestRunLadder:
     def test_single_level_when_gamma_easy(self):
         # gamma below the first batch's level: one level, solved once
@@ -91,7 +109,8 @@ class TestRunLadder:
         config = LadderConfig(rho=0.10)
         for seed in range(10):
             _, trace = run_ladder(model, config, RngStream(seed), gamma=4.0)
-            floor = math.ceil(config.rho * config.n_per_level) - 1
+            floor = math.ceil(config.rho * level_size(1, config.rho)) - 1
+            assert floor == 29
             assert all(lvl.survivor_count >= floor for lvl in trace.levels)
 
     def test_trace_estimates_decay_by_orders_of_magnitude(self):
@@ -166,10 +185,14 @@ class TestSpeedup:
         assert speedup == pytest.approx(5.2e3, rel=0.02)
 
     def test_speedup_below_one_for_common_events(self):
+        # the speedup charges the ladder's runs; at p = 0.84 they outweigh
+        # what the shift saves (at p = 0.5 a 300-run level no longer does)
         model = ModelSpec.identity(1)
         config = LadderConfig()
-        report, _, _ = estimate_to_precision(model, 0.0, config, 0.10, 1000,
+        report, _, _ = estimate_to_precision(model, -1.0, config, 0.10, 1000,
                                              RngStream(2))
+        assert report.speedup == mc_equivalent_runs(
+            report.estimate, report.rel_half_width) / report.runs_total
         assert report.speedup < 1.0
 
 
@@ -189,7 +212,7 @@ class TestEstimateToPrecision:
         report, trace, _ = estimate_to_precision(
             model, 3.0, config, 0.10, 1000, RngStream(5))
         assert report.runs_final % 1000 == 0
-        assert report.runs_exploration == 1000 * len(trace.levels)
+        assert report.runs_exploration == 300 * len(trace.levels)
 
     def test_budget_exhausted_carries_partial(self):
         model = ModelSpec.identity(1)
@@ -318,5 +341,5 @@ class TestMaxLevelsExceeded:
                            gamma=4.0)
         assert str(err.value) == "ladder stalled below gamma after 6 levels"
         levels = [lvl.gamma for lvl in err.value.trace.levels]
-        assert levels == pytest.approx([1.28, 2.78, 3.0, 3.0, 3.0, 3.0],
+        assert levels == pytest.approx([1.27, 2.68, 3.0, 3.0, 3.0, 3.0],
                                        abs=0.005)
