@@ -41,9 +41,7 @@ DIMRED_THRESHOLD = 500      # dimred="auto" selects variables when d exceeds it
 # STALL_LIMIT consecutive stalls end the ladder
 PROGRESS_FLOOR = 1e-9
 STALL_LIMIT = 3
-# each ladder level draws level_size(d, rho) runs: enough for
-# SURVIVORS_PER_DIM top-rho survivors per input dimension, within
-# [LEVEL_FLOOR, LEVEL_CAP]
+# the terms of level_size, the runs of every ladder level
 SURVIVORS_PER_DIM = 2
 LEVEL_FLOOR = 300
 LEVEL_CAP = 1000
@@ -62,7 +60,7 @@ def mc_equivalent_runs(p, rel_half_width, confidence=0.95):
 
 
 def level_size(dimension, rho):
-    """Runs per ladder level for a d-dimensional model at survival rate rho.
+    """Runs per ladder level for a d-dimensional model keeping the top rho.
 
     The smallest n with rho * n >= SURVIVORS_PER_DIM * d, kept inside
     [LEVEL_FLOOR, LEVEL_CAP].  Variable selection does not lower it: the
@@ -252,6 +250,7 @@ def run_ladder(model, config, rng, pool=None, level_rule=None,
                budget=math.inf, gamma=None):
     """Run the exploration ladder; returns the final shift and the trace.
 
+    Every level draws ``level_size(model.dimension, config.rho)`` runs.
     ``level_rule(responses, weights) -> (level, done)`` picks each level from
     a batch's oriented responses and likelihood-ratio weights; the ladder
     stops once the shift is solved at a level marked done.  The default rule
