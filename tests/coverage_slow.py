@@ -47,6 +47,9 @@ CELLS = {
         dict(task="prob", model="builtin:linear", dim=510,
              gamma=NORM_510 * oracles.tail_quantile("1e-10")),
         "report", "estimate", 1e-10, range(100)),
+    "identity-prob-1e-10": (
+        dict(task="prob", gamma=oracles.tail_quantile("1e-10")),
+        "report", "estimate", 1e-10, range(300)),
     "strata-linear-d10-1e-4": (
         dict(task="strata", model="builtin:linear", dim=10, strata=10,
              gamma=math.sqrt(10) * oracles.tail_quantile("1e-4")),
