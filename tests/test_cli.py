@@ -174,9 +174,10 @@ class TestConfigValidation:
         from tailshift.cli import _build_parser
         sample = {"model": "builtin:linear", "dim": 12, "tail": "left",
                   "gamma": -2.5, "p": 0.25, "batch": 500, "precision": 0.2,
-                  "confidence": 0.9, "rho": 0.2, "max_levels": 7, "budget": 5000, "seed": 9, "workers": 2,
-                  "dimred": "off", "dimred_max": 8, "dimred_energy": 0.5,
-                  "strata": 4, "pilot": 0.3, "n_total": 800, "format": "csv",
+                  "confidence": 0.9, "rho": 0.2, "max_levels": 7,
+                  "budget": 5000, "seed": 9, "workers": 2, "dimred": "off",
+                  "dimred_max": 8, "dimred_energy": 0.5, "strata": 4,
+                  "pilot": 0.3, "n_total": 800, "format": "csv",
                   "out": "report.csv"}
         assert set(sample) == {f.name for f in fields(RunConfig)} - {"task"}
         argv = ["cvar"]
