@@ -50,7 +50,6 @@ class RunConfig:
     tail: str = "right"
     gamma: float | None = None
     p: float | None = None
-    batch: int = 1000
     precision: float = 0.10
     confidence: float = 0.95
     rho: float = 0.10
@@ -59,10 +58,7 @@ class RunConfig:
     seed: int = 0
     workers: int = 1
     dimred: str = "auto"
-    dimred_max: int = 200
-    dimred_energy: float = 0.99
     strata: int = 20
-    pilot: float = 0.2
     n_total: int = 10_000
     format: str = "table"
     out: str | None = None
@@ -74,8 +70,6 @@ class RunConfig:
                 raise ConfigError(f"{name}: must be one of {allowed}, got {value!r}")
         if self.dim < 1:
             raise ConfigError(f"dim: must be >= 1, got {self.dim}")
-        if self.batch < 1:
-            raise ConfigError(f"batch: must be >= 1, got {self.batch}")
         if not 0.0 < self.precision < 1.0:
             raise ConfigError(f"precision: must lie in (0, 1), got {self.precision}")
         if not 0.0 < self.confidence < 1.0:
@@ -90,15 +84,8 @@ class RunConfig:
             raise ConfigError(f"seed: must lie in [0, 2**32), got {self.seed}")
         if self.workers < 1:
             raise ConfigError(f"workers: must be >= 1, got {self.workers}")
-        if self.dimred_max < 1:
-            raise ConfigError(f"dimred_max: must be >= 1, got {self.dimred_max}")
-        if not 0.0 < self.dimred_energy <= 1.0:
-            raise ConfigError(
-                f"dimred_energy: must lie in (0, 1], got {self.dimred_energy}")
         if self.strata < 2:
             raise ConfigError(f"strata: must be >= 2, got {self.strata}")
-        if not 0.0 < self.pilot < 1.0:
-            raise ConfigError(f"pilot: must lie in (0, 1), got {self.pilot}")
         if self.n_total < 2 * self.strata:
             raise ConfigError(
                 f"n_total: must be >= 2 * strata, got {self.n_total}")
@@ -263,8 +250,8 @@ def _dispatch(config, model, rng, pool):
     ladder_cfg = config.ladder_config()
     if config.task in ("prob", "cvar"):
         report, trace, sample = estimate_to_precision(
-            model, config.gamma, ladder_cfg, config.precision, config.batch,
-            rng, budget=config.budget, confidence=config.confidence, pool=pool)
+            model, config.gamma, ladder_cfg, config.precision, rng,
+            budget=config.budget, confidence=config.confidence, pool=pool)
         status = "ok" if report.converged else "zero_hits"
         bundle = _bundle(config, status)
         bundle["report"] = _report_dict(report)
@@ -277,9 +264,8 @@ def _dispatch(config, model, rng, pool):
         return (EXIT_OK if report.converged else EXIT_BUDGET), bundle
     if config.task == "quantile":
         report, trace = estimate_quantile(
-            model, config.p, ladder_cfg, rng, m0=config.batch,
-            precision=config.precision, budget=config.budget,
-            confidence=config.confidence, pool=pool)
+            model, config.p, ladder_cfg, rng, precision=config.precision,
+            budget=config.budget, confidence=config.confidence, pool=pool)
         bundle = _bundle(config, "ok")
         bundle["quantile"] = _quantile_dict(report)
         bundle["selected"] = _selection_list(trace)
@@ -294,7 +280,7 @@ def _dispatch(config, model, rng, pool):
             f"{config.n_total} stratified runs", trace=trace)
     spec = strata_from_shift(theta, config.strata)
     report, rows = stratified_estimate(
-        model, config.gamma, spec, config.pilot, config.n_total, rng,
+        model, config.gamma, spec, config.n_total, rng,
         confidence=config.confidence, pool=pool,
         runs_exploration=trace.exploration_runs)
     bundle = _bundle(config, "ok" if report.converged else "zero_hits")

@@ -14,6 +14,8 @@ import numpy as np
 from .errors import DomainError, NoSurvivors, NotConverged
 from .meanshift import solve_optimal_shift
 
+SELECTION_CAP = 200         # most coordinates a selection keeps
+
 
 @dataclass(frozen=True)
 class SubspaceSelection:
@@ -33,7 +35,8 @@ class SubspaceSelection:
         return theta
 
 
-def select_important(batch, max_dim=200, energy=0.99, sig_level=2.5):
+def select_important(batch, max_dim=SELECTION_CAP, energy=0.99,
+                     sig_level=2.5):
     """Rank coordinates and keep the smallest prefix holding most of the mass.
 
     The ranking statistic is the magnitude of the plain survivor mean of
@@ -75,7 +78,7 @@ def select_important(batch, max_dim=200, energy=0.99, sig_level=2.5):
                              dimension=batch.dimension)
 
 
-def augment_selection(selection, batch, max_dim, sig_level=3.5):
+def augment_selection(selection, batch, max_dim=SELECTION_CAP, sig_level=3.5):
     """Grow a selection with coordinates a fresh batch shows to matter.
 
     Forward selection only: coordinates are added and never removed.  The

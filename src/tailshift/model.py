@@ -386,8 +386,16 @@ class SimulatorPool:
         if workers < 1:
             raise ConfigError("worker count must be at least 1")
         self.workers = int(workers)
-        self._sims = [ExternalSimulator(command, dimension)
-                      for _ in range(self.workers)]
+        self._sims = []
+        try:
+            for _ in range(self.workers):
+                self._sims.append(ExternalSimulator(command, dimension))
+        except SimulatorError:
+            # no caller holds the pool yet, so nothing else would stop these
+            for sim in self._sims:
+                sim.kill()
+                sim.close()
+            raise
         self._executor = ThreadPoolExecutor(max_workers=self.workers)
         self._failed = False
 

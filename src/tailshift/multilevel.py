@@ -45,6 +45,7 @@ STALL_LIMIT = 3
 SURVIVORS_PER_DIM = 2
 LEVEL_FLOOR = 300
 LEVEL_CAP = 1000
+FINAL_BATCH = 1000          # runs per final-phase and quantile refinement batch
 
 
 def z_value(confidence):
@@ -78,8 +79,6 @@ class LadderConfig:
     rho: float = 0.10
     max_levels: int = 30
     dimred: str = "auto"        # "on", "off", or "auto" (on when d > DIMRED_THRESHOLD)
-    dimred_max: int = 200
-    dimred_energy: float = 0.99
 
     def validate(self):
         if not 0.0 < self.rho < 1.0:
@@ -296,11 +295,8 @@ def run_ladder(model, config, rng, pool=None, level_rule=None,
         if _use_dimred(config, d):
             # later levels may reveal coordinates the pilot missed; grow the
             # subset (never shrink) so an early miss cannot poison the run
-            selection = (select_important(batch, config.dimred_max,
-                                          config.dimred_energy)
-                         if selection is None else
-                         augment_selection(selection, batch,
-                                           max_dim=config.dimred_max))
+            selection = (select_important(batch) if selection is None
+                         else augment_selection(selection, batch))
             trace.selection = selection
         sol = _solve_level(batch, selection)
         estimate, se = weighted_exceedance(responses, weights, level)
@@ -400,19 +396,18 @@ def estimate_probability(model, gamma, theta, m, rng, confidence=0.95,
     return report_from_sample(sample, confidence=confidence, gamma=gamma)
 
 
-def estimate_to_precision(model, gamma, config, target, m0, rng,
+def estimate_to_precision(model, gamma, config, target, rng,
                           budget=1_000_000, confidence=0.95, pool=None):
     """Full pipeline: ladder once, then batch until the CI target is met.
 
-    Returns (report, trace, sample); the sample holds every final-phase
-    response so follow-up estimators (CVaR) need no further model runs.
+    Each final-phase batch holds FINAL_BATCH runs.  Returns (report, trace,
+    sample); the sample holds every final-phase response so follow-up
+    estimators (CVaR) need no further model runs.
     Raises BudgetExhausted carrying the partial report once the next batch
     would cross ``budget`` total runs.
     """
     if not 0.0 < target < 1.0:
         raise DomainError("target relative half-width must lie in (0, 1)")
-    if m0 < 1:
-        raise DomainError("batch size must be at least 1")
     theta, trace = run_ladder(model, config, rng, pool, budget=budget,
                               gamma=gamma)
     exploration = trace.exploration_runs
@@ -422,8 +417,8 @@ def estimate_to_precision(model, gamma, config, target, m0, rng,
     z = z_value(confidence)
     batches = []
     n, s1, s2 = 0, 0.0, 0.0
-    for batch in pooled_batches(model, gamma, theta, m0, rng, FINAL_STREAM,
-                                budget - exploration, pool):
+    for batch in pooled_batches(model, gamma, theta, FINAL_BATCH, rng,
+                                FINAL_STREAM, budget - exploration, pool):
         batches.append(batch)
         terms = np.where(batch.responses >= batch.gamma,
                          np.exp(batch.log_weights), 0.0)

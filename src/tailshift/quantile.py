@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import BudgetExhausted, DomainError, NonMonotoneBracket
 from .model import oriented_response
-from .multilevel import (QUANTILE_STREAM, next_level, pooled_batches,
-                         run_ladder, summation_slack, weighted_exceedance,
-                         width_exceeds, z_value)
+from .multilevel import (FINAL_BATCH, QUANTILE_STREAM, next_level,
+                         pooled_batches, run_ladder, summation_slack,
+                         weighted_exceedance, width_exceeds, z_value)
 
 # refinement is driven this much tighter than the configured probability
 # precision so that round trips through the probability estimator stay
@@ -182,19 +182,18 @@ def _slope_at(responses, weights, level, g_at):
     return max(g_at * dlog, 1e-300)
 
 
-def estimate_quantile(model, p, config, rng, m0=1000, precision=0.10,
-                      budget=1_000_000, confidence=0.95, pool=None):
+def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
+                      confidence=0.95, pool=None):
     """Estimate the level whose exceedance probability is p, with a CI.
 
-    Returns (QuantileReport, LadderTrace).  The refinement stops once the
-    pooled probability estimate at the current quantile iterate reaches
-    REFINE_FACTOR * precision relative half-width; the quantile interval is
-    that probability interval divided by the local survival slope.
+    Returns (QuantileReport, LadderTrace).  Refinement batches hold
+    FINAL_BATCH runs each.  The refinement stops once the pooled probability
+    estimate at the current quantile iterate reaches REFINE_FACTOR *
+    precision relative half-width; the quantile interval is that probability
+    interval divided by the local survival slope.
     """
     if not 0.0 < p < 1.0:
         raise DomainError("target probability must lie in (0, 1)")
-    if m0 < 1:
-        raise DomainError("batch size must be at least 1")
     z = z_value(confidence)
     theta, trace = run_ladder(model, config, rng, pool,
                               level_rule=_bracket_rule(p, config.rho),
@@ -212,7 +211,7 @@ def estimate_quantile(model, p, config, rng, m0=1000, precision=0.10,
     merged = 0                  # leading batches already in the sorted pool
     desc_r = desc_w = np.empty(0)
     bracket = None
-    for batch in pooled_batches(model, pivot_gamma, theta, m0, rng,
+    for batch in pooled_batches(model, pivot_gamma, theta, FINAL_BATCH, rng,
                                 QUANTILE_STREAM, budget - exploration, pool):
         batches.append(batch)
         weights.append(np.exp(batch.log_weights))

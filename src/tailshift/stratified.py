@@ -19,6 +19,7 @@ from .model import oriented_response, response_values
 from .multilevel import (STRATA_MAIN_STREAM, STRATA_PILOT_STREAM,
                          estimate_report, z_value)
 
+PILOT_SHARE = 0.2           # share of the stratified runs spent on the pilot
 _ONE_BELOW_1 = np.nextafter(1.0, 0.0)
 _ONE_ABOVE_0 = np.nextafter(0.0, 1.0)
 
@@ -121,26 +122,24 @@ def optimal_allocation(probs, variances, total):
     return _apply_floor(_largest_remainder(mass / mass.sum(), int(total)), 1)
 
 
-def stratified_estimate(model, gamma, strata, pilot_fraction, total, rng,
-                        confidence=0.95, pool=None, runs_exploration=0):
+def stratified_estimate(model, gamma, strata, total, rng, confidence=0.95,
+                        pool=None, runs_exploration=0):
     """Two-pass stratified estimate of the failure probability.
 
-    A proportional pilot pass of ceil(pilot_fraction * total) samples
+    A proportional pilot pass of ceil(PILOT_SHARE * total) samples
     estimates per-stratum deviations; the remainder follows the optimal
     allocation.  Per-stratum results from both passes are pooled.
 
     Returns (EstimateReport, per-stratum rows), each row holding
     (prob, count, pilot deviation, mean).
     """
-    if not 0.0 < pilot_fraction < 1.0:
-        raise DomainError("pilot fraction must lie in (0, 1)")
     count = strata.count
     if total < 2 * count:
         raise DomainError("budget must allow two samples per stratum")
     gamma_o = float(oriented_response(model, gamma))
     z_value(confidence)     # reject a bad confidence before any model run
 
-    pilot_total = int(math.ceil(pilot_fraction * total))
+    pilot_total = int(math.ceil(PILOT_SHARE * total))
     pilot_floor = 2 if pilot_total >= 2 * count else 1
     pilot_counts = _apply_floor(_largest_remainder(strata.probs, pilot_total),
                                 pilot_floor)

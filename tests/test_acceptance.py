@@ -53,7 +53,7 @@ def linear_family_gamma(noise_dim, p):
 def pipeline(model, gamma, seed, budget, dimred="auto"):
     config = LadderConfig(dimred=dimred)
     report, trace, sample = estimate_to_precision(
-        model, gamma, config, 0.10, 1000, RngStream(seed), budget=budget)
+        model, gamma, config, 0.10, RngStream(seed), budget=budget)
     register_trace(trace)
     return report, trace, sample
 
@@ -258,7 +258,7 @@ def test_criterion_08_stratification():
             r = estimate_probability(model, gamma, theta, 1000,
                                      RngStream(rng.seed, 7_000_000 + rep))
             is_est.append(r.estimate)
-            sr, _ = stratified_estimate(model, gamma, spec, 0.2, 1000,
+            sr, _ = stratified_estimate(model, gamma, spec, 1000,
                                         RngStream(rng.seed, 8_000_000 + rep))
             st_est.append(sr.estimate)
         wins += np.var(st_est) <= 0.5 * np.var(is_est)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import textwrap
 
@@ -28,6 +29,10 @@ while True:
 """
 
 
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "README.md")
+
+
 def write_sim(tmp_path, body=LINEAR_SIM, name="sim.py"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(body))
@@ -42,11 +47,6 @@ def run_main(tmp_path, args):
 
 
 class TestConfigValidation:
-    def test_negative_batch_rejected(self):
-        config = RunConfig(task="prob", gamma=1.0, batch=-5)
-        with pytest.raises(ConfigError, match="batch"):
-            config.validate()
-
     @pytest.mark.parametrize("seed", [-1, 2 ** 32])
     def test_seed_outside_one_word_rejected(self, seed):
         with pytest.raises(ConfigError, match="seed"):
@@ -63,12 +63,6 @@ class TestConfigValidation:
     def test_unknown_model(self):
         with pytest.raises(ConfigError, match="model"):
             RunConfig(task="prob", gamma=1.0, model="builtin:nope").build_model()
-
-    def test_cli_exit_code_for_bad_config(self, capsys, tmp_path):
-        code = main(["prob", "--model", "builtin:identity", "--gamma", "1.0",
-                     "--batch", "-5"])
-        assert code == EXIT_CONFIG
-        assert "batch" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -87,26 +81,30 @@ class TestConfigValidation:
         code = main(["prob", "--config", str(cfg)])
         assert code == EXIT_CONFIG
 
-    def test_removed_level_size_flag_rejected(self, capsys):
-        # the ladder sizes its levels from the input dimension
-        with pytest.raises(SystemExit) as err:
-            main(["prob", "--gamma", "1.0", "--n-per-level", "300"])
-        assert err.value.code == EXIT_CONFIG
-        assert "--n-per-level" in capsys.readouterr().err
+    # settings replaced by a rule (n_per_level) or a constant (the rest)
+    REMOVED_SETTINGS = ["n_per_level", "batch", "dimred_max", "dimred_energy",
+                        "pilot"]
 
-    def test_removed_level_size_field_in_config_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("name", REMOVED_SETTINGS)
+    def test_removed_setting_flag_rejected(self, capsys, name):
+        flag = "--" + name.replace("_", "-")
+        with pytest.raises(SystemExit) as err:
+            main(["prob", "--gamma", "1.0", flag, "1"])
+        assert err.value.code == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", REMOVED_SETTINGS)
+    def test_removed_setting_in_config_file(self, capsys, tmp_path, name):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"gamma": 1.0, "n_per_level": 300}))
+        cfg.write_text(json.dumps({"gamma": 1.0, name: 1}))
         code = main(["prob", "--config", str(cfg)])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "config error: config: unknown field 'n_per_level'\n")
+            f"config error: config: unknown field {name!r}\n")
 
     def test_readme_flag_table_has_one_row_per_field(self):
         from dataclasses import fields
-        readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                              os.pardir, "README.md")
-        with open(readme) as fh:
+        with open(README) as fh:
             rows = [line.split("|")[1] for line in fh
                     if line.startswith("| `--")]
         # a row may document two flags, as "`--gamma` / `--p`"
@@ -114,6 +112,18 @@ class TestConfigValidation:
                       for row in rows for flag in row.split("/")]
         assert sorted(documented) == sorted(
             f.name for f in fields(RunConfig) if f.name != "task")
+
+    def test_readme_names_every_ladder_setting(self):
+        from dataclasses import fields
+        from tailshift import LadderConfig
+        with open(README) as fh:
+            text = " ".join(fh.read().split())
+        sentence = re.search(r"`LadderConfig` holds the (\w+) ladder settings "
+                             r"of `RunConfig` \(([^)]*)\)", text)
+        names = [f.name for f in fields(LadderConfig)]
+        count = ("one", "two", "three", "four", "five", "six")[len(names) - 1]
+        assert sentence.group(1) == count
+        assert re.findall(r"`(\w+)`", sentence.group(2)) == names
 
     def test_subcommand_overrides_task_in_config_file(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -142,15 +152,6 @@ class TestConfigValidation:
         code, _ = run_main(tmp_path, ["prob", "--config", str(cfg)])
         assert code == EXIT_OK
 
-    @pytest.mark.parametrize("dimred", ["on", "off"])
-    @pytest.mark.parametrize("flag, value", [
-        ("--dimred-max", "0"), ("--dimred-energy", "1.5"),
-        ("--dimred-energy", "0")])
-    def test_selection_settings_out_of_range(self, capsys, flag, value, dimred):
-        code = main(["prob", "--gamma", "1.0", "--dimred", dimred, flag, value])
-        assert code == EXIT_CONFIG
-        assert flag[2:].replace("-", "_") in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv", [
         ["quantile", "--p", "1e-3", "--gamma", "nan"],
         ["quantile", "--p", "1e-3", "--gamma", "inf"],
@@ -173,11 +174,10 @@ class TestConfigValidation:
         from dataclasses import fields
         from tailshift.cli import _build_parser
         sample = {"model": "builtin:linear", "dim": 12, "tail": "left",
-                  "gamma": -2.5, "p": 0.25, "batch": 500, "precision": 0.2,
+                  "gamma": -2.5, "p": 0.25, "precision": 0.2,
                   "confidence": 0.9, "rho": 0.2, "max_levels": 7,
                   "budget": 5000, "seed": 9, "workers": 2, "dimred": "off",
-                  "dimred_max": 8, "dimred_energy": 0.5, "strata": 4,
-                  "pilot": 0.3, "n_total": 800, "format": "csv",
+                  "strata": 4, "n_total": 800, "format": "csv",
                   "out": "report.csv"}
         assert set(sample) == {f.name for f in fields(RunConfig)} - {"task"}
         argv = ["cvar"]
@@ -190,7 +190,7 @@ class TestConfigValidation:
         ("--dim", "0"), ("--precision", "1.0"), ("--confidence", "0"),
         ("--rho", "1.5"), ("--max-levels", "0"),
         ("--budget", "0"), ("--workers", "0"), ("--strata", "1"),
-        ("--pilot", "0"), ("--n-total", "39")])
+        ("--n-total", "39")])
     def test_setting_out_of_range(self, capsys, flag, value):
         code = main(["prob", "--gamma", "1.0", flag, value])
         assert code == EXIT_CONFIG

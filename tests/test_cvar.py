@@ -129,7 +129,7 @@ class TestSameSampleEconomy:
         model = ModelSpec.identity(1)
         config = LadderConfig()
         report, _, sample = estimate_to_precision(model, 2.0, config, 0.10,
-                                                  1000, RngStream(10))
+                                                  RngStream(10))
         cv = estimate_cvar(sample)
         assert cv.runs == report.runs_final
         assert cv.gamma == 2.0

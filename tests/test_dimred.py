@@ -142,7 +142,7 @@ class TestDimensionRobustness:
             counts = []
             for seed in range(1, 6):
                 report, _, _ = estimate_to_precision(
-                    model, gamma, config, 0.10, 1000, RngStream(seed),
+                    model, gamma, config, 0.10, RngStream(seed),
                     budget=60_000)
                 assert report.converged
                 counts.append(report.runs_total)

@@ -18,7 +18,7 @@ import oracles
 from tailshift import (BudgetExhausted, LadderConfig, ModelSpec, RngStream,
                        estimate_quantile, estimate_to_precision)
 from tailshift.model import oriented_response
-from tailshift.multilevel import (FINAL_STREAM, QUANTILE_STREAM,
+from tailshift.multilevel import (FINAL_BATCH, FINAL_STREAM, QUANTILE_STREAM,
                                   estimate_report, pooled_batches,
                                   report_from_sample, run_ladder,
                                   weighted_exceedance, z_value)
@@ -30,15 +30,15 @@ from tailshift.quantile import (_WIDEN_LIMIT, REFINE_FACTOR, QuantileReport,
 SEEDS = range(4)
 
 
-def reference_prob(model, gamma, target, rng, budget=1_000_000, m0=1000):
+def reference_prob(model, gamma, target, rng, budget=1_000_000):
     """(report, pooled sample, converged), reducing the pool every batch."""
     theta, trace = run_ladder(model, LadderConfig(), rng, budget=budget,
                               gamma=gamma)
     exploration = trace.exploration_runs
     report = estimate_report(0.0, 0.0, 0, 0.95, exploration, gamma, theta)
     sample = None
-    for batch in pooled_batches(model, gamma, theta, m0, rng, FINAL_STREAM,
-                                budget - exploration):
+    for batch in pooled_batches(model, gamma, theta, FINAL_BATCH, rng,
+                                FINAL_STREAM, budget - exploration):
         sample = batch if sample is None else sample.merge(batch)
         report = report_from_sample(sample, 0.95, exploration, gamma)
         if report.zero_hits or report.rel_half_width <= target:
@@ -46,8 +46,7 @@ def reference_prob(model, gamma, target, rng, budget=1_000_000, m0=1000):
     return dataclasses.replace(report, converged=False), sample, False
 
 
-def reference_quantile(model, p, rng, precision=0.10, m0=1000,
-                       budget=1_000_000):
+def reference_quantile(model, p, rng, precision=0.10, budget=1_000_000):
     """(quantile report, converged), re-sorting and reducing the pool every
     batch."""
     config = LadderConfig()
@@ -59,7 +58,7 @@ def reference_quantile(model, p, rng, precision=0.10, m0=1000,
     widen = 0
     level = oriented_response(model, pivot_gamma)
     sample = None
-    for batch in pooled_batches(model, pivot_gamma, theta, m0, rng,
+    for batch in pooled_batches(model, pivot_gamma, theta, FINAL_BATCH, rng,
                                 QUANTILE_STREAM, budget - exploration):
         sample = batch if sample is None else sample.merge(batch)
         responses, weights = sample.responses, np.exp(sample.log_weights)
@@ -107,7 +106,7 @@ def test_prob_stops_on_the_same_batch(case, seed):
     model, gamma = PROB_CASES[case]
     want, want_sample, _ = reference_prob(model, gamma, 0.10, RngStream(seed))
     got, _, sample = estimate_to_precision(model, gamma, LadderConfig(), 0.10,
-                                           1000, RngStream(seed))
+                                           RngStream(seed))
     assert got.runs_final == want.runs_final
     assert_same_report(got, want)
     np.testing.assert_array_equal(sample.responses, want_sample.responses)
@@ -121,7 +120,7 @@ def test_prob_budget_partial_matches(seed):
                                         budget=12_000)
     assert not converged
     with pytest.raises(BudgetExhausted) as err:
-        estimate_to_precision(model, gamma, LadderConfig(), 0.01, 1000,
+        estimate_to_precision(model, gamma, LadderConfig(), 0.01,
                               RngStream(seed), budget=12_000)
     got = err.value.report
     assert got.runs_final == want.runs_final > 0

@@ -387,6 +387,27 @@ class TestExternalProcess:
         assert not [t for t in threading.enumerate()
                     if t.name == "simulator-request-writer"]
 
+    def test_failed_start_stops_the_simulators_already_started(
+            self, tmp_path, monkeypatch):
+        command = write_sim(tmp_path, "sum.py", SUM_MODEL)
+        started = []
+        popen = model_module.subprocess.Popen
+
+        def popen_failing_second(*args, **kwargs):
+            if started:
+                raise OSError(11, "Resource temporarily unavailable")
+            started.append(popen(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(model_module.subprocess, "Popen",
+                            popen_failing_second)
+        with pytest.raises(SimulatorError, match="cannot start simulator"):
+            SimulatorPool(command, 2, workers=3)
+        [first] = started
+        assert first.returncode is not None
+        assert first.stdin.closed and first.stdout.closed
+
+
 
 def run_with_deadline(pool, points, seconds=30.0):
     """pool.evaluate(points), or its SimulatorError; fails after a deadline."""

@@ -189,7 +189,7 @@ class TestSpeedup:
         # what the shift saves (at p = 0.5 a 300-run level no longer does)
         model = ModelSpec.identity(1)
         config = LadderConfig()
-        report, _, _ = estimate_to_precision(model, -1.0, config, 0.10, 1000,
+        report, _, _ = estimate_to_precision(model, -1.0, config, 0.10,
                                              RngStream(2))
         assert report.speedup == mc_equivalent_runs(
             report.estimate, report.rel_half_width) / report.runs_total
@@ -201,7 +201,7 @@ class TestEstimateToPrecision:
         model = ModelSpec.identity(1)
         config = LadderConfig()
         report, trace, sample = estimate_to_precision(
-            model, 0.0, config, 0.10, 1000, RngStream(1))
+            model, 0.0, config, 0.10, RngStream(1))
         assert report.runs_final == 1000
         assert report.converged
         assert report.rel_half_width <= 0.10
@@ -210,7 +210,7 @@ class TestEstimateToPrecision:
         model = ModelSpec.identity(1)
         config = LadderConfig()
         report, trace, _ = estimate_to_precision(
-            model, 3.0, config, 0.10, 1000, RngStream(5))
+            model, 3.0, config, 0.10, RngStream(5))
         assert report.runs_final % 1000 == 0
         assert report.runs_exploration == 300 * len(trace.levels)
 
@@ -218,8 +218,8 @@ class TestEstimateToPrecision:
         model = ModelSpec.identity(1)
         config = LadderConfig()
         with pytest.raises(BudgetExhausted) as err:
-            estimate_to_precision(model, 4.0, config, 0.001, 1000,
-                                  RngStream(0), budget=6000)
+            estimate_to_precision(model, 4.0, config, 0.001, RngStream(0),
+                                  budget=6000)
         assert err.value.report is not None
         assert not err.value.report.converged
         assert err.value.report.runs_total <= 6000
@@ -227,8 +227,8 @@ class TestEstimateToPrecision:
     def test_deterministic_given_seed(self):
         model = ModelSpec.linear_family(20)
         config = LadderConfig()
-        a = estimate_to_precision(model, 10.0, config, 0.10, 1000, RngStream(3))
-        b = estimate_to_precision(model, 10.0, config, 0.10, 1000, RngStream(3))
+        a = estimate_to_precision(model, 10.0, config, 0.10, RngStream(3))
+        b = estimate_to_precision(model, 10.0, config, 0.10, RngStream(3))
         assert a[0].estimate == b[0].estimate
         assert a[0].rel_half_width == b[0].rel_half_width
 
@@ -263,8 +263,7 @@ class TestUnbiasednessAndCoverage:
         runs = 100
         for seed in range(runs):
             report, _, _ = estimate_to_precision(
-                model, gamma, config, 0.10, 1000, RngStream(seed),
-                budget=30_000)
+                model, gamma, config, 0.10, RngStream(seed), budget=30_000)
             covered += (abs(report.estimate - p)
                         <= report.rel_half_width * report.estimate)
         assert covered >= 0.90 * runs

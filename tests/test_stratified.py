@@ -112,7 +112,7 @@ class TestStratifiedEstimate:
         spec = StrataSpec(direction=np.array([1.0]),
                           levels=np.array([-np.inf, np.inf]))
         model = ModelSpec.identity(1)
-        report, rows = stratified_estimate(model, 1.0, spec, 0.2, 2000,
+        report, rows = stratified_estimate(model, 1.0, spec, 2000,
                                            RngStream(9))
         p = oracles.normal_tail(1.0)
         se = np.sqrt(p * (1 - p) / 2000)
@@ -123,7 +123,7 @@ class TestStratifiedEstimate:
         model = ModelSpec.identity(1)
         spec = strata_from_shift(np.array([1.0]), 10)
         total = 10_000
-        report, rows = stratified_estimate(model, 1.5, spec, 0.2, total,
+        report, rows = stratified_estimate(model, 1.5, spec, total,
                                            RngStream(10))
         p = oracles.normal_tail(1.5)
         half = report.rel_half_width * report.estimate
@@ -138,7 +138,7 @@ class TestStratifiedEstimate:
         p = oracles.normal_tail(1.0)
         estimates, variances = [], []
         for seed in range(200):
-            report, _ = stratified_estimate(model, 1.0, spec, 0.2, 400,
+            report, _ = stratified_estimate(model, 1.0, spec, 400,
                                             RngStream(seed))
             estimates.append(report.estimate)
             variances.append((report.rel_half_width * report.estimate / 1.96) ** 2)
@@ -158,7 +158,7 @@ class TestStratifiedEstimate:
                                       gamma=gamma)
             spec = strata_from_shift(theta, 20)
             report, _ = stratified_estimate(
-                model, gamma, spec, 0.2, 20_000, RngStream(seed),
+                model, gamma, spec, 20_000, RngStream(seed),
                 runs_exploration=trace.exploration_runs)
             assert report.runs_exploration == trace.exploration_runs
             estimates.append(report.estimate)
@@ -169,5 +169,5 @@ class TestStratifiedEstimate:
     def test_budget_too_small(self):
         spec = strata_from_shift(np.array([1.0]), 10)
         with pytest.raises(DomainError):
-            stratified_estimate(ModelSpec.identity(1), 1.0, spec, 0.2, 15,
+            stratified_estimate(ModelSpec.identity(1), 1.0, spec, 15,
                                 RngStream(0))
