@@ -408,7 +408,6 @@ class TestExternalProcess:
         assert first.stdin.closed and first.stdout.closed
 
 
-
 def run_with_deadline(pool, points, seconds=30.0):
     """pool.evaluate(points), or its SimulatorError; fails after a deadline."""
     outcome = []
