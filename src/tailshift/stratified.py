@@ -20,6 +20,7 @@ from .multilevel import (STRATA_MAIN_STREAM, STRATA_PILOT_STREAM,
                          estimate_report, z_value)
 
 PILOT_SHARE = 0.2           # share of the stratified runs spent on the pilot
+
 _ONE_BELOW_1 = np.nextafter(1.0, 0.0)
 _ONE_ABOVE_0 = np.nextafter(0.0, 1.0)
 
