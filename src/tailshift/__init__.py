@@ -25,7 +25,6 @@ from .multilevel import (EstimateReport, LadderConfig, LadderLevel,
                          mc_equivalent_runs, next_level, report_from_sample,
                          run_ladder)
 from .quantile import QuantileReport, estimate_quantile
-from .stratified import (StrataSpec, optimal_allocation, strata_from_shift,
-                         stratified_estimate)
+from .stratified import StrataSpec, strata_from_shift, stratified_estimate
 
 __version__ = "0.1.0"

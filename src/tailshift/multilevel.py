@@ -32,8 +32,7 @@ from .model import oriented_response, response_values
 LADDER_STREAM = 1_000
 FINAL_STREAM = 2_000_000
 QUANTILE_STREAM = 3_000_000
-STRATA_PILOT_STREAM = 4_000_000
-STRATA_MAIN_STREAM = 4_500_000
+STRATA_STREAM = 4_000_000
 
 DIMRED_MODES = ("auto", "on", "off")
 DIMRED_THRESHOLD = 500      # dimred="auto" selects variables when d exceeds it

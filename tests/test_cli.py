@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import stat
@@ -13,6 +14,7 @@ from tailshift import ConfigError
 from tailshift.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_LADDER, EXIT_OK,
                            EXIT_SIMULATOR, RunConfig, emit_report, load_config,
                            main, run)
+from tailshift.multilevel import z_value
 
 LINEAR_SIM = """\
 #!/usr/bin/env python3
@@ -328,24 +330,19 @@ class TestStrataPipeline:
     def test_strata_rows(self, tmp_path):
         code, payload = run_main(tmp_path, [
             "strata", "--model", "builtin:identity", "--gamma", "1.5",
-            "--strata", "10", "--n-total", "4000", "--seed", "1",
+            "--strata", "10", "--n-total", "4003", "--seed", "1",
             "--format", "json"])
         assert code == EXIT_OK
         bundle = json.loads(payload)
-        assert len(bundle["strata"]) == 10
-        assert sum(r["count"] for r in bundle["strata"]) == 4000
+        rows = bundle["strata"]
+        # equal counts; the first 4003 % 10 slabs take one run more
+        assert [r["count"] for r in rows] == [401] * 3 + [400] * 7
+        # the interval is built from the dev column: sum p^2 dev^2 / count
+        se = math.sqrt(sum(r["prob"] ** 2 * r["dev"] ** 2 / r["count"]
+                           for r in rows))
         half = bundle["report"]["ci_rel"] * bundle["report"]["estimate"]
+        assert half == pytest.approx(z_value(0.95) * se, rel=1e-12)
         assert abs(bundle["report"]["estimate"] - 0.0668072) <= 4 * half
-
-    def test_zero_width_interval(self, tmp_path):
-        # at gamma 0 each slab is all-miss or all-hit: a zero-width interval
-        code, payload = run_main(tmp_path, [
-            "strata", "--model", "builtin:identity", "--gamma", "0",
-            "--strata", "2", "--n-total", "100", "--format", "json"])
-        assert code == EXIT_OK
-        report = json.loads(payload)["report"]
-        assert report["ci_rel"] == 0.0
-        assert report["speedup"] is None
 
 
 class TestEmission:
@@ -375,7 +372,7 @@ class TestEmission:
     CSV_HEADERS = ("measure,tail,prob,ci_rel,runs,speedup",
                    "measure,p,quantile,ci_rel,runs,speedup",
                    "gamma,cvar,ci_rel,runs,speedup",
-                   "prob,count,pilot_dev,mean",
+                   "prob,count,dev,mean",
                    "iteration,runs,gamma,estimate,ci95_rel")
 
     @pytest.mark.parametrize("target", [

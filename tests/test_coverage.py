@@ -44,6 +44,10 @@ CELLS = {
     "identity-cvar-1e-6": (
         dict(task="cvar", gamma=oracles.tail_quantile("1e-6")),
         "cvar", "cvar", oracles.mills_cvar(oracles.tail_quantile("1e-6"))),
+    "linear-d10-strata-1e-8": (
+        dict(task="strata", model="builtin:linear", dim=10, strata=10,
+             gamma=math.sqrt(10) * oracles.tail_quantile("1e-8")),
+        "report", "estimate", 1e-8),
 }
 
 

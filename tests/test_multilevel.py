@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from tailshift import (BudgetExhausted, DegenerateBatch, DomainError,
                        estimate_probability, estimate_to_precision,
                        mc_equivalent_runs, next_level, report_from_sample,
                        run_ladder)
-from tailshift.multilevel import level_size
+from tailshift.cli import _report_dict, emit_report
+from tailshift.multilevel import estimate_report, level_size
 
 # an exec: simulator whose response is min(x1, 3)
 CAPPED_AT_3 = """\
@@ -194,6 +196,15 @@ class TestSpeedup:
         assert report.speedup == mc_equivalent_runs(
             report.estimate, report.rel_half_width) / report.runs_total
         assert report.speedup < 1.0
+
+    def test_zero_width_interval(self):
+        # a zero standard error must not divide by zero in the speedup
+        report = estimate_report(0.5, 0.0, 100)
+        assert report.rel_half_width == 0.0
+        assert report.speedup == math.inf
+        emitted = json.loads(emit_report({"report": _report_dict(report)},
+                                         "json"))
+        assert emitted["report"]["speedup"] is None
 
 
 class TestEstimateToPrecision:

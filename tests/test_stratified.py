@@ -5,8 +5,8 @@ from scipy import stats
 import oracles
 from tailshift import (DegenerateStratum, DomainError,
                        LadderConfig, ModelSpec, RngStream, StrataSpec,
-                       analytic_tail_prob, optimal_allocation,
-                       run_ladder, strata_from_shift, stratified_estimate)
+                       analytic_tail_prob, run_ladder, strata_from_shift,
+                       stratified_estimate)
 from tailshift.stratified import _conditional_rows
 
 
@@ -53,41 +53,10 @@ class TestConditionalSampler:
             _conditional_rows(np.array([1.0]), 39.0, 40.0, 10, RngStream(0))
 
 
-class TestOptimalAllocation:
-    def test_textbook_case(self):
-        counts = optimal_allocation([0.5, 0.5], [1.0, 3.0], 100)
-        np.testing.assert_array_equal(counts, [25, 75])
-
-    def test_equal_deviations_give_proportional(self):
-        counts = optimal_allocation([0.2, 0.3, 0.5], [2.0, 2.0, 2.0], 1000)
-        np.testing.assert_array_equal(counts, [200, 300, 500])
-
-    def test_zero_deviation_stratum_keeps_one(self):
-        counts = optimal_allocation([0.9, 0.1], [0.0, 5.0], 10)
-        np.testing.assert_array_equal(counts, [1, 9])
-
-    def test_counts_sum_to_total(self):
-        rng = RngStream(7, 9).generator
-        for _ in range(20):
-            raw = rng.random(6) + 0.01
-            probs = raw / raw.sum()
-            variances = rng.random(6)
-            counts = optimal_allocation(probs, variances, 137)
-            assert counts.sum() == 137
-            assert np.all(counts >= 1)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            optimal_allocation([0.5, 0.6], [1.0, 1.0], 10)
-        with pytest.raises(DomainError):
-            optimal_allocation([0.5, 0.5], [0.0, 0.0], 10)
-        with pytest.raises(DomainError):
-            optimal_allocation([0.5, 0.5], [1.0, 1.0], 1)
-
-
 class TestStrataFromShift:
     def test_two_strata(self):
         spec = strata_from_shift(np.array([3.0, 4.0]), 2)
+        np.testing.assert_array_equal(spec.theta, [3.0, 4.0])
         np.testing.assert_allclose(spec.direction, [0.6, 0.8], rtol=1e-14)
         np.testing.assert_array_equal(spec.levels, [-np.inf, 0.0, np.inf])
         np.testing.assert_allclose(spec.probs, [0.5, 0.5], rtol=1e-12)
@@ -103,13 +72,14 @@ class TestStrataFromShift:
 
     def test_probs_are_derived_not_passed(self):
         with pytest.raises(TypeError):
-            StrataSpec(direction=np.array([1.0]),
+            StrataSpec(theta=np.array([1.0]),
                        levels=np.array([-np.inf, np.inf]), probs=np.array([0.5]))
 
 
 class TestStratifiedEstimate:
     def test_single_stratum_is_plain_mc(self):
-        spec = StrataSpec(direction=np.array([1.0]),
+        # one slab under the shift is plain importance sampling
+        spec = StrataSpec(theta=np.array([1.0]),
                           levels=np.array([-np.inf, np.inf]))
         model = ModelSpec.identity(1)
         report, rows = stratified_estimate(model, 1.0, spec, 2000,
@@ -146,9 +116,8 @@ class TestStratifiedEstimate:
         assert abs(np.mean(estimates) - p) <= 3 * pooled_se
 
     def test_two_step_with_ladder_direction(self):
-        # direction from a ladder run, then stratify; pooled over seeds the
-        # estimate stays on the oracle (per-seed intervals are heavy-tailed
-        # when a near-empty stratum hides real mass, so aggregate)
+        # shift from a ladder run, then stratify under it; pooled over
+        # seeds the estimate stays on the oracle
         model = ModelSpec.linear_family(12)
         gamma = 1.5 * np.linalg.norm(model.coefficient_stack())
         p = analytic_tail_prob(model, gamma)
