@@ -7,8 +7,7 @@ shift direction, and important-variable selection for high dimensions.
 """
 
 from .core import RngStream, std_normal_cdf, std_normal_quantile
-from .cvar import (CvarReport, cvar_exact_bias, estimate_cvar,
-                   estimate_cvar_unnormalized)
+from .cvar import CvarReport, estimate_cvar
 from .dimred import SubspaceSelection, select_important, solve_shift_in_subspace
 from .errors import (BudgetExhausted, ConfigError, DegenerateBatch,
                      DegenerateStratum, DomainError, MaxLevelsExceeded,
@@ -21,9 +20,8 @@ from .model import (ExternalSimulator, ModelSpec, SimulatorPool,
                     analytic_tail_prob, oriented_response, response_values)
 from .multilevel import (EstimateReport, LadderConfig, LadderLevel,
                          LadderTrace, TailSample, draw_tail_sample,
-                         estimate_probability, estimate_to_precision,
-                         mc_equivalent_runs, next_level, report_from_sample,
-                         run_ladder)
+                         estimate_to_precision, mc_equivalent_runs,
+                         next_level, report_from_sample, run_ladder)
 from .quantile import QuantileReport, estimate_quantile
 from .stratified import StrataSpec, strata_from_shift, stratified_estimate
 

@@ -54,6 +54,18 @@ def row_dot(rows, v, batch_values):
     return rows @ v
 
 
+def shift_rows(rows, theta, batch_values):
+    """Log weights log f_0 / f_theta of standard-normal ``rows``, then the
+    rows shifted to N(theta, I) in place.
+
+    The weights -theta . x - |theta|^2 / 2 are read from the raw rows, with
+    ``row_dot``'s product for a batch of ``batch_values`` values.
+    """
+    log_weights = -row_dot(rows, theta, batch_values) - 0.5 * (theta @ theta)
+    rows += theta
+    return log_weights
+
+
 class RngStream:
     """Random stream addressed by (seed, stream id).
 
@@ -89,25 +101,23 @@ class RngStream:
     def shifted_normals(self, m, theta):
         """m rows drawn from N(theta, I) and their log weights log f_0 / f_theta.
 
-        The m x d array is filled in place with standard normals, the log
-        weights -theta . x - |theta|^2 / 2 are read from those raw rows, and
-        theta is added last.  A draw of at most BLOCK_VALUES values comes from
-        this stream in the calling thread.  A larger one splits into
-        ``block_count(m, d)`` near-equal row blocks, block j drawn from
-        ``self.child(j)`` on the block pool; the split depends on (m, d)
-        alone, so the result is the same at any thread count.
+        The m x d array is filled in place with standard normals, and
+        ``shift_rows`` writes the log weights and adds theta.  A draw of at
+        most BLOCK_VALUES values comes from this stream in the calling
+        thread.  A larger one splits into ``block_count(m, d)`` near-equal
+        row blocks, block j drawn from ``self.child(j)`` on the block pool;
+        the split depends on (m, d) alone, so the result is the same at any
+        thread count.
         """
         theta = np.asarray(theta, dtype=float)
         d = theta.size
         points = np.empty((m, d))
         log_weights = np.empty(m)
-        half_sq = 0.5 * (theta @ theta)
 
         def fill(generator, lo, hi):
             rows = points[lo:hi]
             generator.standard_normal(out=rows)
-            log_weights[lo:hi] = -row_dot(rows, theta, m * d) - half_sq
-            rows += theta
+            log_weights[lo:hi] = shift_rows(rows, theta, m * d)
 
         blocks = block_count(m, d)
         if blocks <= 1:

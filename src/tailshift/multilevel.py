@@ -16,6 +16,7 @@ shifted points together with their log likelihood ratios to the nominal law.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -162,6 +163,11 @@ class TailSample:
     @property
     def size(self):
         return self.responses.size
+
+    @cached_property
+    def weights(self):
+        """Linear likelihood ratios f_0 / f_theta, exponentiated once."""
+        return np.exp(self.log_weights)
 
     def merge(self, *others):
         """This sample followed by ``others``, in order, in one pass."""
@@ -367,8 +373,8 @@ def estimate_report(estimate, se, runs_final, confidence=0.95,
 def report_from_sample(sample, confidence=0.95, runs_exploration=0,
                        gamma=None):
     """Probability estimate with CI and speedup from a weighted tail sample."""
-    estimate, se = weighted_exceedance(sample.responses,
-                                       np.exp(sample.log_weights), sample.gamma)
+    estimate, se = weighted_exceedance(sample.responses, sample.weights,
+                                       sample.gamma)
     return estimate_report(estimate, se, sample.size, confidence,
                            runs_exploration, gamma, sample.theta)
 
@@ -382,17 +388,6 @@ def pooled_batches(model, gamma, theta, m, rng, stream, room, pool=None):
     for i in range(room // m):
         yield draw_tail_sample(model, gamma, theta, m,
                                rng.child(stream + i), pool)
-
-
-def estimate_probability(model, gamma, theta, m, rng, confidence=0.95,
-                         pool=None):
-    """Unbiased tail probability estimate from one independent batch.
-
-    A batch with no weighted survivor yields estimate 0 flagged
-    ``zero_hits`` rather than an exception.
-    """
-    sample = draw_tail_sample(model, gamma, theta, m, rng, pool)
-    return report_from_sample(sample, confidence=confidence, gamma=gamma)
 
 
 def estimate_to_precision(model, gamma, config, target, rng,
@@ -419,8 +414,7 @@ def estimate_to_precision(model, gamma, config, target, rng,
     for batch in pooled_batches(model, gamma, theta, FINAL_BATCH, rng,
                                 FINAL_STREAM, budget - exploration, pool):
         batches.append(batch)
-        terms = np.where(batch.responses >= batch.gamma,
-                         np.exp(batch.log_weights), 0.0)
+        terms = np.where(batch.responses >= batch.gamma, batch.weights, 0.0)
         s1 += float(terms.sum())
         s2 += float((terms * terms).sum())
         n += batch.size

@@ -86,11 +86,11 @@ def _merge_sorted(desc_r, desc_w, responses, weights):
             np.insert(desc_w, slots, weights))
 
 
-def _merge_batches(desc_r, desc_w, batches, weights):
-    """Merge ``batches``, with their linear ``weights``, in one pass."""
+def _merge_batches(desc_r, desc_w, batches):
+    """Merge ``batches``, with their linear weights, in one pass."""
     return _merge_sorted(desc_r, desc_w,
                          np.concatenate([b.responses for b in batches]),
-                         np.concatenate(weights))
+                         np.concatenate([b.weights for b in batches]))
 
 
 def _bracket(desc_r, desc_w, cum, mass, delta):
@@ -207,23 +207,21 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
     level = pivot
     m = 0
     target = REFINE_FACTOR * precision
-    batches, weights = [], []   # draw order, with each batch's linear weights
+    batches = []                # draw order
     merged = 0                  # leading batches already in the sorted pool
     desc_r = desc_w = np.empty(0)
     bracket = None
     for batch in pooled_batches(model, pivot_gamma, theta, FINAL_BATCH, rng,
                                 QUANTILE_STREAM, budget - exploration, pool):
         batches.append(batch)
-        weights.append(np.exp(batch.log_weights))
         m += batch.size
         if bracket is not None:
             lo, hi, sums = bracket
-            sums += _bracket_sums(batch.responses, weights[-1], lo, hi)
+            sums += _bracket_sums(batch.responses, batch.weights, lo, hi)
             if _rules_out_stop(sums, m, p, z, target):
                 # no stop and no widening on this batch: widen stays 0
                 continue
-        desc_r, desc_w = _merge_batches(desc_r, desc_w, batches[merged:],
-                                        weights[merged:])
+        desc_r, desc_w = _merge_batches(desc_r, desc_w, batches[merged:])
         merged = len(batches)
         cum = np.cumsum(desc_w)
         level = _survival_inverse(desc_r, cum, p * m)
@@ -247,7 +245,7 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
             continue
         # the sorted pool allows a stop; the pool in draw order decides it
         responses = np.concatenate([b.responses for b in batches])
-        pooled_w = np.concatenate(weights)
+        pooled_w = np.concatenate([b.weights for b in batches])
         estimate, se_p = weighted_exceedance(responses, pooled_w, level)
         if z * se_p / estimate > target:
             continue
@@ -270,8 +268,7 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
         return report, trace
     if merged < len(batches):
         # the budget ran out on skipped batches; report their iterate
-        desc_r, desc_w = _merge_batches(desc_r, desc_w, batches[merged:],
-                                        weights[merged:])
+        desc_r, desc_w = _merge_batches(desc_r, desc_w, batches[merged:])
         level = _survival_inverse(desc_r, np.cumsum(desc_w), p * m)
     report = QuantileReport(
         quantile=float(oriented_response(model, level)),

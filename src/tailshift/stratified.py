@@ -5,7 +5,8 @@ the single most informative direction to stratify.  The strata are
 equiprobable slabs of the projection u . (x - theta), u = theta / |theta|,
 under the importance law N(theta, I).  A slab is sampled exactly by
 inverse-CDF on the projected coordinate plus an independent orthogonal
-Gaussian; theta is added to each row and the row is weighted by f_0 / f_theta.
+Gaussian; ``core.shift_rows``, the draw kernel's weight step, weights each row
+by f_0 / f_theta and adds theta to it.
 Every slab gets an equal share of the runs, which is proportional allocation
 since the slabs are equiprobable, and the estimate is
 sum_i p_i mean_i(w 1{h >= gamma}) (Glasserman, Heidelberger & Shahabuddin
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import std_normal_cdf, std_normal_quantile
+from .core import shift_rows, std_normal_cdf, std_normal_quantile
 from .errors import DegenerateStratum, DomainError
 from .model import oriented_response, response_values
 from .multilevel import STRATA_STREAM, estimate_report, z_value
@@ -100,18 +101,16 @@ def stratified_estimate(model, gamma, strata, total, rng, confidence=0.95,
     z_value(confidence)     # reject a bad confidence before any model run
 
     theta, direction = strata.theta, strata.direction
-    half_sq = 0.5 * (theta @ theta)
     counts = np.full(count, int(total) // count)
     counts[:int(total) % count] += 1
     means, devs = np.zeros(count), np.zeros(count)
     for i in range(count):
-        raw = _conditional_rows(direction, strata.levels[i],
-                                strata.levels[i + 1], int(counts[i]),
-                                rng.child(STRATA_STREAM + i))
-        values = oriented_response(
-            model, response_values(model, raw + theta, pool))
-        terms = np.where(values >= gamma_o, np.exp(-(raw @ theta) - half_sq),
-                         0.0)
+        rows = _conditional_rows(direction, strata.levels[i],
+                                 strata.levels[i + 1], int(counts[i]),
+                                 rng.child(STRATA_STREAM + i))
+        log_weights = shift_rows(rows, theta, rows.size)
+        values = oriented_response(model, response_values(model, rows, pool))
+        terms = np.where(values >= gamma_o, np.exp(log_weights), 0.0)
         means[i], devs[i] = terms.mean(), terms.std(ddof=1)
 
     estimate = float(strata.probs @ means)

@@ -1,13 +1,17 @@
 """High-precision oracles for the test suite.
 
 Everything here goes through mpmath, or plain explicit-weight numpy, so
-expected values stay independent of the library code under test.
+expected values stay independent of the library code under test.  Only the
+library's DomainError is shared, so argument checks raise what the library
+raises.
 """
 
 import functools
 
 import mpmath as mp
 import numpy as np
+
+from tailshift.errors import DomainError
 
 mp.mp.dps = 40
 
@@ -120,6 +124,33 @@ def cvar_toy_variances(gamma):
     sigma_bar = var_y1 / p ** 2
     sigma = sigma_bar - ey1 ** 2 * (1 - p) / p ** 3
     return float(sigma), float(sigma_bar)
+
+
+def estimate_cvar_unnormalized(sample, p):
+    """Unbiased comparison CVaR estimator dividing by a known (or estimated) p.
+
+    Returns (estimate, sigma_bar_sq) of a TailSample; the plug-in variance is
+    typically far above the self-normalized one, which is the price of
+    unbiasedness.
+    """
+    if not 0.0 < p <= 1.0:
+        raise DomainError("p must lie in (0, 1]")
+    yiw = sample.responses * hit_terms(sample)
+    return (float(yiw.mean()) / p,
+            float((yiw * yiw).mean() - yiw.mean() ** 2) / (p * p))
+
+
+def cvar_exact_bias(cvar, p, n):
+    """Exact bias of the self-normalized CVaR estimator, unshifted regime.
+
+    bias = -cvar * (1 - p)^n, i.e. the expectation is cvar * (1 - (1-p)^n)
+    when replications without any survivor contribute zero.
+    """
+    if not 0.0 < p <= 1.0:
+        raise DomainError("p must lie in (0, 1]")
+    if n < 1:
+        raise DomainError("n must be at least 1")
+    return -cvar * (1.0 - p) ** n
 
 
 def _criterion_terms(theta, batch):

@@ -18,11 +18,10 @@ from scipy import stats
 import oracles
 from test_coverage import coverage_bound
 from tailshift import (LadderConfig, ModelSpec, RngStream, WeightedBatch,
-                       draw_tail_sample, estimate_cvar,
-                       estimate_cvar_unnormalized, estimate_probability,
-                       estimate_quantile, estimate_to_precision,
-                       log_objective, log_objective_gradient,
-                       log_objective_hessian, response_values, run_ladder,
+                       draw_tail_sample, estimate_cvar, estimate_quantile,
+                       estimate_to_precision, log_objective,
+                       log_objective_gradient, log_objective_hessian,
+                       report_from_sample, response_values, run_ladder,
                        select_important, strata_from_shift,
                        stratified_estimate)
 from tailshift.cli import RunConfig, emit_report, run
@@ -99,7 +98,8 @@ def test_criterion_03_toy_cvar_variances():
     sample = draw_tail_sample(model, 1.5, np.zeros(1), n, RngStream(3, 77))
     report = estimate_cvar(sample)
     assert abs(report.sigma_sq - 2.0) <= 0.15 * 2.0
-    _, sigma_bar = estimate_cvar_unnormalized(sample, oracles.normal_tail(1.5))
+    _, sigma_bar = oracles.estimate_cvar_unnormalized(
+        sample, oracles.normal_tail(1.5))
     assert abs(sigma_bar - 54.0) <= 0.15 * 54.0
     cvar_true = oracles.mills_cvar(1.5)
     assert cvar_true == pytest.approx(1.9387, abs=1e-4)
@@ -140,8 +140,9 @@ def test_criterion_05_quantile_inversion():
         register_trace(trace)
         covered += (abs(rep.quantile - truth)
                     <= rep.rel_half_width * abs(rep.quantile))
-        check = estimate_probability(model, rep.quantile, rep.theta, 1000,
-                                     RngStream(rng.seed, 9_000_000))
+        check = report_from_sample(
+            draw_tail_sample(model, rep.quantile, rep.theta, 1000,
+                             RngStream(rng.seed, 9_000_000)))
         round_trips += (abs(check.estimate - 1e-4)
                         <= check.rel_half_width * check.estimate)
     assert covered >= coverage_bound(50)
@@ -215,8 +216,9 @@ def test_criterion_07_unbiasedness_and_coverage():
         rng = RngStream(seed)
         theta, trace = run_ladder(model, config, rng, gamma=gamma)
         register_trace(trace)
-        report = estimate_probability(model, gamma, theta, m,
-                                      RngStream(rng.seed, 9_100_000))
+        report = report_from_sample(
+            draw_tail_sample(model, gamma, theta, m,
+                             RngStream(rng.seed, 9_100_000)))
         estimates.append(report.estimate)
         se = report.rel_half_width * report.estimate / 1.96
         variances.append(se * se)
@@ -252,8 +254,9 @@ def test_criterion_08_stratification():
         spec = strata_from_shift(theta, 20)
         is_est, st_est = [], []
         for rep in range(20):
-            r = estimate_probability(model, gamma, theta, 1000,
-                                     RngStream(rng.seed, 7_000_000 + rep))
+            r = report_from_sample(
+                draw_tail_sample(model, gamma, theta, 1000,
+                                 RngStream(rng.seed, 7_000_000 + rep)))
             is_est.append(r.estimate)
             sr, _ = stratified_estimate(model, gamma, spec, 1000,
                                         RngStream(rng.seed, 8_000_000 + rep))

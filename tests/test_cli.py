@@ -127,6 +127,33 @@ class TestConfigValidation:
         assert sentence.group(1) == count
         assert re.findall(r"`(\w+)`", sentence.group(2)) == names
 
+    def test_readme_export_list_names_the_package_surface(self):
+        import inspect
+        import tailshift
+        with open(README) as fh:
+            text = fh.read()
+        block = text.split("The package exports, by module:\n\n")[1]
+        block = " ".join(block.split("\n\n")[0].split())
+        documented = {}
+        for item in block.split("- ")[1:]:
+            module, names = item.split(":", 1)
+            # parentheses describe a name; they do not list one
+            names = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", names))
+            documented[module.strip("` ")] = names
+        errors = tailshift.errors
+        assert documented.pop("errors") == ["TailshiftError"]
+        documented["errors"] = [
+            name for name, obj in vars(errors).items() if inspect.isclass(obj)
+            and issubclass(obj, errors.TailshiftError)]
+        public = {name for name, obj in vars(tailshift).items()
+                  if not name.startswith("_") and not inspect.ismodule(obj)}
+        listed = [name for names in documented.values() for name in names]
+        assert sorted(listed) == sorted(public)
+        for module, names in documented.items():
+            for name in names:
+                assert getattr(tailshift, name).__module__ == (
+                    f"tailshift.{module}")
+
     def test_subcommand_overrides_task_in_config_file(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"task": "cvar", "gamma": 2.0}))

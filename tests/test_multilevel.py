@@ -8,9 +8,8 @@ import oracles
 from tailshift import (BudgetExhausted, DegenerateBatch, DomainError,
                        LadderConfig, ModelSpec, RngStream,
                        analytic_tail_prob, draw_tail_sample,
-                       estimate_probability, estimate_to_precision,
-                       mc_equivalent_runs, next_level, report_from_sample,
-                       run_ladder)
+                       estimate_to_precision, mc_equivalent_runs, next_level,
+                       report_from_sample, run_ladder)
 from tailshift.cli import _report_dict, emit_report
 from tailshift.multilevel import estimate_report, level_size
 
@@ -137,8 +136,8 @@ class TestRunLadder:
 class TestEstimateProbability:
     def test_plain_mc_certain_event(self):
         model = ModelSpec.identity(1)
-        report = estimate_probability(model, -1e6, np.zeros(1), 500,
-                                      RngStream(0, 9))
+        report = report_from_sample(draw_tail_sample(
+            model, -1e6, np.zeros(1), 500, RngStream(0, 9)))
         assert report.estimate == 1.0
 
     def test_identity_matches_oracle_with_variance_gain(self):
@@ -160,16 +159,16 @@ class TestEstimateProbability:
     def test_linear_model_after_ladder(self):
         model = ModelSpec.linear([1.0])
         theta, _ = run_ladder(model, LadderConfig(), RngStream(7), gamma=4.0)
-        report = estimate_probability(model, 4.0, theta, 10_000,
-                                      RngStream(7, 99))
+        report = report_from_sample(draw_tail_sample(
+            model, 4.0, theta, 10_000, RngStream(7, 99)))
         p = oracles.normal_tail(4.0)
         half = report.rel_half_width * report.estimate
         assert abs(report.estimate - p) <= 1.6 * half  # 3 SE
 
     def test_zero_hits_flagged(self):
         model = ModelSpec.identity(1)
-        report = estimate_probability(model, 10.0, np.zeros(1), 100,
-                                      RngStream(0, 1))
+        report = report_from_sample(draw_tail_sample(
+            model, 10.0, np.zeros(1), 100, RngStream(0, 1)))
         assert report.zero_hits
         assert report.estimate == 0.0
         assert math.isinf(report.rel_half_width)
@@ -293,6 +292,23 @@ class TestTailSample:
         a = draw_tail_sample(model, 1.0, np.ones(1), 10, RngStream(0, 1))
         b = draw_tail_sample(model, 1.0, np.ones(1), 15, RngStream(0, 2))
         assert a.merge(b).size == 25
+
+    def test_weights_are_exponentiated_once(self):
+        sample = draw_tail_sample(ModelSpec.identity(2), 1.0,
+                                  np.array([1.0, 0.5]), 13, RngStream(0, 1))
+        weights = sample.weights
+        assert weights.tobytes() == np.exp(sample.log_weights).tobytes()
+        assert sample.weights is weights
+
+    def test_merged_weights_are_the_parts_weights(self):
+        # the quantile refinement pools per-batch weights where a reference
+        # exponentiates the merged sample
+        model = ModelSpec.identity(2)
+        theta = np.array([1.0, 0.5])
+        a = draw_tail_sample(model, 1.0, theta, 13, RngStream(0, 1))
+        b = draw_tail_sample(model, 1.0, theta, 29, RngStream(0, 2))
+        assert a.merge(b).weights.tobytes() == np.concatenate(
+            [a.weights, b.weights]).tobytes()
 
     @pytest.mark.parametrize("count", [1, 2, 4])
     def test_multiway_merge_equals_chained_merges(self, count):

@@ -3,8 +3,8 @@ import pytest
 
 import oracles
 from tailshift import (BudgetExhausted, DomainError, LadderConfig, ModelSpec,
-                       NonMonotoneBracket, RngStream, estimate_probability,
-                       estimate_quantile)
+                       NonMonotoneBracket, RngStream, draw_tail_sample,
+                       estimate_quantile, report_from_sample)
 from tailshift import quantile as quantile_module
 
 
@@ -34,8 +34,9 @@ class TestQuantileEstimate:
         model = ModelSpec.identity(1)
         rng = RngStream(4)
         report, _ = estimate_quantile(model, 1e-4, LadderConfig(), rng)
-        check = estimate_probability(model, report.quantile, report.theta,
-                                     1000, RngStream(rng.seed, 9_000_000))
+        check = report_from_sample(
+            draw_tail_sample(model, report.quantile, report.theta, 1000,
+                             RngStream(rng.seed, 9_000_000)))
         half = check.rel_half_width * check.estimate
         assert abs(check.estimate - 1e-4) <= half
 

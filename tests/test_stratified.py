@@ -5,8 +5,9 @@ from scipy import stats
 import oracles
 from tailshift import (DegenerateStratum, DomainError,
                        LadderConfig, ModelSpec, RngStream, StrataSpec,
-                       analytic_tail_prob, run_ladder, strata_from_shift,
-                       stratified_estimate)
+                       analytic_tail_prob, response_values, run_ladder,
+                       strata_from_shift, stratified_estimate)
+from tailshift.multilevel import STRATA_STREAM
 from tailshift.stratified import _conditional_rows
 
 
@@ -134,6 +135,23 @@ class TestStratifiedEstimate:
             variances.append((report.rel_half_width * report.estimate / 1.96) ** 2)
         pooled_se = np.sqrt(np.sum(variances)) / len(estimates)
         assert abs(np.mean(estimates) - p) <= 3 * pooled_se
+
+    def test_slab_mean_weights_each_row_by_the_likelihood_ratio(self):
+        # slab i's mean, recomputed from its own stream with the explicit
+        # weight exp(-theta . x - |theta|^2 / 2) of each raw row x
+        model = ModelSpec.linear_family(3)
+        theta = np.array([1.2, 0.9, 0.6])
+        spec = strata_from_shift(theta, 4)
+        rng = RngStream(12)
+        _, rows = stratified_estimate(model, 2.0, spec, 1003, rng)
+        for i, row in enumerate(rows):
+            raw = _conditional_rows(spec.direction, spec.levels[i],
+                                    spec.levels[i + 1], row["count"],
+                                    rng.child(STRATA_STREAM + i))
+            weights = np.exp(-(raw @ theta) - 0.5 * (theta @ theta))
+            hits = response_values(model, raw + theta) >= 2.0
+            assert row["mean"] == float(np.where(hits, weights, 0.0).mean())
+        assert [row["count"] for row in rows] == [251, 251, 251, 250]
 
     def test_budget_too_small(self):
         spec = strata_from_shift(np.array([1.0]), 10)
