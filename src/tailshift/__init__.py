@@ -23,6 +23,6 @@ from .multilevel import (EstimateReport, LadderConfig, LadderLevel,
                          estimate_to_precision, mc_equivalent_runs,
                          next_level, report_from_sample, run_ladder)
 from .quantile import QuantileReport, estimate_quantile
-from .stratified import StrataSpec, strata_from_shift, stratified_estimate
+from .stratified import stratified_estimate
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .model import ModelSpec, SimulatorPool
 from .multilevel import (DIMRED_MODES, LadderConfig, estimate_to_precision,
                          run_ladder)
 from .quantile import estimate_quantile
-from .stratified import strata_from_shift, stratified_estimate
+from .stratified import stratified_estimate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -220,8 +220,7 @@ def run(config):
     pool = None
     try:
         if model.kind == "external":
-            pool = SimulatorPool(model.command, model.dimension,
-                                 workers=config.workers)
+            pool = SimulatorPool(model.command, workers=config.workers)
         return _dispatch(config, model, rng, pool)
     except BudgetExhausted as exc:
         bundle = _bundle(config, "budget_exhausted")
@@ -278,9 +277,8 @@ def _dispatch(config, model, rng, pool):
         raise BudgetExhausted(
             f"budget of {config.budget} runs leaves no room for "
             f"{config.n_total} stratified runs", trace=trace)
-    spec = strata_from_shift(theta, config.strata)
     report, rows = stratified_estimate(
-        model, config.gamma, spec, config.n_total, rng,
+        model, config.gamma, theta, config.strata, config.n_total, rng,
         confidence=config.confidence, pool=pool,
         runs_exploration=trace.exploration_runs)
     bundle = _bundle(config, "ok" if report.converged else "zero_hits")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, NoSurvivors, NotConverged
+from .errors import DomainError, NoSurvivors
 from .meanshift import solve_optimal_shift
 
 SELECTION_CAP = 200         # most coordinates a selection keeps
@@ -111,10 +111,5 @@ def solve_shift_in_subspace(batch, selection):
         raise DomainError("base shift must be zero off the selected coordinates")
     reduced = replace(batch, points=batch.points[:, idx],
                       base_shift=batch.base_shift[idx])
-    try:
-        sol = solve_optimal_shift(reduced)
-    except NotConverged as exc:
-        best = (replace(exc.best, theta=selection.embed(exc.best.theta))
-                if exc.best is not None else None)
-        raise NotConverged(str(exc), best=best)
+    sol = solve_optimal_shift(reduced)
     return replace(sol, theta=selection.embed(sol.theta))

@@ -18,15 +18,7 @@ class NoSurvivors(TailshiftError):
 
 
 class NotConverged(TailshiftError):
-    """Newton solve hit its iteration cap.
-
-    ``best`` holds the best iterate found, as a ShiftSolution flagged
-    not converged.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Newton solve hit its iteration cap or its line search stalled."""
 
 
 class DegenerateBatch(TailshiftError):

@@ -80,12 +80,11 @@ class WeightedBatch:
 
 @dataclass
 class ShiftSolution:
-    """Solver output: the shift and convergence data."""
+    """Solver output: the converged shift and its convergence data."""
 
     theta: np.ndarray
     newton_iterations: int
     grad_norm: float
-    converged: bool
 
 
 def _survivor_rows(batch):
@@ -153,12 +152,11 @@ def _newton_step(a, grad):
     return a.T @ np.linalg.solve(np.eye(k) + a @ a.T, ag) - grad
 
 
-def _solution(theta, iterations, grad_norm, converged):
+def _solution(theta, iterations, grad_norm):
     return ShiftSolution(
         theta=np.asarray(theta, dtype=float).copy(),
         newton_iterations=iterations,
         grad_norm=float(grad_norm),
-        converged=converged,
     )
 
 
@@ -168,8 +166,8 @@ def solve_optimal_shift(batch, tol=1e-8, max_iter=50):
     Starts from the batch's base shift.  Each Newton system
     (I + weighted_cov) delta = -grad is solved directly, in whichever of the
     dimension and the survivor count is smaller; an Armijo backtracking line
-    search keeps the objective monotone.  Raises NotConverged (carrying the
-    best iterate) past ``max_iter`` steps.
+    search keeps the objective monotone.  Raises NotConverged past
+    ``max_iter`` steps or when the line search stalls.
     """
     pts = _survivor_rows(batch)
     theta = batch.base_shift.copy()
@@ -180,7 +178,7 @@ def solve_optimal_shift(batch, tol=1e-8, max_iter=50):
         grad = theta - mean
         grad_norm = np.linalg.norm(grad)
         if grad_norm <= tol:
-            return _solution(theta, iteration, grad_norm, True)
+            return _solution(theta, iteration, grad_norm)
 
         delta = _newton_step(np.sqrt(s)[:, None] * (pts - mean), grad)
         slope = grad @ delta
@@ -198,14 +196,10 @@ def solve_optimal_shift(batch, tol=1e-8, max_iter=50):
                 break
             step *= 0.5
             if step < 1e-18:
-                raise NotConverged(
-                    "line search failed to make progress",
-                    best=_solution(theta, iteration, grad_norm, False))
+                raise NotConverged("line search failed to make progress")
         theta, value = candidate, cand_value
 
     grad_norm = np.linalg.norm(_gradient(theta, pts, batch))
     if grad_norm <= tol:
-        return _solution(theta, max_iter, grad_norm, True)
-    raise NotConverged(
-        f"no convergence within {max_iter} Newton iterations",
-        best=_solution(theta, max_iter, grad_norm, False))
+        return _solution(theta, max_iter, grad_norm)
+    raise NotConverged(f"no convergence within {max_iter} Newton iterations")

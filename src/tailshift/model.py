@@ -278,7 +278,7 @@ def response_values(model, points, pool=None):
     if model.kind == "external":
         if pool is not None:
             return pool.evaluate(points)
-        with SimulatorPool(model.command, model.dimension) as tmp:
+        with SimulatorPool(model.command) as tmp:
             return tmp.evaluate(points)
     return _BUILTINS[model.kind](model, points)
 
@@ -292,9 +292,7 @@ class ExternalSimulator:
     processes waiting on each other.
     """
 
-    def __init__(self, command, dimension):
-        self.command = command
-        self.dimension = int(dimension)
+    def __init__(self, command):
         try:
             self._proc = subprocess.Popen(
                 shlex.split(command),
@@ -382,14 +380,14 @@ class SimulatorPool:
     would answer the next batch; the pool then fails every later batch.
     """
 
-    def __init__(self, command, dimension, workers=1):
+    def __init__(self, command, workers=1):
         if workers < 1:
             raise ConfigError("worker count must be at least 1")
         self.workers = int(workers)
         self._sims = []
         try:
             for _ in range(self.workers):
-                self._sims.append(ExternalSimulator(command, dimension))
+                self._sims.append(ExternalSimulator(command))
         except SimulatorError:
             # no caller holds the pool yet, so nothing else would stop these
             for sim in self._sims:

@@ -55,9 +55,13 @@ def z_value(confidence):
 
 
 def mc_equivalent_runs(p, rel_half_width, confidence=0.95):
-    """Plain Monte Carlo run count needed for the same relative half-width."""
+    """Plain Monte Carlo run count needed for the same relative half-width.
+
+    Zero for an estimate p >= 1, which importance weights can give a
+    near-certain event: the plain MC variance p (1 - p) is clamped at zero.
+    """
     z = z_value(confidence)
-    return z * z * (1.0 - p) / (p * rel_half_width * rel_half_width)
+    return z * z * max(1.0 - p, 0.0) / (p * rel_half_width * rel_half_width)
 
 
 def level_size(dimension, rho):

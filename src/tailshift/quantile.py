@@ -194,6 +194,8 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
     """
     if not 0.0 < p < 1.0:
         raise DomainError("target probability must lie in (0, 1)")
+    if not 0.0 < precision < 1.0:
+        raise DomainError("target relative half-width must lie in (0, 1)")
     z = z_value(confidence)
     theta, trace = run_ladder(model, config, rng, pool,
                               level_rule=_bracket_rule(p, config.rho),
@@ -254,7 +256,7 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
         quantile = float(oriented_response(model, level))
         rel = half / max(abs(quantile), 1e-300)
         # plain MC would need this many runs for the same quantile interval
-        n_mc = estimate * (1.0 - estimate) * (z / (slope * half)) ** 2
+        n_mc = estimate * max(1.0 - estimate, 0.0) * (z / (slope * half)) ** 2
         report = QuantileReport(
             quantile=quantile,
             rel_half_width=rel,

@@ -22,8 +22,7 @@ from tailshift import (LadderConfig, ModelSpec, RngStream, WeightedBatch,
                        estimate_to_precision, log_objective,
                        log_objective_gradient, log_objective_hessian,
                        report_from_sample, response_values, run_ladder,
-                       select_important, strata_from_shift,
-                       stratified_estimate)
+                       select_important, stratified_estimate)
 from tailshift.cli import RunConfig, emit_report, run
 from tailshift.multilevel import next_level
 
@@ -251,14 +250,13 @@ def test_criterion_08_stratification():
         rng = RngStream(seed)
         theta, trace = run_ladder(model, LadderConfig(), rng, gamma=gamma)
         register_trace(trace)
-        spec = strata_from_shift(theta, 20)
         is_est, st_est = [], []
         for rep in range(20):
             r = report_from_sample(
                 draw_tail_sample(model, gamma, theta, 1000,
                                  RngStream(rng.seed, 7_000_000 + rep)))
             is_est.append(r.estimate)
-            sr, _ = stratified_estimate(model, gamma, spec, 1000,
+            sr, _ = stratified_estimate(model, gamma, theta, 20, 1000,
                                         RngStream(rng.seed, 8_000_000 + rep))
             st_est.append(sr.estimate)
         wins += np.var(st_est) <= 0.5 * np.var(is_est)

@@ -154,6 +154,12 @@ class TestConfigValidation:
                 assert getattr(tailshift, name).__module__ == (
                     f"tailshift.{module}")
 
+    def test_readme_library_sketch_runs(self):
+        with open(README) as fh:
+            section = fh.read().split("## Library sketch\n")[1]
+        code = section.split("```python\n")[1].split("```")[0]
+        exec(compile(code, "README library sketch", "exec"), {})
+
     def test_subcommand_overrides_task_in_config_file(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"task": "cvar", "gamma": 2.0}))
@@ -296,6 +302,20 @@ class TestProbPipeline:
                                       confidence=confidence, seed=5))
             traces.append(bundle["trace"])
         assert traces[0] == traces[1]
+
+
+    @pytest.mark.parametrize("args", [
+        ["prob", "--gamma", "-5"],
+        ["strata", "--gamma", "-3", "--strata", "4", "--n-total", "800"]],
+        ids=["prob", "strata"])
+    def test_near_certain_event_has_no_negative_speedup(self, tmp_path,
+                                                        args):
+        # importance weights carry the estimate of a near-certain event
+        # above 1; plain MC would need no run there, not a negative count
+        code, payload = run_main(tmp_path, args + ["--format", "json"])
+        report = json.loads(payload)["report"]
+        assert report["estimate"] > 1.0
+        assert report["speedup"] == 0.0
 
 
 class TestLadderBudget:

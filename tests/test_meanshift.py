@@ -130,7 +130,6 @@ class TestSolver:
         batch = WeightedBatch(points, np.ones(5), np.ones(5, bool), np.zeros(3))
         sol = solve_optimal_shift(batch)
         np.testing.assert_allclose(sol.theta, target, atol=1e-10)
-        assert sol.converged
 
     def test_identity_model_against_golden_section(self):
         # full-sample survivor batch at gamma = 1.5; the solved shift must
@@ -179,16 +178,13 @@ class TestSolver:
     def test_newton_iteration_count_and_gradient(self):
         batch = make_batch(9, n=500, gamma=1.2)
         sol = solve_optimal_shift(batch)
-        assert sol.converged
         assert sol.newton_iterations <= 50
         assert sol.grad_norm <= 1e-8
 
-    def test_not_converged_carries_best(self):
+    def test_not_converged_raises(self):
         batch = make_batch(10, n=500, gamma=1.2)
-        with pytest.raises(NotConverged) as err:
+        with pytest.raises(NotConverged, match="within 1 Newton iteration"):
             solve_optimal_shift(batch, max_iter=1, tol=1e-14)
-        assert err.value.best is not None
-        assert not err.value.best.converged
 
     def test_no_survivors(self):
         batch = make_batch(11, gamma=50.0)

@@ -226,7 +226,7 @@ class TestExternalProcess:
         command = write_sim(tmp_path, "echo.py", ECHO_FIRST)
         pts = RngStream(3).generator.standard_normal((50, 4)) * 1e3
         model = ModelSpec.external(command, 4)
-        with SimulatorPool(command, 4) as pool:
+        with SimulatorPool(command) as pool:
             values = response_values(model, pts, pool)
         np.testing.assert_array_equal(values, pts[:, 0])
 
@@ -239,7 +239,7 @@ class TestExternalProcess:
         pts = np.array([[-0.0, 0.0, 5e-324, tiny / 3.0],
                         [1e300, -1e300, 3.0, -42.0],
                         [1.0, 2.0 ** 53, 0.1, -1.7976931348623157e308]])
-        with SimulatorPool(command, 4) as pool:
+        with SimulatorPool(command) as pool:
             pool.evaluate(pts)
         want = "EVAL 3 4\n" + "".join(
             " ".join("%.16e" % v for v in row) + "\n" for row in pts)
@@ -257,7 +257,7 @@ class TestExternalProcess:
         pts = RngStream(8).generator.standard_normal((60, 7))
         pts[[3, 40], [2, 6]] = [0.0, np.nan]
         monkeypatch.setattr(model_module, "_BLOCK_VALUES", block_values)
-        with SimulatorPool(command, 7, workers=workers) as pool:
+        with SimulatorPool(command, workers=workers) as pool:
             pool.evaluate(pts)
         body = per_value_text(pts)
         # each simulator logs its chunk: the rows below one header line
@@ -270,7 +270,7 @@ class TestExternalProcess:
         command = write_sim(tmp_path, "sum.py", SUM_MODEL)
         pts = RngStream(4).generator.standard_normal((30, 5))
         model = ModelSpec.external(command, 5)
-        with SimulatorPool(command, 5) as pool:
+        with SimulatorPool(command) as pool:
             values = response_values(model, pts, pool)
         np.testing.assert_allclose(values, pts.sum(axis=1), rtol=1e-12)
 
@@ -280,7 +280,7 @@ class TestExternalProcess:
         model = ModelSpec.external(command, 3)
         outs = []
         for workers in (1, 3):
-            with SimulatorPool(command, 3, workers=workers) as pool:
+            with SimulatorPool(command, workers=workers) as pool:
                 outs.append(response_values(model, pts, pool))
         np.testing.assert_array_equal(outs[0], outs[1])
 
@@ -293,7 +293,7 @@ class TestExternalProcess:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with SimulatorPool(command, 3, workers=4) as pool:
+            with SimulatorPool(command, workers=4) as pool:
                 for pts in batches:
                     np.testing.assert_allclose(run_with_deadline(pool, pts),
                                                pts.sum(axis=1), rtol=1e-12)
@@ -303,7 +303,7 @@ class TestExternalProcess:
     def test_dead_simulator_raises_with_indices(self, tmp_path):
         command = write_sim(tmp_path, "die.py", DIE_AFTER_ONE)
         model = ModelSpec.external(command, 2)
-        with SimulatorPool(command, 2) as pool:
+        with SimulatorPool(command) as pool:
             response_values(model, np.zeros((3, 2)), pool)
             with pytest.raises(SimulatorError) as err:
                 response_values(model, np.zeros((4, 2)), pool)
@@ -314,7 +314,7 @@ class TestExternalProcess:
         # every reply arrives, but the request no longer fits the pipe of a
         # simulator that has exited
         command = write_sim(tmp_path, "reply_exit.py", REPLY_THEN_EXIT)
-        pool = SimulatorPool(command, 50, workers=1)
+        pool = SimulatorPool(command, workers=1)
         pts = RngStream(10).generator.standard_normal((5000, 50))
         err = run_with_deadline(pool, pts)
         pool.close()
@@ -333,7 +333,7 @@ class TestExternalProcess:
     def test_non_finite_reply_rejected(self, tmp_path):
         command = write_sim(tmp_path, "nan.py", NAN_MODEL)
         model = ModelSpec.external(command, 2)
-        with SimulatorPool(command, 2) as pool:
+        with SimulatorPool(command) as pool:
             with pytest.raises(SimulatorError) as err:
                 response_values(model, np.zeros((3, 2)), pool)
         assert 0 in err.value.indices
@@ -344,7 +344,7 @@ class TestExternalProcess:
         model = ModelSpec.external(command, 2)
         pts = np.zeros((400, 2))
         pts[:, 0] = np.arange(400)
-        with SimulatorPool(command, 2, workers=workers) as pool:
+        with SimulatorPool(command, workers=workers) as pool:
             with pytest.raises(SimulatorError) as err:
                 response_values(model, pts, pool)
         assert err.value.indices == (327,)
@@ -354,7 +354,7 @@ class TestExternalProcess:
         # the replies after a bad one stay unread; a later batch must not
         # read them as its own
         command = write_sim(tmp_path, "oops.py", OOPS_AT_7)
-        with SimulatorPool(command, 1, workers=workers) as pool:
+        with SimulatorPool(command, workers=workers) as pool:
             with pytest.raises(SimulatorError) as err:
                 pool.evaluate(np.array([[1.0], [7.0], [3.0], [4.0]]))
             assert err.value.indices == (1,)
@@ -368,7 +368,7 @@ class TestExternalProcess:
         # 5000 replies overflow a 64 KB pipe while the engine still writes
         command = write_sim(tmp_path, "sum.py", SUM_MODEL)
         pts = RngStream(9).generator.standard_normal((5000, 5))
-        pool = SimulatorPool(command, 5, workers=1)
+        pool = SimulatorPool(command, workers=1)
         out = run_with_deadline(pool, pts)
         pool.close()
         np.testing.assert_allclose(out, pts.sum(axis=1), rtol=1e-12)
@@ -377,7 +377,7 @@ class TestExternalProcess:
         # the simulator stops reading after one bad reply, which would
         # block a writer forever on the full pipe
         command = write_sim(tmp_path, "stall.py", OOPS_THEN_STALL)
-        pool = SimulatorPool(command, 5, workers=1)
+        pool = SimulatorPool(command, workers=1)
         pts = RngStream(9).generator.standard_normal((5000, 5))
         err = run_with_deadline(pool, pts)
         pool.close()
@@ -402,7 +402,7 @@ class TestExternalProcess:
         monkeypatch.setattr(model_module.subprocess, "Popen",
                             popen_failing_second)
         with pytest.raises(SimulatorError, match="cannot start simulator"):
-            SimulatorPool(command, 2, workers=3)
+            SimulatorPool(command, workers=3)
         [first] = started
         assert first.returncode is not None
         assert first.stdin.closed and first.stdout.closed

@@ -361,7 +361,7 @@ class TestMaxLevelsExceeded:
         sim = tmp_path / "capped.py"
         sim.write_text(CAPPED_AT_3)
         model = ModelSpec.external(f"python3 {sim}", 2)
-        with SimulatorPool(model.command, 2) as pool:
+        with SimulatorPool(model.command) as pool:
             with pytest.raises(MaxLevelsExceeded) as err:
                 run_ladder(model, LadderConfig(), RngStream(0), pool,
                            gamma=4.0)

@@ -67,6 +67,15 @@ class TestQuantileEstimate:
             estimate_quantile(ModelSpec.identity(1), 1.5, LadderConfig(),
                               RngStream(0))
 
+    @pytest.mark.parametrize("precision", [-0.1, 0.0, 1.0])
+    def test_precision_outside_unit_interval(self, precision):
+        # rejected before the ladder, as estimate_to_precision rejects its
+        # target; a target of zero or less would refine until the budget
+        with pytest.raises(DomainError, match="relative half-width"):
+            estimate_quantile(ModelSpec.identity(1), 1e-3, LadderConfig(),
+                              RngStream(0), precision=precision,
+                              budget=30000)
+
     def test_budget_exhausted_carries_partial(self):
         model = ModelSpec.identity(1)
         with pytest.raises(BudgetExhausted) as err:

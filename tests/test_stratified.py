@@ -4,11 +4,11 @@ from scipy import stats
 
 import oracles
 from tailshift import (DegenerateStratum, DomainError,
-                       LadderConfig, ModelSpec, RngStream, StrataSpec,
+                       LadderConfig, ModelSpec, RngStream,
                        analytic_tail_prob, response_values, run_ladder,
-                       strata_from_shift, stratified_estimate)
+                       stratified_estimate)
 from tailshift.multilevel import STRATA_STREAM
-from tailshift.stratified import _conditional_rows
+from tailshift.stratified import _conditional_rows, _slab_levels
 
 
 class TestConditionalSampler:
@@ -56,35 +56,40 @@ class TestConditionalSampler:
 
 class TestStrataFromShift:
     def test_two_strata(self):
-        spec = strata_from_shift(np.array([3.0, 4.0]), 2)
-        np.testing.assert_array_equal(spec.theta, [3.0, 4.0])
-        np.testing.assert_allclose(spec.direction, [0.6, 0.8], rtol=1e-14)
-        np.testing.assert_array_equal(spec.levels, [-np.inf, 0.0, np.inf])
-        np.testing.assert_allclose(spec.probs, [0.5, 0.5], rtol=1e-12)
+        np.testing.assert_array_equal(_slab_levels(2), [-np.inf, 0.0, np.inf])
+        _, rows = stratified_estimate(ModelSpec.identity(2), 1.0,
+                                      np.array([3.0, 4.0]), 2, 10,
+                                      RngStream(0))
+        np.testing.assert_allclose([r["prob"] for r in rows], [0.5, 0.5],
+                                   rtol=1e-12)
+
+    def test_one_stratum_is_the_whole_line(self):
+        np.testing.assert_array_equal(_slab_levels(1), [-np.inf, np.inf])
 
     def test_equiprobable_deciles(self):
-        spec = strata_from_shift(np.array([1.0]), 10)
-        np.testing.assert_allclose(spec.probs, 0.1, rtol=1e-10)
-        assert spec.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        _, rows = stratified_estimate(ModelSpec.identity(1), 1.0,
+                                      np.array([1.0]), 10, 20, RngStream(0))
+        probs = np.array([r["prob"] for r in rows])
+        np.testing.assert_allclose(probs, 0.1, rtol=1e-10)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_shift_rejected(self):
-        with pytest.raises(DomainError):
-            strata_from_shift(np.zeros(3), 4)
+        with pytest.raises(DomainError, match="zero shift"):
+            stratified_estimate(ModelSpec.identity(3), 1.0, np.zeros(3), 4,
+                                100, RngStream(0))
 
-    def test_probs_are_derived_not_passed(self):
-        with pytest.raises(TypeError):
-            StrataSpec(theta=np.array([1.0]),
-                       levels=np.array([-np.inf, np.inf]), probs=np.array([0.5]))
+    def test_no_stratum_rejected(self):
+        with pytest.raises(DomainError, match="at least one stratum"):
+            stratified_estimate(ModelSpec.identity(1), 1.0, np.array([1.0]),
+                                0, 100, RngStream(0))
 
 
 class TestStratifiedEstimate:
     def test_single_stratum_is_plain_mc(self):
         # one slab under the shift is plain importance sampling
-        spec = StrataSpec(theta=np.array([1.0]),
-                          levels=np.array([-np.inf, np.inf]))
         model = ModelSpec.identity(1)
-        report, rows = stratified_estimate(model, 1.0, spec, 2000,
-                                           RngStream(9))
+        report, rows = stratified_estimate(model, 1.0, np.array([1.0]), 1,
+                                           2000, RngStream(9))
         p = oracles.normal_tail(1.0)
         se = np.sqrt(p * (1 - p) / 2000)
         assert len(rows) == 1
@@ -92,10 +97,9 @@ class TestStratifiedEstimate:
 
     def test_identity_deciles_beats_plain_mc(self):
         model = ModelSpec.identity(1)
-        spec = strata_from_shift(np.array([1.0]), 10)
         total = 10_000
-        report, rows = stratified_estimate(model, 1.5, spec, total,
-                                           RngStream(10))
+        report, rows = stratified_estimate(model, 1.5, np.array([1.0]), 10,
+                                           total, RngStream(10))
         p = oracles.normal_tail(1.5)
         half = report.rel_half_width * report.estimate
         assert abs(report.estimate - p) <= 3 * half / 1.96
@@ -105,12 +109,11 @@ class TestStratifiedEstimate:
 
     def test_unbiased_across_seeds(self):
         model = ModelSpec.identity(1)
-        spec = strata_from_shift(np.array([1.0]), 5)
         p = oracles.normal_tail(1.0)
         estimates, variances = [], []
         for seed in range(200):
-            report, _ = stratified_estimate(model, 1.0, spec, 400,
-                                            RngStream(seed))
+            report, _ = stratified_estimate(model, 1.0, np.array([1.0]), 5,
+                                            400, RngStream(seed))
             estimates.append(report.estimate)
             variances.append((report.rel_half_width * report.estimate / 1.96) ** 2)
         pooled_se = np.sqrt(np.sum(variances)) / len(estimates)
@@ -126,9 +129,8 @@ class TestStratifiedEstimate:
         for seed in range(10):
             theta, trace = run_ladder(model, LadderConfig(), RngStream(seed),
                                       gamma=gamma)
-            spec = strata_from_shift(theta, 20)
             report, _ = stratified_estimate(
-                model, gamma, spec, 20_000, RngStream(seed),
+                model, gamma, theta, 20, 20_000, RngStream(seed),
                 runs_exploration=trace.exploration_runs)
             assert report.runs_exploration == trace.exploration_runs
             estimates.append(report.estimate)
@@ -141,12 +143,12 @@ class TestStratifiedEstimate:
         # weight exp(-theta . x - |theta|^2 / 2) of each raw row x
         model = ModelSpec.linear_family(3)
         theta = np.array([1.2, 0.9, 0.6])
-        spec = strata_from_shift(theta, 4)
+        direction, levels = theta / np.linalg.norm(theta), _slab_levels(4)
         rng = RngStream(12)
-        _, rows = stratified_estimate(model, 2.0, spec, 1003, rng)
+        _, rows = stratified_estimate(model, 2.0, theta, 4, 1003, rng)
         for i, row in enumerate(rows):
-            raw = _conditional_rows(spec.direction, spec.levels[i],
-                                    spec.levels[i + 1], row["count"],
+            raw = _conditional_rows(direction, levels[i], levels[i + 1],
+                                    row["count"],
                                     rng.child(STRATA_STREAM + i))
             weights = np.exp(-(raw @ theta) - 0.5 * (theta @ theta))
             hits = response_values(model, raw + theta) >= 2.0
@@ -154,7 +156,6 @@ class TestStratifiedEstimate:
         assert [row["count"] for row in rows] == [251, 251, 251, 250]
 
     def test_budget_too_small(self):
-        spec = strata_from_shift(np.array([1.0]), 10)
         with pytest.raises(DomainError):
-            stratified_estimate(ModelSpec.identity(1), 1.0, spec, 15,
-                                RngStream(0))
+            stratified_estimate(ModelSpec.identity(1), 1.0, np.array([1.0]),
+                                10, 15, RngStream(0))
