@@ -133,6 +133,14 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
 
 
+def slab_levels(count):
+    """Boundaries -inf = a_0 < ... < a_count = +inf of equiprobable slabs."""
+    levels = np.empty(count + 1)
+    levels[0], levels[-1] = -np.inf, np.inf
+    levels[1:-1] = std_normal_quantile(np.arange(1, count) / count)
+    return levels
+
+
 def std_normal_cdf(x):
     """Standard normal CDF, evaluated through the complementary error function.
 

@@ -9,6 +9,16 @@ new survivors.  Events at each level are therefore never rare.  A final,
 independent batch under the last shift produces the unbiased probability
 estimate and its confidence interval.
 
+Every final-phase row also falls in one of SLABS equiprobable slabs of
+t = u . (x - theta), u = theta / |theta|, and the final phase reduces its
+pool per slab: the post-stratified estimate
+sum_i (1/I) mean_i(w 1{h >= gamma}) with variance
+sum_i (1/I)^2 var_i / n_i (Glasserman, Heidelberger & Shahabuddin 1999,
+Math. Finance 9).  The draw's log weight
+-|theta| t - |theta|^2 / 2 fixes each row's slab, so no draw changes.  With
+the slabs equiprobable this removes the between-slab term
+sum_i p_i (mu_i - mu)^2 from the plain estimator's variance.
+
 Every ladder level and final batch is one ``RngStream.shifted_normals`` draw
 from its own child stream of the run's root stream, which returns the
 shifted points together with their log likelihood ratios to the nominal law.
@@ -20,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import std_normal_quantile
+from .core import slab_levels, std_normal_quantile
 from .dimred import augment_selection, select_important, solve_shift_in_subspace
 from .errors import (BudgetExhausted, DegenerateBatch, DomainError,
                      MaxLevelsExceeded)
@@ -46,6 +56,10 @@ SURVIVORS_PER_DIM = 2
 LEVEL_FLOOR = 300
 LEVEL_CAP = 1000
 FINAL_BATCH = 1000          # runs per final-phase and quantile refinement batch
+# equiprobable slabs along the shift that a final-phase pool is reduced over:
+# about 100 rows per slab per batch
+SLABS = FINAL_BATCH // 100
+_SLAB_BOUNDS = slab_levels(SLABS)[1:-1]
 
 
 def z_value(confidence):
@@ -156,6 +170,8 @@ class TailSample:
 
     Everything downstream of the simulator (probability, CI, CVaR) reduces
     over these arrays, so follow-up estimators cost no extra model runs.
+    A final-phase pool is ``post_stratified``: its probability is reduced
+    per slab along theta.  Any other sample is reduced as iid rows.
     """
 
     responses: np.ndarray       # oriented
@@ -163,6 +179,7 @@ class TailSample:
     gamma: float                # oriented threshold
     theta: np.ndarray
     tail: str = "right"         # the model's failure tail
+    post_stratified: bool = False
 
     @property
     def size(self):
@@ -173,10 +190,16 @@ class TailSample:
         """Linear likelihood ratios f_0 / f_theta, exponentiated once."""
         return np.exp(self.log_weights)
 
+    @cached_property
+    def labels(self):
+        """Each row's slab along theta, read from its log weight."""
+        return slab_labels(self.log_weights, self.theta)
+
     def merge(self, *others):
         """This sample followed by ``others``, in order, in one pass."""
         for other in others:
             if (other.gamma != self.gamma or other.tail != self.tail
+                    or other.post_stratified != self.post_stratified
                     or not np.array_equal(other.theta, self.theta)):
                 raise DomainError(
                     "cannot merge samples drawn for different targets")
@@ -187,6 +210,7 @@ class TailSample:
             gamma=self.gamma,
             theta=self.theta,
             tail=self.tail,
+            post_stratified=self.post_stratified,
         )
 
 
@@ -228,10 +252,61 @@ def weighted_exceedance(responses, weights, level):
 
     ``weights`` are linear likelihood ratios to the nominal measure.
     """
-    terms = np.where(responses >= level, weights, 0.0)
+    terms = exceedance_terms(responses, weights, level)
     estimate = float(terms.mean())
     variance = float((terms * terms).mean() - estimate * estimate)
     return estimate, math.sqrt(max(variance, 0.0) / terms.size)
+
+
+def slab_labels(log_weights, theta):
+    """Slab index in [0, SLABS) of each row of an N(theta, I) draw.
+
+    Slab i holds t = u . (x - theta) in [a_i, a_(i+1)) of
+    ``core.slab_levels(SLABS)``, u = theta / |theta|; the row's log weight
+    -|theta| t - |theta|^2 / 2 gives t.  A zero shift puts every row in
+    slab 0, which reduces the pool as iid rows.
+    """
+    sq = float(theta @ theta)
+    if sq == 0.0:
+        return np.zeros(log_weights.size, dtype=np.intp)
+    t = -(log_weights + 0.5 * sq) / math.sqrt(sq)
+    return np.searchsorted(_SLAB_BOUNDS, t, side="right")
+
+
+def exceedance_terms(responses, weights, level):
+    """Per-row terms w 1{r >= level}."""
+    return np.where(responses >= level, weights, 0.0)
+
+
+def slab_sums(labels, terms):
+    """Rows (n_i, S1_i, Q_i) per slab: counts, sums of ``terms`` and of
+    their squares, each slab summed in row order."""
+    return np.stack([np.bincount(labels, minlength=SLABS),
+                     np.bincount(labels, terms, SLABS),
+                     np.bincount(labels, terms * terms, SLABS)])
+
+
+def _pooled_if_empty(counts, s1, q):
+    # post-stratifying needs a row in every slab; without one the pool is
+    # reduced as a single slab, that is as iid rows
+    if counts.all():
+        return counts, s1, q
+    return tuple(column.sum(keepdims=True) for column in (counts, s1, q))
+
+
+def stratified_exceedance(counts, s1, q):
+    """Post-stratified exceedance estimate and its standard error.
+
+    From per-slab ``slab_sums`` over I equiprobable slabs:
+    sum_i S1_i / (I n_i), with variance
+    sum_i (Q_i / n_i - (S1_i / n_i)^2) / (I^2 n_i).
+    """
+    counts, s1, q = _pooled_if_empty(counts, s1, q)
+    slabs = counts.size
+    mean = s1 / counts
+    estimate = float(mean.sum()) / slabs
+    variance = float(((q / counts - mean * mean) / counts).sum())
+    return estimate, math.sqrt(max(variance, 0.0)) / slabs
 
 
 def summation_slack(n):
@@ -239,19 +314,26 @@ def summation_slack(n):
     return (2 * n + 16) * float(np.finfo(float).eps)
 
 
-def width_exceeds(s1, s2, n, z, target):
-    """Whether sums ``s1`` of n terms t >= 0 and ``s2`` of their squares put
-    the relative half-width z * se / estimate of ``weighted_exceedance``
-    above ``target`` by more than rounding.
+def width_exceeds(counts, s1, q, z, target):
+    """Whether per-slab sums ``s1`` of terms t >= 0 and ``q`` of their
+    squares put the relative half-width z * se / estimate of
+    ``stratified_exceedance`` above ``target`` by more than rounding.
 
-    Any order of summing n non-negative terms lands within about n * eps of
-    the true sum, so when this is True the reduction of the same terms in
-    any other order, pooled in draw order included, exceeds ``target`` too.
-    With no hits (s1 = 0) it is False.
+    The half-width exceeds the target exactly when
+    sum_i Q_i / n_i^2 > sum_i S1_i^2 / n_i^3 + k (sum_i S1_i / n_i)^2,
+    k = (target / z)^2, a comparison of non-negative sums.  Any order of summing n non-negative
+    terms lands within about n * eps of the true sum, so when this is True
+    the reduction of the same terms in any other order, pooled in draw
+    order included, exceeds ``target`` too.  With no hits it is False.
     """
-    err = summation_slack(n)
-    return (n * s2 * (1.0 - err)
-            > (1.0 + n * (target / z) ** 2) * s1 * s1 * (1.0 + err) ** 2)
+    counts, s1, q = _pooled_if_empty(counts, s1, q)
+    err = summation_slack(int(counts.sum()))
+    mean = s1 / counts
+    between = float((mean * mean / counts).sum())
+    spread = float((q / (counts * counts)).sum())
+    return (spread * (1.0 - err)
+            > (between + (target / z) ** 2 * float(mean.sum()) ** 2)
+            * (1.0 + err) ** 2)
 
 
 def run_ladder(model, config, rng, pool=None, level_rule=None,
@@ -376,9 +458,18 @@ def estimate_report(estimate, se, runs_final, confidence=0.95,
 
 def report_from_sample(sample, confidence=0.95, runs_exploration=0,
                        gamma=None):
-    """Probability estimate with CI and speedup from a weighted tail sample."""
-    estimate, se = weighted_exceedance(sample.responses, sample.weights,
-                                       sample.gamma)
+    """Probability estimate with CI and speedup from a weighted tail sample.
+
+    A post-stratified sample (a final-phase pool) is reduced per slab in row
+    order by ``stratified_exceedance``, any other as iid rows.
+    """
+    if sample.post_stratified:
+        estimate, se = stratified_exceedance(*slab_sums(
+            sample.labels,
+            exceedance_terms(sample.responses, sample.weights, sample.gamma)))
+    else:
+        estimate, se = weighted_exceedance(sample.responses, sample.weights,
+                                           sample.gamma)
     return estimate_report(estimate, se, sample.size, confidence,
                            runs_exploration, gamma, sample.theta)
 
@@ -386,21 +477,26 @@ def report_from_sample(sample, confidence=0.95, runs_exploration=0,
 def pooled_batches(model, gamma, theta, m, rng, stream, room, pool=None):
     """The final phase: batches of m runs drawn under ``theta``.
 
-    Batch i comes from stream ``stream + i``.  Yields each fresh batch, and
-    stops before a batch that would take the pooled runs past ``room``.
+    Batch i comes from stream ``stream + i``.  Yields each fresh batch,
+    marked post-stratified, and stops before a batch that would take the
+    pooled runs past ``room``.
     """
     for i in range(room // m):
-        yield draw_tail_sample(model, gamma, theta, m,
-                               rng.child(stream + i), pool)
+        yield replace(draw_tail_sample(model, gamma, theta, m,
+                                       rng.child(stream + i), pool),
+                      post_stratified=True)
 
 
 def estimate_to_precision(model, gamma, config, target, rng,
                           budget=1_000_000, confidence=0.95, pool=None):
     """Full pipeline: ladder once, then batch until the CI target is met.
 
-    Each final-phase batch holds FINAL_BATCH runs.  Returns (report, trace,
-    sample); the sample holds every final-phase response so follow-up
-    estimators (CVaR) need no further model runs.
+    Each final-phase batch holds FINAL_BATCH runs.  The estimate and its
+    interval post-stratify the pool over SLABS slabs along theta; per-slab
+    running sums skip the batches whose interval is certainly too wide, and
+    the pool reduced in draw order decides every stop.  Returns (report,
+    trace, sample); the sample holds every final-phase response so
+    follow-up estimators (CVaR) need no further model runs.
     Raises BudgetExhausted carrying the partial report once the next batch
     would cross ``budget`` total runs.
     """
@@ -414,15 +510,13 @@ def estimate_to_precision(model, gamma, config, target, rng,
                              theta)
     z = z_value(confidence)
     batches = []
-    n, s1, s2 = 0, 0.0, 0.0
+    sums = np.zeros((3, SLABS))
     for batch in pooled_batches(model, gamma, theta, FINAL_BATCH, rng,
                                 FINAL_STREAM, budget - exploration, pool):
         batches.append(batch)
-        terms = np.where(batch.responses >= batch.gamma, batch.weights, 0.0)
-        s1 += float(terms.sum())
-        s2 += float((terms * terms).sum())
-        n += batch.size
-        if width_exceeds(s1, s2, n, z, target):
+        sums += slab_sums(batch.labels, exceedance_terms(
+            batch.responses, batch.weights, batch.gamma))
+        if width_exceeds(*sums, z, target):
             continue
         # the running sums allow a stop; the pool in draw order decides it
         sample = batches[0].merge(*batches[1:])

@@ -4,17 +4,20 @@ The shared ladder runs with a bracket level rule instead of a fixed target
 level: it climbs until the weighted exceedance estimate of the tentative
 next level drops below p, at which point the target quantile lies inside the
 current batch's range.  The shift solved there then drives a refinement
-phase that pools fresh batches and inverts the pooled weighted survival
-curve at p.  The pool is kept sorted by descending response, so the hits
+phase that pools fresh batches and inverts the pooled survival curve at p.
+That curve is post-stratified over the final phase's slabs along theta
+(``multilevel.stratified_exceedance``): a row of slab i weighs
+w N / (I n_i), so the curve is sum_i (1/I) mean_i(w 1{r >= t}).  The pool
+is kept sorted by descending response, with each row's slab, so the hits
 at the inverted level are a prefix of it and the stop test reads the
-probability estimate and its second moment from there.  Each such full
+per-slab probability sums and second moments from there.  Each such full
 pass also brackets the iterate between two pool levels; a later batch only
-adds its terms to running sums over that bracket, and the sorted pool is
-touched again (all pending batches merged at once) only when those sums
-cannot rule out a stop.  Only when the stop test allows a stop is the pool
-reduced in draw order, once, for the report.  The quantile interval comes
-from pushing the probability interval through the local slope of that
-curve (a centered difference of its logarithm, no density estimate).
+adds its terms to per-slab running sums over that bracket, and the sorted
+pool is touched again (all pending batches merged at once) only when those
+sums cannot rule out a stop.  Only when the stop test allows a stop is the
+pool reduced in draw order, once, for the report.  The quantile interval
+comes from pushing the probability interval through the local slope of
+that curve (a centered difference of its logarithm, no density estimate).
 """
 
 import math
@@ -24,9 +27,11 @@ import numpy as np
 
 from .errors import BudgetExhausted, DomainError, NonMonotoneBracket
 from .model import oriented_response
-from .multilevel import (FINAL_BATCH, QUANTILE_STREAM, next_level,
-                         pooled_batches, run_ladder, summation_slack,
-                         weighted_exceedance, width_exceeds, z_value)
+from .multilevel import (FINAL_BATCH, QUANTILE_STREAM, SLABS,
+                         exceedance_terms, next_level, pooled_batches,
+                         run_ladder, slab_sums, stratified_exceedance,
+                         summation_slack, weighted_exceedance, width_exceeds,
+                         z_value)
 
 # refinement is driven this much tighter than the configured probability
 # precision so that round trips through the probability estimator stay
@@ -71,67 +76,87 @@ def _count_at_least(desc_r, values):
     return desc_r.size - np.searchsorted(desc_r[::-1], values, side="left")
 
 
-def _merge_sorted(desc_r, desc_w, responses, weights):
-    """Merge a batch into a pool sorted by descending response.
+def _merge_sorted(desc, columns):
+    """Merge a batch's (responses, weights, labels) into a pool sorted by
+    descending response.
 
     Pool elements come before batch elements with an equal response, so the
     result is the stable descending sort of the pool followed by the batch.
     Merging the concatenation of several batches in draw order therefore
     gives the same pool as merging them one at a time.
     """
-    order = np.argsort(-responses, kind="stable")
-    responses, weights = responses[order], weights[order]
-    slots = _count_at_least(desc_r, responses)
-    return (np.insert(desc_r, slots, responses),
-            np.insert(desc_w, slots, weights))
+    order = np.argsort(-columns[0], kind="stable")
+    slots = _count_at_least(desc[0], columns[0][order])
+    return tuple(np.insert(pooled, slots, column[order])
+                 for pooled, column in zip(desc, columns))
 
 
-def _merge_batches(desc_r, desc_w, batches):
-    """Merge ``batches``, with their linear weights, in one pass."""
-    return _merge_sorted(desc_r, desc_w,
-                         np.concatenate([b.responses for b in batches]),
-                         np.concatenate([b.weights for b in batches]))
+def _merge_batches(desc, batches):
+    """Merge ``batches``, with their linear weights and slabs, in one pass."""
+    return _merge_sorted(desc, [np.concatenate([getattr(b, name)
+                                                for b in batches])
+                                for name in ("responses", "weights",
+                                             "labels")])
 
 
-def _bracket(desc_r, desc_w, cum, mass, delta):
+def _row_scale(counts, m):
+    """Per-slab factors m / (I n_i) that turn a pooled weight sum into the
+    post-stratified one; ones while a slab is empty (an iid pool)."""
+    if not counts.all():
+        return np.ones(counts.size)
+    return m / (SLABS * counts)
+
+
+def _bracket(desc, cum, mass, delta):
     """Pool levels lo <= hi around the crossing of ``mass``, with their sums.
 
-    hi is where the cumulative weight of the sorted pool reaches
-    mass * (1 - delta), lo where it reaches mass * (1 + delta) (-inf if it
-    never does).  Returns lo, hi and the ``_bracket_sums`` of the pool.
+    hi is where the scaled cumulative weight ``cum`` of the sorted pool
+    reaches mass * (1 - delta), lo where it reaches mass * (1 + delta)
+    (-inf if it never does).  Returns lo, hi and the ``_bracket_sums`` of
+    the pool.
     """
+    desc_r = desc[0]
     k_hi, k_lo = np.searchsorted(cum, [mass * (1.0 - delta),
                                        mass * (1.0 + delta)], side="left")
     hi = float(desc_r[k_hi])
     lo = float(desc_r[k_lo]) if k_lo < desc_r.size else -math.inf
-    c_lo, c_hi = _count_at_least(desc_r, [lo, hi])
-    top = desc_w[:c_hi]
-    return lo, hi, np.array([cum[c_lo - 1], cum[c_hi - 1], top @ top])
+    c_lo = _count_at_least(desc_r, lo)
+    return lo, hi, _bracket_sums(*(column[:c_lo] for column in desc), lo, hi)
 
 
-def _bracket_sums(responses, weights, lo, hi):
-    """Sums of w 1{r >= lo}, w 1{r >= hi} and w^2 1{r >= hi}."""
-    top = weights[responses >= hi]
-    return np.array([weights[responses >= lo].sum(), top.sum(), top @ top])
+def _bracket_sums(responses, weights, labels, lo, hi):
+    """Per-slab sums of w 1{r >= lo}, w 1{r >= hi} and w^2 1{r >= hi}."""
+    top = exceedance_terms(responses, weights, hi)
+    return np.stack([
+        np.bincount(labels, exceedance_terms(responses, weights, lo), SLABS),
+        np.bincount(labels, top, SLABS),
+        np.bincount(labels, top * top, SLABS)])
 
 
-def _rules_out_stop(sums, m, p, z, target):
-    """Whether bracket sums over a pool of m runs rule out a stop there.
+def _rules_out_stop(sums, counts, p, z, target):
+    """Whether per-slab bracket sums over a pool with slab ``counts`` rule
+    out a stop there.
 
-    With s_lo >= p * m and s_hi < p * m, each beyond the rounding of any
-    summation order, the sorted pool's cumulative weights cross p * m at a
-    level in [lo, hi): below the top response, so the iterate needs no
-    widening, and its hits hold {r >= hi} and lie within {r >= lo}.  s_lo
-    then bounds the hits' weight sum from above and q_hi their squared sum
-    from below, so a half-width above ``target`` from these is one at the
-    iterate too.
+    With m runs and the sums scaled to the post-stratified curve,
+    s_lo >= p * m and s_hi < p * m, each beyond the rounding of any
+    summation order, put the crossing of the sorted pool's scaled
+    cumulative weights at a level in [lo, hi): below the top response, so
+    the iterate needs no widening, and its hits hold {r >= hi} and lie
+    within {r >= lo}.  Per slab, s_lo then bounds the hits' weight sum from
+    above and q_hi their squared sum from below, so a half-width above
+    ``target`` from these is one at the iterate too.  A pool with an empty
+    slab is never skipped.
     """
+    if not counts.all():
+        return False
     s_lo, s_hi, q_hi = sums
+    m = float(counts.sum())
+    scale = _row_scale(counts, m)
     mass = p * m
-    err = summation_slack(m)
-    return (s_lo * (1.0 - err) >= mass * (1.0 + err)
-            and s_hi * (1.0 + err) < mass * (1.0 - err)
-            and width_exceeds(s_lo, q_hi, m, z, target))
+    err = summation_slack(int(m))
+    return (float(s_lo @ scale) * (1.0 - err) >= mass * (1.0 + err)
+            and float(s_hi @ scale) * (1.0 + err) < mass * (1.0 - err)
+            and width_exceeds(counts, s_lo, q_hi, z, target))
 
 
 def _bracket_rule(p, rho):
@@ -187,10 +212,11 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
     """Estimate the level whose exceedance probability is p, with a CI.
 
     Returns (QuantileReport, LadderTrace).  Refinement batches hold
-    FINAL_BATCH runs each.  The refinement stops once the pooled probability
-    estimate at the current quantile iterate reaches REFINE_FACTOR *
-    precision relative half-width; the quantile interval is that probability
-    interval divided by the local survival slope.
+    FINAL_BATCH runs each.  The iterate inverts the pool's post-stratified
+    survival curve at p.  The refinement stops once the post-stratified
+    probability estimate at that iterate reaches REFINE_FACTOR * precision
+    relative half-width; the quantile interval is that probability interval
+    divided by the local survival slope.
     """
     if not 0.0 < p < 1.0:
         raise DomainError("target probability must lie in (0, 1)")
@@ -211,21 +237,26 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
     target = REFINE_FACTOR * precision
     batches = []                # draw order
     merged = 0                  # leading batches already in the sorted pool
-    desc_r = desc_w = np.empty(0)
+    # the sorted pool: responses, weights, slabs
+    desc = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
+    counts = np.zeros(SLABS)
     bracket = None
     for batch in pooled_batches(model, pivot_gamma, theta, FINAL_BATCH, rng,
                                 QUANTILE_STREAM, budget - exploration, pool):
         batches.append(batch)
         m += batch.size
+        counts += np.bincount(batch.labels, minlength=SLABS)
         if bracket is not None:
             lo, hi, sums = bracket
-            sums += _bracket_sums(batch.responses, batch.weights, lo, hi)
-            if _rules_out_stop(sums, m, p, z, target):
+            sums += _bracket_sums(batch.responses, batch.weights,
+                                  batch.labels, lo, hi)
+            if _rules_out_stop(sums, counts, p, z, target):
                 # no stop and no widening on this batch: widen stays 0
                 continue
-        desc_r, desc_w = _merge_batches(desc_r, desc_w, batches[merged:])
+        desc = _merge_batches(desc, batches[merged:])
         merged = len(batches)
-        cum = np.cumsum(desc_w)
+        desc_r, desc_w, desc_l = desc
+        cum = np.cumsum(desc_w * _row_scale(counts, m)[desc_l])
         level = _survival_inverse(desc_r, cum, p * m)
         if level is None or level == desc_r[0]:
             # quantile sits beyond the sampled range; widen with more batches
@@ -239,19 +270,23 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
         widen = 0
         # the hits at level are a prefix of the sorted pool
         hits = _count_at_least(desc_r, level)
-        s1, s2 = float(cum[hits - 1]), float(desc_w[:hits] @ desc_w[:hits])
+        _, s1, q = slab_sums(desc_l[:hits], desc_w[:hits])
         # bracket the iterate's mass by its relative standard error
-        delta = math.sqrt(max(m * s2 / (s1 * s1) - 1.0, 0.0) / m)
-        bracket = _bracket(desc_r, desc_w, cum, p * m, delta)
-        if width_exceeds(s1, s2, m, z, target):
+        estimate, se_p = stratified_exceedance(counts, s1, q)
+        bracket = _bracket(desc, cum, p * m, se_p / estimate)
+        if width_exceeds(counts, s1, q, z, target):
             continue
         # the sorted pool allows a stop; the pool in draw order decides it
         responses = np.concatenate([b.responses for b in batches])
         pooled_w = np.concatenate([b.weights for b in batches])
-        estimate, se_p = weighted_exceedance(responses, pooled_w, level)
+        labels = np.concatenate([b.labels for b in batches])
+        estimate, se_p = stratified_exceedance(*slab_sums(
+            labels, exceedance_terms(responses, pooled_w, level)))
         if z * se_p / estimate > target:
             continue
-        slope = _slope_at(responses, pooled_w, level, estimate)
+        # the slope of the post-stratified curve: rows weighted m / (I n_i)
+        slope = _slope_at(responses, pooled_w * _row_scale(counts, m)[labels],
+                          level, estimate)
         half = z * se_p / slope
         quantile = float(oriented_response(model, level))
         rel = half / max(abs(quantile), 1e-300)
@@ -270,8 +305,9 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
         return report, trace
     if merged < len(batches):
         # the budget ran out on skipped batches; report their iterate
-        desc_r, desc_w = _merge_batches(desc_r, desc_w, batches[merged:])
-        level = _survival_inverse(desc_r, np.cumsum(desc_w), p * m)
+        desc_r, desc_w, desc_l = _merge_batches(desc, batches[merged:])
+        level = _survival_inverse(
+            desc_r, np.cumsum(desc_w * _row_scale(counts, m)[desc_l]), p * m)
     report = QuantileReport(
         quantile=float(oriented_response(model, level)),
         rel_half_width=math.inf, p=p, runs_exploration=exploration,

@@ -17,21 +17,13 @@ import math
 
 import numpy as np
 
-from .core import shift_rows, std_normal_cdf, std_normal_quantile
+from .core import shift_rows, slab_levels, std_normal_cdf, std_normal_quantile
 from .errors import DegenerateStratum, DomainError
 from .model import oriented_response, response_values
 from .multilevel import STRATA_STREAM, estimate_report, z_value
 
 _ONE_BELOW_1 = np.nextafter(1.0, 0.0)
 _ONE_ABOVE_0 = np.nextafter(0.0, 1.0)
-
-
-def _slab_levels(count):
-    """Boundaries -inf = a_0 < ... < a_count = +inf of equiprobable slabs."""
-    levels = np.empty(count + 1)
-    levels[0], levels[-1] = -np.inf, np.inf
-    levels[1:-1] = std_normal_quantile(np.arange(1, count) / count)
-    return levels
 
 
 def _conditional_rows(u, a, b, n, rng):
@@ -70,7 +62,7 @@ def stratified_estimate(model, gamma, theta, count, total, rng,
     gamma_o = float(oriented_response(model, gamma))
     z_value(confidence)     # reject a bad confidence before any model run
 
-    levels = _slab_levels(count)
+    levels = slab_levels(count)
     probs = np.diff(std_normal_cdf(levels))
     direction = theta / norm
     counts = np.full(count, int(total) // count)

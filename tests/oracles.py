@@ -7,6 +7,7 @@ raises.
 """
 
 import functools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -190,3 +191,33 @@ def hit_terms(sample):
     """Per-run terms 1{response >= gamma} * weight of a TailSample."""
     return np.where(sample.responses >= sample.gamma,
                     np.exp(sample.log_weights), 0.0)
+
+
+def slab_labels_of_points(points, theta, slabs):
+    """Slab of each N(theta, I) point among ``slabs`` equiprobable slabs of
+    t = u . (x - theta), u = theta / |theta|.
+
+    Slab i holds t in [a_i, a_(i+1)), a_k the standard normal quantile of
+    k / slabs at 40 digits.
+    """
+    theta = np.asarray(theta, dtype=float)
+    t = (points - theta) @ (theta / np.linalg.norm(theta))
+    bounds = [normal_quantile(k / slabs) for k in range(1, slabs)]
+    return np.searchsorted(bounds, t, side="right")
+
+
+def post_stratified(labels, terms, slabs):
+    """Post-stratified mean of ``terms`` over equiprobable slabs, and its
+    standard error.
+
+    sum_i mean_i / I, with variance sum_i (E_i[T^2] - mean_i^2) / (I^2 n_i)
+    over I = ``slabs`` slabs.  Each slab's terms are summed as a running
+    sum in row order.
+    """
+    per_slab = [terms[labels == i] for i in range(slabs)]
+    counts = np.array([t.size for t in per_slab], dtype=float)
+    s1 = np.array([np.cumsum(t)[-1] for t in per_slab])
+    q = np.array([np.cumsum(t * t)[-1] for t in per_slab])
+    mean = s1 / counts
+    variance = float(((q / counts - mean * mean) / counts).sum())
+    return float(mean.sum()) / slabs, math.sqrt(max(variance, 0.0)) / slabs

@@ -4,8 +4,10 @@
 running state and reduce the pooled sample only when that state allows a
 stop; the quantile refinement also skips its sorted-pool pass on batches
 whose running bracket sums rule a stop out.  The reference loops here
-re-reduce the whole pooled sample after every batch instead; both must stop
-on the same batch with the same report.
+re-reduce the whole pooled sample after every batch instead, with the
+explicit post-stratified estimator of ``oracles.post_stratified`` over slabs
+read from the redrawn points; both must stop on the same batch with the same
+report.
 """
 
 import dataclasses
@@ -19,15 +21,33 @@ from tailshift import (BudgetExhausted, LadderConfig, ModelSpec, RngStream,
                        estimate_quantile, estimate_to_precision)
 from tailshift.model import oriented_response
 from tailshift.multilevel import (FINAL_BATCH, FINAL_STREAM, QUANTILE_STREAM,
-                                  estimate_report, pooled_batches,
+                                  SLABS, estimate_report, pooled_batches,
                                   report_from_sample, run_ladder,
-                                  weighted_exceedance, z_value)
+                                  slab_labels, z_value)
 from tailshift import quantile as quantile_module
 from tailshift.quantile import (_WIDEN_LIMIT, REFINE_FACTOR, QuantileReport,
                                 _bracket, _bracket_rule, _bracket_sums,
-                                _rules_out_stop, _slope_at, _survival_inverse)
+                                _row_scale, _rules_out_stop, _slope_at,
+                                _survival_inverse)
 
 SEEDS = range(4)
+
+
+def redrawn_points(rng, stream, theta, batches):
+    """The points of a final phase's first ``batches`` batches, redrawn from
+    their streams."""
+    return np.concatenate([
+        rng.child(stream + i).shifted_normals(FINAL_BATCH, theta)[0]
+        for i in range(batches)])
+
+
+def reference_estimate(sample, points, level):
+    """Post-stratified exceedance estimate and standard error at ``level``
+    of a pooled sample, with slabs read from its points."""
+    labels = oracles.slab_labels_of_points(points, sample.theta, SLABS)
+    terms = np.where(sample.responses >= level,
+                     np.exp(sample.log_weights), 0.0)
+    return oracles.post_stratified(labels, terms, SLABS)
 
 
 def reference_prob(model, gamma, target, rng, budget=1_000_000):
@@ -40,7 +60,11 @@ def reference_prob(model, gamma, target, rng, budget=1_000_000):
     for batch in pooled_batches(model, gamma, theta, FINAL_BATCH, rng,
                                 FINAL_STREAM, budget - exploration):
         sample = batch if sample is None else sample.merge(batch)
-        report = report_from_sample(sample, 0.95, exploration, gamma)
+        points = redrawn_points(rng, FINAL_STREAM, theta,
+                                sample.size // FINAL_BATCH)
+        estimate, se = reference_estimate(sample, points, sample.gamma)
+        report = estimate_report(estimate, se, sample.size, 0.95,
+                                 exploration, gamma, theta)
         if report.zero_hits or report.rel_half_width <= target:
             return report, sample, True
     return dataclasses.replace(report, converged=False), sample, False
@@ -61,7 +85,15 @@ def reference_quantile(model, p, rng, precision=0.10, budget=1_000_000):
     for batch in pooled_batches(model, pivot_gamma, theta, FINAL_BATCH, rng,
                                 QUANTILE_STREAM, budget - exploration):
         sample = batch if sample is None else sample.merge(batch)
-        responses, weights = sample.responses, np.exp(sample.log_weights)
+        points = redrawn_points(rng, QUANTILE_STREAM, theta,
+                                sample.size // FINAL_BATCH)
+        labels = oracles.slab_labels_of_points(points, theta, SLABS)
+        # row weights N / (I n_i) turn the pooled survival curve into the
+        # post-stratified one
+        counts = np.bincount(labels, minlength=SLABS)
+        responses = sample.responses
+        weights = (np.exp(sample.log_weights)
+                   * (sample.size / (SLABS * counts))[labels])
         order = np.argsort(-responses, kind="stable")
         level = _survival_inverse(responses[order],
                                   np.cumsum(weights[order]), p * sample.size)
@@ -71,7 +103,7 @@ def reference_quantile(model, p, rng, precision=0.10, budget=1_000_000):
             assert widen <= _WIDEN_LIMIT
             continue
         widen = 0
-        estimate, se_p = weighted_exceedance(responses, weights, level)
+        estimate, se_p = reference_estimate(sample, points, level)
         if z * se_p / estimate > REFINE_FACTOR * precision:
             continue
         slope = _slope_at(responses, weights, level, estimate)
@@ -190,114 +222,203 @@ def test_quantile_budget_partial_on_a_skipped_batch(monkeypatch, seed):
 
 
 def test_identity_quantile_takes_few_full_passes(monkeypatch):
-    # about 27 refinement batches per problem; the bracket skips most
+    # about 11 refinement batches per problem; the bracket skips about half
     model, p = QUANTILE_CASES["identity-1e-6"]
     passes = record_passes(monkeypatch)
     for seed in SEEDS:
         passes.clear()
         report, _ = estimate_quantile(model, p, LadderConfig(),
                                       RngStream(seed))
-        assert report.runs_final >= 20_000
-        assert len(passes) <= 12
+        assert report.runs_final >= 10_000
+        assert len(passes) <= 7
 
 
-def iterate(pool_r, pool_w, p):
+@pytest.mark.parametrize("d", [1, 10, 110, 1010])
+def test_labels_from_log_weights_match_the_points(d):
+    gen = np.random.default_rng(d)
+    theta = gen.standard_normal(d) * 4.0 / math.sqrt(d)
+    points, log_weights = RngStream(d).shifted_normals(4000, theta)
+    labels = slab_labels(log_weights, theta)
+    np.testing.assert_array_equal(
+        labels, oracles.slab_labels_of_points(points, theta, SLABS))
+    # equiprobable slabs: about 400 rows each
+    counts = np.bincount(labels, minlength=SLABS)
+    assert counts.size == SLABS and counts.min() > 300 and counts.max() < 500
+
+
+REPORT_CASES = {
+    "identity-d1": (ModelSpec.identity(1), oracles.tail_quantile("1e-6")),
+    "linear-d10": (ModelSpec.linear_family(10),
+                   math.sqrt(10) * oracles.tail_quantile("1e-10")),
+    "linear-d110": (ModelSpec.linear_family(110),
+                    math.sqrt(10.01) * oracles.tail_quantile("3e-5")),
+    # dimred="auto" selects variables at d=1010
+    "linear-d1010": (ModelSpec.linear_family(1010),
+                     math.sqrt(10.1) * oracles.tail_quantile("1e-6")),
+}
+
+
+@pytest.mark.parametrize("case", list(REPORT_CASES))
+def test_final_phase_report_matches_the_reference(case):
+    model, gamma = REPORT_CASES[case]
+    rng = RngStream(5)
+    report, trace, sample = estimate_to_precision(model, gamma,
+                                                  LadderConfig(), 0.10, rng)
+    assert sample.post_stratified and report.converged
+    assert (trace.selection is not None) == (model.dimension > 500)
+    points = redrawn_points(rng, FINAL_STREAM, report.theta,
+                            sample.size // FINAL_BATCH)
+    estimate, se = reference_estimate(sample, points, sample.gamma)
+    assert_same_report(report, estimate_report(
+        estimate, se, sample.size, 0.95, trace.exploration_runs, gamma,
+        report.theta))
+    # the same rows reduced as iid give a wider interval here
+    iid = report_from_sample(dataclasses.replace(sample,
+                                                 post_stratified=False))
+    assert report.rel_half_width < iid.rel_half_width
+
+
+def pool_of(responses, weights, labels):
+    """The refinement's sorted pool, slab counts and scaled cumulative
+    weights for rows in draw order."""
+    order = np.argsort(-responses, kind="stable")
+    desc = responses[order], weights[order], labels[order]
+    counts = np.bincount(labels, minlength=SLABS).astype(float)
+    cum = np.cumsum(desc[1] * _row_scale(counts, responses.size)[desc[2]])
+    return desc, counts, cum
+
+
+def iterate(pool_r, pool_w, pool_l, p):
     """The refinement's iterate over a pool in draw order."""
-    order = np.argsort(-pool_r, kind="stable")
-    return _survival_inverse(pool_r[order], np.cumsum(pool_w[order]),
-                             p * pool_r.size)
+    desc, _, cum = pool_of(pool_r, pool_w, pool_l)
+    return _survival_inverse(desc[0], cum, p * pool_r.size)
+
+
+def one_per_slab(size):
+    """Labels that give every slab the same count for size a multiple of
+    SLABS, so each row weighs N / (I n_i) = 1."""
+    return np.arange(size) % SLABS
 
 
 class TestSkipRule:
     """A skipped batch is one whose full pass could neither stop nor widen."""
 
     P, Z = 0.05, z_value(0.95)
-    # binary fractions keep every cumulative weight exact; P * 20 = 1
+    # binary fractions keep every cumulative weight exact; P * 20 = 1, and
+    # two rows per slab scale every weight by 1
     TIED_R = np.array([3.0, 2.0, 1.0, 1.0] + [0.0] * 16)
     TIED_W = np.array([0.375, 0.5, 0.125, 0.125] + [2.0 ** -10] * 16)
+    TIED_L = one_per_slab(20)
 
-    def bracket(self, desc_r, desc_w, delta):
-        return _bracket(desc_r, desc_w, np.cumsum(desc_w),
-                        self.P * desc_r.size, delta)
+    def bracket(self, responses, weights, labels, delta):
+        desc, counts, cum = pool_of(responses, weights, labels)
+        lo, hi, sums = _bracket(desc, cum, self.P * responses.size, delta)
+        return lo, hi, sums, counts
 
     def test_bracket_sums_match_the_pool(self):
         gen = np.random.default_rng(0)
-        desc_r = np.sort(np.round(gen.standard_normal(400), 1))[::-1]
-        desc_w = gen.random(400)
-        lo, hi, sums = self.bracket(desc_r, desc_w, 0.2)
-        assert lo < iterate(desc_r, desc_w, self.P) < hi
+        r = np.round(gen.standard_normal(400), 1)
+        w, labels = gen.random(400), gen.integers(0, SLABS, 400)
+        lo, hi, sums, _ = self.bracket(r, w, labels, 0.2)
+        assert lo < iterate(r, w, labels, self.P) < hi
         # ties: every pool element equal to lo or hi counts
-        assert np.sum(desc_r == lo) > 1 and np.sum(desc_r == hi) > 1
+        assert np.sum(r == lo) > 1 and np.sum(r == hi) > 1
+        assert sums.shape == (3, SLABS)
         np.testing.assert_allclose(
-            sums, _bracket_sums(desc_r, desc_w, lo, hi), rtol=1e-12)
+            sums, _bracket_sums(r, w, labels, lo, hi), rtol=1e-12)
 
     def test_tie_at_hi_forces_a_full_pass(self):
         # the cumulative weight reaches P * m (1 - delta) inside a block of
         # equal responses and P * m = 1 one element later: the iterate is hi
-        desc_r = np.array([3.0, 2.0, 2.0, 2.0, 2.0, 1.0] + [0.0] * 14)
-        desc_w = np.array([0.125] + [0.375] * 4 + [0.125] + [2.0 ** -10] * 14)
-        lo, hi, sums = self.bracket(desc_r, desc_w, 0.125)
-        assert iterate(desc_r, desc_w, self.P) == hi == 2.0
+        r = np.array([3.0, 2.0, 2.0, 2.0, 2.0, 1.0] + [0.0] * 14)
+        w = np.array([0.125] + [0.375] * 4 + [0.125] + [2.0 ** -10] * 14)
+        labels = one_per_slab(20)
+        lo, hi, sums, counts = self.bracket(r, w, labels, 0.125)
+        assert iterate(r, w, labels, self.P) == hi == 2.0
         # s_hi holds the whole tied block, not the prefix up to its crossing
-        assert sums[1] == 1.625
-        assert not _rules_out_stop(sums, 20, self.P, self.Z, 1e-9)
+        assert sums[1].sum() == 1.625
+        assert not _rules_out_stop(sums, counts, self.P, self.Z, 1e-9)
 
     def test_tie_at_lo_keeps_the_iterate_in_the_bracket(self):
-        lo, hi, sums = self.bracket(self.TIED_R, self.TIED_W, 0.125)
+        lo, hi, sums, counts = self.bracket(self.TIED_R, self.TIED_W,
+                                            self.TIED_L, 0.125)
         assert (lo, hi) == (1.0, 2.0)
-        # both pool elements tied at lo count toward s_lo
-        assert sums[0] == 1.125
+        # both pool elements tied at lo count toward s_lo, in two slabs
+        assert sums[0].sum() == 1.125 and sums[0][2] == sums[0][3] == 0.125
         # a batch tied at lo carries the crossing there: a skip, and the
         # full pass agrees that the iterate lies in [lo, hi)
-        batch_r, batch_w = np.array([1.0, 0.0]), np.array([0.0625, 0.0])
-        sums += _bracket_sums(batch_r, batch_w, lo, hi)
-        assert _rules_out_stop(sums, 22, self.P, self.Z, 1e-9)
+        batch_r = np.array([1.0] + [0.0] * 9)
+        batch_w = np.array([0.5] + [0.0] * 9)
+        batch_l = one_per_slab(10)
+        sums += _bracket_sums(batch_r, batch_w, batch_l, lo, hi)
+        counts += np.bincount(batch_l, minlength=SLABS)
+        assert _rules_out_stop(sums, counts, self.P, self.Z, 1e-9)
         assert iterate(np.concatenate([self.TIED_R, batch_r]),
-                       np.concatenate([self.TIED_W, batch_w]), self.P) == lo
+                       np.concatenate([self.TIED_W, batch_w]),
+                       np.concatenate([self.TIED_L, batch_l]), self.P) == lo
 
     def test_iterate_below_lo_forces_a_full_pass(self):
-        lo, hi, sums = self.bracket(self.TIED_R, self.TIED_W, 0.125)
+        lo, hi, sums, counts = self.bracket(self.TIED_R, self.TIED_W,
+                                            self.TIED_L, 0.125)
         # mass below lo only: P * m outgrows s_lo
-        batch_r, batch_w = np.full(4, -1.0), np.full(4, 0.25)
-        sums += _bracket_sums(batch_r, batch_w, lo, hi)
+        batch_r, batch_w = np.full(10, -1.0), np.full(10, 0.25)
+        batch_l = one_per_slab(10)
+        sums += _bracket_sums(batch_r, batch_w, batch_l, lo, hi)
+        counts += np.bincount(batch_l, minlength=SLABS)
         assert iterate(np.concatenate([self.TIED_R, batch_r]),
-                       np.concatenate([self.TIED_W, batch_w]), self.P) < lo
-        assert not _rules_out_stop(sums, 24, self.P, self.Z, 1e-9)
+                       np.concatenate([self.TIED_W, batch_w]),
+                       np.concatenate([self.TIED_L, batch_l]), self.P) < lo
+        assert not _rules_out_stop(sums, counts, self.P, self.Z, 1e-9)
 
     def test_mass_above_hi_forces_a_full_pass(self):
         gen = np.random.default_rng(1)
-        desc_r = np.sort(gen.standard_normal(400))[::-1]
-        desc_w = np.ones(400)
-        lo, hi, sums = self.bracket(desc_r, desc_w, 0.2)
+        r, w = gen.standard_normal(400), np.ones(400)
+        labels = one_per_slab(400)
+        lo, hi, sums, counts = self.bracket(r, w, labels, 0.2)
         # a heavy batch beyond hi moves the crossing above it
         batch_r, batch_w = np.full(10, hi + 1.0), np.full(10, 3.0)
-        sums += _bracket_sums(batch_r, batch_w, lo, hi)
-        assert iterate(np.concatenate([desc_r, batch_r]),
-                       np.concatenate([desc_w, batch_w]), self.P) >= hi
-        assert not _rules_out_stop(sums, 410, self.P, self.Z, 1e-9)
+        batch_l = one_per_slab(10)
+        sums += _bracket_sums(batch_r, batch_w, batch_l, lo, hi)
+        counts += np.bincount(batch_l, minlength=SLABS)
+        assert iterate(np.concatenate([r, batch_r]),
+                       np.concatenate([w, batch_w]),
+                       np.concatenate([labels, batch_l]), self.P) >= hi
+        assert not _rules_out_stop(sums, counts, self.P, self.Z, 1e-9)
+
+    def test_an_empty_slab_forces_a_full_pass(self):
+        lo, hi, sums, counts = self.bracket(self.TIED_R, self.TIED_W,
+                                            self.TIED_L, 0.125)
+        assert _rules_out_stop(sums, counts, self.P, self.Z, 1e-9)
+        counts[4] = 0.0
+        assert not _rules_out_stop(sums, counts, self.P, self.Z, 1e-9)
 
     def test_a_skip_is_never_a_stop(self):
-        # coarse grids tie responses across the pool and the batches
+        # coarse grids tie responses across the pool and the batches, and
+        # random slabs give each slab its own row weight
         skips = 0
         for seed in range(40):
             gen = np.random.default_rng(seed)
             target = gen.uniform(0.05, 0.5)
-            desc_r = np.sort(np.round(gen.standard_normal(200), 1))[::-1]
-            desc_w = gen.exponential(size=200)
-            lo, hi, sums = self.bracket(desc_r, desc_w, gen.uniform(0.0, 0.3))
-            pool_r, pool_w = desc_r, desc_w
+            pool_r = np.round(gen.standard_normal(200), 1)
+            pool_w = gen.exponential(size=200)
+            pool_l = gen.integers(0, SLABS, 200)
+            lo, hi, sums, counts = self.bracket(pool_r, pool_w, pool_l,
+                                                gen.uniform(0.0, 0.3))
             for _ in range(8):
                 batch_r = np.round(gen.standard_normal(50) + gen.normal(), 1)
                 batch_w = gen.exponential(size=50)
-                sums += _bracket_sums(batch_r, batch_w, lo, hi)
+                batch_l = gen.integers(0, SLABS, 50)
+                sums += _bracket_sums(batch_r, batch_w, batch_l, lo, hi)
+                counts += np.bincount(batch_l, minlength=SLABS)
                 pool_r = np.concatenate([pool_r, batch_r])
                 pool_w = np.concatenate([pool_w, batch_w])
-                if not _rules_out_stop(sums, pool_r.size, self.P, self.Z,
-                                       target):
+                pool_l = np.concatenate([pool_l, batch_l])
+                if not _rules_out_stop(sums, counts, self.P, self.Z, target):
                     continue
                 skips += 1
-                level = iterate(pool_r, pool_w, self.P)
+                level = iterate(pool_r, pool_w, pool_l, self.P)
                 assert lo <= level < hi <= pool_r.max()
-                estimate, se = weighted_exceedance(pool_r, pool_w, level)
+                estimate, se = oracles.post_stratified(
+                    pool_l, np.where(pool_r >= level, pool_w, 0.0), SLABS)
                 assert self.Z * se / estimate > target
         assert skips > 20

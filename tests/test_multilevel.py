@@ -186,15 +186,20 @@ class TestSpeedup:
         assert speedup == pytest.approx(5.2e3, rel=0.02)
 
     def test_speedup_below_one_for_common_events(self):
-        # the speedup charges the ladder's runs; at p = 0.84 they outweigh
-        # what the shift saves (at p = 0.5 a 300-run level no longer does)
-        model = ModelSpec.identity(1)
+        # the speedup charges the ladder's runs; at p = 0.84 and d = 110 its
+        # 1000-run level outweighs what the shift and the slabs save
+        model = ModelSpec.linear_family(110)
         config = LadderConfig()
-        report, _, _ = estimate_to_precision(model, -1.0, config, 0.10,
-                                             RngStream(2))
+        report, _, _ = estimate_to_precision(
+            model, -math.sqrt(10.01), config, 0.10, RngStream(2))
         assert report.speedup == mc_equivalent_runs(
             report.estimate, report.rel_half_width) / report.runs_total
         assert report.speedup < 1.0
+        # ten slabs along the only coordinate of a d=1 model resolve the
+        # same event well enough to beat plain MC after its 300-run level
+        report, _, _ = estimate_to_precision(
+            ModelSpec.identity(1), -1.0, config, 0.10, RngStream(2))
+        assert report.speedup > 1.0
 
     def test_zero_width_interval(self):
         # a zero standard error must not divide by zero in the speedup

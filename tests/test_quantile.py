@@ -6,6 +6,7 @@ from tailshift import (BudgetExhausted, DomainError, LadderConfig, ModelSpec,
                        NonMonotoneBracket, RngStream, draw_tail_sample,
                        estimate_quantile, report_from_sample)
 from tailshift import quantile as quantile_module
+from tailshift.multilevel import SLABS
 
 
 class TestQuantileEstimate:
@@ -152,20 +153,18 @@ class TestSortedPool:
     def test_merge_matches_stable_sort_with_ties_across_batches(self):
         from tailshift.quantile import _merge_sorted
         gen = np.random.default_rng(0)
-        desc_r = desc_w = np.empty(0)
-        batches_r, batches_w = [], []
+        desc = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
+        batches = []
         for size in (50, 1, 200, 0, 73):
             # a coarse grid puts equal responses in different batches
-            r = np.round(gen.standard_normal(size) * 2.0) / 2.0
-            w = gen.random(size)
-            desc_r, desc_w = _merge_sorted(desc_r, desc_w, r, w)
-            batches_r.append(r)
-            batches_w.append(w)
-            pooled_r = np.concatenate(batches_r)
-            order = np.argsort(-pooled_r, kind="stable")
-            np.testing.assert_array_equal(desc_r, pooled_r[order])
-            np.testing.assert_array_equal(
-                desc_w, np.concatenate(batches_w)[order])
+            batch = (np.round(gen.standard_normal(size) * 2.0) / 2.0,
+                     gen.random(size), gen.integers(0, 10, size))
+            desc = _merge_sorted(desc, batch)
+            batches.append(batch)
+            pooled = [np.concatenate(column) for column in zip(*batches)]
+            order = np.argsort(-pooled[0], kind="stable")
+            for got, column in zip(desc, pooled):
+                np.testing.assert_array_equal(got, column[order])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_level_after_every_batch_matches_full_resort(self, monkeypatch,
@@ -198,10 +197,13 @@ class TestSortedPool:
         assert levels[-1][0] == len(samples)
         for batch_count, level in levels:
             s = samples[batch_count - 1]
+            # rows weigh N / (I n_i) on the post-stratified curve
+            counts = np.bincount(s.labels, minlength=SLABS)
+            weights = (np.exp(s.log_weights)
+                       * (s.size / (SLABS * counts))[s.labels])
             order = np.argsort(-s.responses, kind="stable")
             assert level == original_inverse(
-                s.responses[order], np.cumsum(np.exp(s.log_weights)[order]),
-                p * s.size)
+                s.responses[order], np.cumsum(weights[order]), p * s.size)
 
 
 class TestSlope:

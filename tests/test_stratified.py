@@ -8,7 +8,8 @@ from tailshift import (DegenerateStratum, DomainError,
                        analytic_tail_prob, response_values, run_ladder,
                        stratified_estimate)
 from tailshift.multilevel import STRATA_STREAM
-from tailshift.stratified import _conditional_rows, _slab_levels
+from tailshift.core import slab_levels
+from tailshift.stratified import _conditional_rows
 
 
 class TestConditionalSampler:
@@ -56,7 +57,7 @@ class TestConditionalSampler:
 
 class TestStrataFromShift:
     def test_two_strata(self):
-        np.testing.assert_array_equal(_slab_levels(2), [-np.inf, 0.0, np.inf])
+        np.testing.assert_array_equal(slab_levels(2), [-np.inf, 0.0, np.inf])
         _, rows = stratified_estimate(ModelSpec.identity(2), 1.0,
                                       np.array([3.0, 4.0]), 2, 10,
                                       RngStream(0))
@@ -84,7 +85,7 @@ class TestStrataFromShift:
 class TestStratifiedEstimate:
     def test_single_stratum_is_plain_mc(self):
         # one slab under the shift is plain importance sampling
-        np.testing.assert_array_equal(_slab_levels(1), [-np.inf, np.inf])
+        np.testing.assert_array_equal(slab_levels(1), [-np.inf, np.inf])
         model = ModelSpec.identity(1)
         report, rows = stratified_estimate(model, 1.0, np.array([1.0]), 1,
                                            2000, RngStream(9))
@@ -141,7 +142,7 @@ class TestStratifiedEstimate:
         # weight exp(-theta . x - |theta|^2 / 2) of each raw row x
         model = ModelSpec.linear_family(3)
         theta = np.array([1.2, 0.9, 0.6])
-        direction, levels = theta / np.linalg.norm(theta), _slab_levels(4)
+        direction, levels = theta / np.linalg.norm(theta), slab_levels(4)
         rng = RngStream(12)
         _, rows = stratified_estimate(model, 2.0, theta, 4, 1003, rng)
         for i, row in enumerate(rows):
