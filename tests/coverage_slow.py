@@ -30,6 +30,11 @@ NORM_510 = math.sqrt(10 + 500 * 0.01 ** 2)
 
 # name: (RunConfig fields, bundle block, value key, oracle truth, seeds)
 CELLS = {
+    # the benchmark's main builtin-linear cell
+    "linear-d110-prob-3e-5": (
+        dict(task="prob", model="builtin:linear", dim=110,
+             gamma=NORM_110 * oracles.tail_quantile("3e-5")),
+        "report", "estimate", 3e-5, range(200)),
     "linear-d110-prob-1e-10-auto": (
         dict(task="prob", model="builtin:linear", dim=110,
              gamma=NORM_110 * oracles.tail_quantile("1e-10")),
