@@ -256,7 +256,8 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
         desc = _merge_batches(desc, batches[merged:])
         merged = len(batches)
         desc_r, desc_w, desc_l = desc
-        cum = np.cumsum(desc_w * _row_scale(counts, m)[desc_l])
+        scale = _row_scale(counts, m)
+        cum = np.cumsum(desc_w * scale[desc_l])
         level = _survival_inverse(desc_r, cum, p * m)
         if level is None or level == desc_r[0]:
             # quantile sits beyond the sampled range; widen with more batches
@@ -285,8 +286,8 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
         if z * se_p / estimate > target:
             continue
         # the slope of the post-stratified curve: rows weighted m / (I n_i)
-        slope = _slope_at(responses, pooled_w * _row_scale(counts, m)[labels],
-                          level, estimate)
+        slope = _slope_at(responses, pooled_w * scale[labels], level,
+                          estimate)
         half = z * se_p / slope
         quantile = float(oriented_response(model, level))
         rel = half / max(abs(quantile), 1e-300)

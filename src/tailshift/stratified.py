@@ -11,6 +11,12 @@ Every slab gets an equal share of the runs, which is proportional allocation
 since the slabs are equiprobable, and the estimate is
 sum_i p_i mean_i(w 1{h >= gamma}) (Glasserman, Heidelberger & Shahabuddin
 1999, Math. Finance 9).
+
+This is the ``strata`` task, with its own slab count and streams.  Every
+final phase reduces its pool over the same kind of slabs, with the
+boundaries of ``core.slab_levels``, but post-stratified: its rows are the
+plain N(theta, I) draws, each labelled by the slab its log weight fixes
+(``multilevel.slab_labels``).
 """
 
 import math
