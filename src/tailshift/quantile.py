@@ -76,27 +76,24 @@ def _count_at_least(desc_r, values):
     return desc_r.size - np.searchsorted(desc_r[::-1], values, side="left")
 
 
-def _merge_sorted(desc, columns):
-    """Merge a batch's (responses, weights, labels) into a pool sorted by
-    descending response.
-
-    Pool elements come before batch elements with an equal response, so the
-    result is the stable descending sort of the pool followed by the batch.
-    Merging the concatenation of several batches in draw order therefore
-    gives the same pool as merging them one at a time.
-    """
-    order = np.argsort(-columns[0], kind="stable")
-    slots = _count_at_least(desc[0], columns[0][order])
-    return tuple(np.insert(pooled, slots, column[order])
-                 for pooled, column in zip(desc, columns))
-
-
 def _merge_batches(desc, batches):
-    """Merge ``batches``, with their linear weights and slabs, in one pass."""
-    return _merge_sorted(desc, [np.concatenate([getattr(b, name)
-                                                for b in batches])
-                                for name in ("responses", "weights",
-                                             "labels")])
+    """Merge ``batches`` into the pool (responses, weights, slabs) sorted by
+    descending response, in one pass.
+
+    The pool and each batch, stably sorted on its own, are runs that one
+    stable sort of their concatenation merges.  Pool elements come before
+    batch elements with an equal response, and earlier batches before later
+    ones, so the result is the stable descending sort of the pool followed
+    by the batches in draw order, whether they are merged at once or one at
+    a time.
+    """
+    runs = [desc]
+    for b in batches:
+        order = np.argsort(-b.responses, kind="stable")
+        runs.append((b.responses[order], b.weights[order], b.labels[order]))
+    pooled = [np.concatenate(column) for column in zip(*runs)]
+    order = np.argsort(-pooled[0], kind="stable")
+    return tuple(column[order] for column in pooled)
 
 
 def _row_scale(counts, m):
@@ -126,11 +123,12 @@ def _bracket(desc, cum, mass, delta):
 
 def _bracket_sums(responses, weights, labels, lo, hi):
     """Per-slab sums of w 1{r >= lo}, w 1{r >= hi} and w^2 1{r >= hi}."""
-    top = exceedance_terms(responses, weights, hi)
-    return np.stack([
-        np.bincount(labels, exceedance_terms(responses, weights, lo), SLABS),
-        np.bincount(labels, top, SLABS),
-        np.bincount(labels, top * top, SLABS)])
+    # bins [0, I) hold lo <= r < hi, bins [I, 2 I) hold r >= hi
+    bins = labels + SLABS * (responses >= hi)
+    terms = exceedance_terms(responses, weights, lo)
+    s = np.bincount(bins, terms, 2 * SLABS)
+    q_hi = np.bincount(bins, terms * terms, 2 * SLABS)[SLABS:]
+    return np.stack([s[:SLABS] + s[SLABS:], s[SLABS:], q_hi])
 
 
 def _rules_out_stop(sums, counts, p, z, target):

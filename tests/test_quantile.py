@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -151,16 +153,19 @@ class TestSortedPool:
     """The refinement's sorted pool matches a full re-sort of the pool."""
 
     def test_merge_matches_stable_sort_with_ties_across_batches(self):
-        from tailshift.quantile import _merge_sorted
+        from tailshift.quantile import _merge_batches
         gen = np.random.default_rng(0)
         desc = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
         batches = []
-        for size in (50, 1, 200, 0, 73):
+        # pending batches merge one, two or three at a time
+        for sizes in ((50,), (1, 200), (0,), (73, 1000, 40)):
             # a coarse grid puts equal responses in different batches
-            batch = (np.round(gen.standard_normal(size) * 2.0) / 2.0,
-                     gen.random(size), gen.integers(0, 10, size))
-            desc = _merge_sorted(desc, batch)
-            batches.append(batch)
+            pending = [SimpleNamespace(
+                responses=np.round(gen.standard_normal(size) * 2.0) / 2.0,
+                weights=gen.random(size), labels=gen.integers(0, 10, size))
+                for size in sizes]
+            desc = _merge_batches(desc, pending)
+            batches += [(b.responses, b.weights, b.labels) for b in pending]
             pooled = [np.concatenate(column) for column in zip(*batches)]
             order = np.argsort(-pooled[0], kind="stable")
             for got, column in zip(desc, pooled):
