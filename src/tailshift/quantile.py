@@ -101,7 +101,7 @@ def _row_scale(counts, m):
     post-stratified one; ones while a slab is empty (an iid pool)."""
     if not counts.all():
         return np.ones(counts.size)
-    return m / (SLABS * counts)
+    return m / (counts.size * counts)
 
 
 def _bracket(desc, cum, mass, delta):
@@ -143,10 +143,8 @@ def _rules_out_stop(sums, counts, p, z, target):
     within {r >= lo}.  Per slab, s_lo then bounds the hits' weight sum from
     above and q_hi their squared sum from below, so a half-width above
     ``target`` from these is one at the iterate too.  A pool with an empty
-    slab is never skipped.
+    slab is reduced as iid rows here as in the full pass.
     """
-    if not counts.all():
-        return False
     s_lo, s_hi, q_hi = sums
     m = float(counts.sum())
     scale = _row_scale(counts, m)

@@ -385,12 +385,19 @@ class TestSkipRule:
                        np.concatenate([labels, batch_l]), self.P) >= hi
         assert not _rules_out_stop(sums, counts, self.P, self.Z, 1e-9)
 
-    def test_an_empty_slab_forces_a_full_pass(self):
-        lo, hi, sums, counts = self.bracket(self.TIED_R, self.TIED_W,
-                                            self.TIED_L, 0.125)
-        assert _rules_out_stop(sums, counts, self.P, self.Z, 1e-9)
-        counts[4] = 0.0
-        assert not _rules_out_stop(sums, counts, self.P, self.Z, 1e-9)
+    def test_an_empty_slab_reduces_the_pool_as_iid_rows(self):
+        # the pool with slab 4 emptied into slab 5 weighs every row 1, as
+        # the same pool with one slab does
+        labels = self.TIED_L.copy()
+        labels[labels == 4] = 5
+        lo, hi, sums, counts = self.bracket(self.TIED_R, self.TIED_W, labels,
+                                            0.125)
+        assert counts[4] == 0
+        np.testing.assert_array_equal(_row_scale(counts, 20), np.ones(SLABS))
+        iid = (sums.sum(axis=1, keepdims=True), counts.sum(keepdims=True))
+        for target in (1e-9, 0.5, 1.0, 10.0):
+            assert (_rules_out_stop(sums, counts, self.P, self.Z, target)
+                    == _rules_out_stop(*iid, self.P, self.Z, target))
 
     def test_a_skip_is_never_a_stop(self):
         # coarse grids tie responses across the pool and the batches, and
