@@ -26,7 +26,7 @@ shifted points together with their log likelihood ratios to the nominal law.
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -60,9 +60,13 @@ FINAL_BATCH = 1000          # runs per final-phase and quantile refinement batch
 # about 100 rows per slab per batch
 SLABS = FINAL_BATCH // 100
 _SLAB_BOUNDS = slab_levels(SLABS)[1:-1]
+_EPS = float(np.finfo(float).eps)
 
 
+@cache
 def z_value(confidence):
+    # cached: the ladder and every report read it, and one normal quantile
+    # costs about 25 us
     if not 0.0 < confidence < 1.0:
         raise DomainError("confidence level must lie in (0, 1)")
     return float(std_normal_quantile(0.5 + 0.5 * confidence))
@@ -262,15 +266,17 @@ def slab_labels(log_weights, theta):
     """Slab index in [0, SLABS) of each row of an N(theta, I) draw.
 
     Slab i holds t = u . (x - theta) in [a_i, a_(i+1)) of
-    ``core.slab_levels(SLABS)``, u = theta / |theta|; the row's log weight
-    -|theta| t - |theta|^2 / 2 gives t.  A zero shift puts every row in
-    slab 0, which reduces the pool as iid rows.
+    ``core.slab_levels(SLABS)``, u = theta / |theta|.  The row's log weight
+    is -|theta| t - |theta|^2 / 2, so t >= a_k exactly when the log weight
+    is at most -|theta| a_k - |theta|^2 / 2.  A zero shift puts every row
+    in slab 0, which reduces the pool as iid rows.
     """
     sq = float(theta @ theta)
     if sq == 0.0:
         return np.zeros(log_weights.size, dtype=np.intp)
-    t = -(log_weights + 0.5 * sq) / math.sqrt(sq)
-    return np.searchsorted(_SLAB_BOUNDS, t, side="right")
+    # the log weights of the boundaries, ascending
+    bounds = -math.sqrt(sq) * _SLAB_BOUNDS[::-1] - 0.5 * sq
+    return SLABS - 1 - np.searchsorted(bounds, log_weights, side="left")
 
 
 def exceedance_terms(responses, weights, level):
@@ -311,7 +317,7 @@ def stratified_exceedance(counts, s1, q):
 
 def summation_slack(n):
     """Relative rounding bound on any summation order of n terms t >= 0."""
-    return (2 * n + 16) * float(np.finfo(float).eps)
+    return (2 * n + 16) * _EPS
 
 
 def width_exceeds(counts, s1, q, z, target):

@@ -76,24 +76,31 @@ def _count_at_least(desc_r, values):
     return desc_r.size - np.searchsorted(desc_r[::-1], values, side="left")
 
 
-def _merge_batches(desc, batches):
-    """Merge ``batches`` into the pool (responses, weights, slabs) sorted by
-    descending response, in one pass.
+def _merge_runs(desc, runs):
+    """Merge ``runs`` of (responses, weights, slabs), in draw order, into the
+    columns ``desc`` sorted by descending response.
 
-    The pool and each batch, stably sorted on its own, are runs that one
-    stable sort of their concatenation merges.  Pool elements come before
-    batch elements with an equal response, and earlier batches before later
-    ones, so the result is the stable descending sort of the pool followed
-    by the batches in draw order, whether they are merged at once or one at
-    a time.
+    ``desc`` and each run, stably sorted on its own, are runs that one
+    stable sort of their concatenation merges.  Elements of ``desc`` come
+    before run elements with an equal response, and earlier runs before
+    later ones, so the result is the stable descending sort of ``desc``
+    followed by the runs in draw order, whether they are merged at once or
+    one at a time.
     """
-    runs = [desc]
-    for b in batches:
-        order = np.argsort(-b.responses, kind="stable")
-        runs.append((b.responses[order], b.weights[order], b.labels[order]))
-    pooled = [np.concatenate(column) for column in zip(*runs)]
+    sorted_runs = [desc]
+    for run in runs:
+        order = np.argsort(-run[0], kind="stable")
+        sorted_runs.append(tuple(column[order] for column in run))
+    pooled = [np.concatenate(column) for column in zip(*sorted_runs)]
     order = np.argsort(-pooled[0], kind="stable")
     return tuple(column[order] for column in pooled)
+
+
+def _merge_batches(desc, batches):
+    """Merge ``batches`` into the pool (responses, weights, slabs) sorted by
+    descending response, in one pass."""
+    return _merge_runs(desc, [(b.responses, b.weights, b.labels)
+                              for b in batches])
 
 
 def _row_scale(counts, m):
@@ -104,55 +111,79 @@ def _row_scale(counts, m):
     return m / (counts.size * counts)
 
 
-def _bracket(desc, cum, mass, delta):
-    """Pool levels lo <= hi around the crossing of ``mass``, with their sums.
+class _Bracket:
+    """Pool levels lo < hi around the iterate's crossing, and the rows that
+    later batches add around it.
 
     hi is where the scaled cumulative weight ``cum`` of the sorted pool
     reaches mass * (1 - delta), lo where it reaches mass * (1 + delta)
-    (-inf if it never does).  Returns lo, hi and the ``_bracket_sums`` of
-    the pool.
+    (-inf if it never does).  Rows at or above hi enter per-slab sums of w
+    and w^2; rows in [lo, hi) are kept, in pool order, so that the crossing
+    can be located among them without the rest of the pool.
     """
-    desc_r = desc[0]
-    k_hi, k_lo = np.searchsorted(cum, [mass * (1.0 - delta),
-                                       mass * (1.0 + delta)], side="left")
-    hi = float(desc_r[k_hi])
-    lo = float(desc_r[k_lo]) if k_lo < desc_r.size else -math.inf
-    c_lo = _count_at_least(desc_r, lo)
-    return lo, hi, _bracket_sums(*(column[:c_lo] for column in desc), lo, hi)
 
+    def __init__(self, desc, cum, mass, delta):
+        desc_r, desc_w, desc_l = desc
+        k_hi, k_lo = np.searchsorted(cum, [mass * (1.0 - delta),
+                                           mass * (1.0 + delta)], side="left")
+        self.hi = float(desc_r[k_hi])
+        self.lo = float(desc_r[k_lo]) if k_lo < desc_r.size else -math.inf
+        c_lo, c_hi = _count_at_least(desc_r, [self.lo, self.hi])
+        top_w, top_l = desc_w[:c_hi], desc_l[:c_hi]
+        self.s_hi = np.bincount(top_l, top_w, SLABS)
+        self.q_hi = np.bincount(top_l, top_w * top_w, SLABS)
+        # the sorted rows in [lo, hi), then each later batch's rows there
+        self.middle = tuple(column[c_hi:c_lo] for column in desc)
+        self.pending = []
 
-def _bracket_sums(responses, weights, labels, lo, hi):
-    """Per-slab sums of w 1{r >= lo}, w 1{r >= hi} and w^2 1{r >= hi}."""
-    # bins [0, I) hold lo <= r < hi, bins [I, 2 I) hold r >= hi
-    bins = labels + SLABS * (responses >= hi)
-    terms = exceedance_terms(responses, weights, lo)
-    s = np.bincount(bins, terms, 2 * SLABS)
-    q_hi = np.bincount(bins, terms * terms, 2 * SLABS)[SLABS:]
-    return np.stack([s[:SLABS] + s[SLABS:], s[SLABS:], q_hi])
+    def add(self, responses, weights, labels):
+        """Take a batch's rows into the sums and the middle."""
+        top = exceedance_terms(responses, weights, self.hi)
+        self.s_hi += np.bincount(labels, top, SLABS)
+        self.q_hi += np.bincount(labels, top * top, SLABS)
+        mid = (responses >= self.lo) & (responses < self.hi)
+        self.pending.append((responses[mid], weights[mid], labels[mid]))
 
+    def rules_out_stop(self, counts, p, z, target):
+        """Whether a full pass over a pool with slab ``counts`` could
+        neither stop nor widen.
 
-def _rules_out_stop(sums, counts, p, z, target):
-    """Whether per-slab bracket sums over a pool with slab ``counts`` rule
-    out a stop there.
-
-    With m runs and the sums scaled to the post-stratified curve,
-    s_lo >= p * m and s_hi < p * m, each beyond the rounding of any
-    summation order, put the crossing of the sorted pool's scaled
-    cumulative weights at a level in [lo, hi): below the top response, so
-    the iterate needs no widening, and its hits hold {r >= hi} and lie
-    within {r >= lo}.  Per slab, s_lo then bounds the hits' weight sum from
-    above and q_hi their squared sum from below, so a half-width above
-    ``target`` from these is one at the iterate too.  A pool with an empty
-    slab is reduced as iid rows here as in the full pass.
-    """
-    s_lo, s_hi, q_hi = sums
-    m = float(counts.sum())
-    scale = _row_scale(counts, m)
-    mass = p * m
-    err = summation_slack(int(m))
-    return (float(s_lo @ scale) * (1.0 - err) >= mass * (1.0 + err)
-            and float(s_hi @ scale) * (1.0 + err) < mass * (1.0 - err)
-            and width_exceeds(counts, s_lo, q_hi, z, target))
+        The full pass inverts the sorted pool's scaled cumulative weights at
+        p * m.  The same cumulative weights, from the sums above hi and the
+        sorted middle, land within the rounding of any summation order of
+        the full pass's, so every index the full pass could invert at lies
+        where they reach p * m to within that rounding.  When all such
+        indices fall in the middle, the iterate is below the top response,
+        and its hits hold the middle rows up to the first such index and
+        lie within those down to the last.  Per slab, the sums over the
+        larger set bound the hits' weight sums from above and those over the
+        smaller set their squared sums from below, so a half-width above
+        ``target`` from these is one at the iterate too.  A pool with an
+        empty slab is reduced as iid rows here as in the full pass.
+        """
+        m = float(counts.sum())
+        scale = _row_scale(counts, m)
+        mass = p * m
+        err = summation_slack(int(m))
+        above = float(self.s_hi @ scale)
+        if above >= mass * (1.0 - err):
+            return False
+        if self.pending:
+            self.middle = _merge_runs(self.middle, self.pending)
+            self.pending = []
+        mid_r, mid_w, mid_l = self.middle
+        cum = above + np.cumsum(mid_w * scale[mid_l])
+        first, last = np.searchsorted(cum, [mass * (1.0 - err),
+                                            mass * (1.0 + err)], side="left")
+        if last >= mid_r.size:
+            return False
+        within = _count_at_least(mid_r, mid_r[last])
+        held_w, held_l = mid_w[:first + 1], mid_l[:first + 1]
+        return width_exceeds(
+            counts, self.s_hi + np.bincount(mid_l[:within], mid_w[:within],
+                                            SLABS),
+            self.q_hi + np.bincount(held_l, held_w * held_w, SLABS),
+            z, target)
 
 
 def _bracket_rule(p, rho):
@@ -243,10 +274,8 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
         m += batch.size
         counts += np.bincount(batch.labels, minlength=SLABS)
         if bracket is not None:
-            lo, hi, sums = bracket
-            sums += _bracket_sums(batch.responses, batch.weights,
-                                  batch.labels, lo, hi)
-            if _rules_out_stop(sums, counts, p, z, target):
+            bracket.add(batch.responses, batch.weights, batch.labels)
+            if bracket.rules_out_stop(counts, p, z, target):
                 # no stop and no widening on this batch: widen stays 0
                 continue
         desc = _merge_batches(desc, batches[merged:])
@@ -270,7 +299,7 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
         _, s1, q = slab_sums(desc_l[:hits], desc_w[:hits])
         # bracket the iterate's mass by its relative standard error
         estimate, se_p = stratified_exceedance(counts, s1, q)
-        bracket = _bracket(desc, cum, p * m, se_p / estimate)
+        bracket = _Bracket(desc, cum, p * m, se_p / estimate)
         if width_exceeds(counts, s1, q, z, target):
             continue
         # the sorted pool allows a stop; the pool in draw order decides it

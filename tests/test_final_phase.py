@@ -26,9 +26,8 @@ from tailshift.multilevel import (FINAL_BATCH, FINAL_STREAM, QUANTILE_STREAM,
                                   slab_labels, z_value)
 from tailshift import quantile as quantile_module
 from tailshift.quantile import (_WIDEN_LIMIT, REFINE_FACTOR, QuantileReport,
-                                _bracket, _bracket_rule, _bracket_sums,
-                                _row_scale, _rules_out_stop, _slope_at,
-                                _survival_inverse)
+                                _Bracket, _bracket_rule, _row_scale,
+                                _slope_at, _survival_inverse)
 
 SEEDS = range(4)
 
@@ -222,7 +221,8 @@ def test_quantile_budget_partial_on_a_skipped_batch(monkeypatch, seed):
 
 
 def test_identity_quantile_takes_few_full_passes(monkeypatch):
-    # about 11 refinement batches per problem; the bracket skips about half
+    # about 11 refinement batches per problem; the bracket skips all but
+    # the first, the stopping one and at most one between
     model, p = QUANTILE_CASES["identity-1e-6"]
     passes = record_passes(monkeypatch)
     for seed in SEEDS:
@@ -230,7 +230,7 @@ def test_identity_quantile_takes_few_full_passes(monkeypatch):
         report, _ = estimate_quantile(model, p, LadderConfig(),
                                       RngStream(seed))
         assert report.runs_final >= 10_000
-        assert len(passes) <= 7
+        assert len(passes) <= 3
 
 
 @pytest.mark.parametrize("d", [1, 10, 110, 1010])
@@ -312,20 +312,33 @@ class TestSkipRule:
 
     def bracket(self, responses, weights, labels, delta):
         desc, counts, cum = pool_of(responses, weights, labels)
-        lo, hi, sums = _bracket(desc, cum, self.P * responses.size, delta)
-        return lo, hi, sums, counts
+        return _Bracket(desc, cum, self.P * responses.size, delta), counts
 
-    def test_bracket_sums_match_the_pool(self):
+    @staticmethod
+    def add(bracket, counts, responses, weights, labels):
+        bracket.add(responses, weights, labels)
+        counts += np.bincount(labels, minlength=SLABS)
+
+    def test_bracket_splits_the_pool_at_lo_and_hi(self):
         gen = np.random.default_rng(0)
         r = np.round(gen.standard_normal(400), 1)
         w, labels = gen.random(400), gen.integers(0, SLABS, 400)
-        lo, hi, sums, _ = self.bracket(r, w, labels, 0.2)
+        bracket, _ = self.bracket(r, w, labels, 0.2)
+        lo, hi = bracket.lo, bracket.hi
         assert lo < iterate(r, w, labels, self.P) < hi
         # ties: every pool element equal to lo or hi counts
         assert np.sum(r == lo) > 1 and np.sum(r == hi) > 1
-        assert sums.shape == (3, SLABS)
+        top = r >= hi
         np.testing.assert_allclose(
-            sums, _bracket_sums(r, w, labels, lo, hi), rtol=1e-12)
+            bracket.s_hi, np.bincount(labels[top], w[top], SLABS), rtol=1e-12)
+        np.testing.assert_allclose(
+            bracket.q_hi, np.bincount(labels[top], w[top] ** 2, SLABS),
+            rtol=1e-12)
+        # the middle is the pool's [lo, hi) in pool order
+        desc, _, _ = pool_of(r, w, labels)
+        middle = (desc[0] >= lo) & (desc[0] < hi)
+        for got, column in zip(bracket.middle, desc):
+            np.testing.assert_array_equal(got, column[middle])
 
     def test_tie_at_hi_forces_a_full_pass(self):
         # the cumulative weight reaches P * m (1 - delta) inside a block of
@@ -333,71 +346,67 @@ class TestSkipRule:
         r = np.array([3.0, 2.0, 2.0, 2.0, 2.0, 1.0] + [0.0] * 14)
         w = np.array([0.125] + [0.375] * 4 + [0.125] + [2.0 ** -10] * 14)
         labels = one_per_slab(20)
-        lo, hi, sums, counts = self.bracket(r, w, labels, 0.125)
-        assert iterate(r, w, labels, self.P) == hi == 2.0
+        bracket, counts = self.bracket(r, w, labels, 0.125)
+        assert iterate(r, w, labels, self.P) == bracket.hi == 2.0
         # s_hi holds the whole tied block, not the prefix up to its crossing
-        assert sums[1].sum() == 1.625
-        assert not _rules_out_stop(sums, counts, self.P, self.Z, 1e-9)
+        assert bracket.s_hi.sum() == 1.625
+        assert not bracket.rules_out_stop(counts, self.P, self.Z, 1e-9)
 
-    def test_tie_at_lo_keeps_the_iterate_in_the_bracket(self):
-        lo, hi, sums, counts = self.bracket(self.TIED_R, self.TIED_W,
-                                            self.TIED_L, 0.125)
-        assert (lo, hi) == (1.0, 2.0)
-        # both pool elements tied at lo count toward s_lo, in two slabs
-        assert sums[0].sum() == 1.125 and sums[0][2] == sums[0][3] == 0.125
+    def test_tie_at_lo_keeps_the_iterate_in_the_middle(self):
+        bracket, counts = self.bracket(self.TIED_R, self.TIED_W, self.TIED_L,
+                                       0.125)
+        assert (bracket.lo, bracket.hi) == (1.0, 2.0)
+        # both pool elements tied at lo are in the middle
+        np.testing.assert_array_equal(bracket.middle[0], [1.0, 1.0])
         # a batch tied at lo carries the crossing there: a skip, and the
         # full pass agrees that the iterate lies in [lo, hi)
-        batch_r = np.array([1.0] + [0.0] * 9)
-        batch_w = np.array([0.5] + [0.0] * 9)
-        batch_l = one_per_slab(10)
-        sums += _bracket_sums(batch_r, batch_w, batch_l, lo, hi)
-        counts += np.bincount(batch_l, minlength=SLABS)
-        assert _rules_out_stop(sums, counts, self.P, self.Z, 1e-9)
-        assert iterate(np.concatenate([self.TIED_R, batch_r]),
-                       np.concatenate([self.TIED_W, batch_w]),
-                       np.concatenate([self.TIED_L, batch_l]), self.P) == lo
+        batch = (np.array([1.0] + [0.0] * 9), np.array([0.5] + [0.0] * 9),
+                 one_per_slab(10))
+        self.add(bracket, counts, *batch)
+        assert bracket.rules_out_stop(counts, self.P, self.Z, 1e-9)
+        pool = [np.concatenate(pair) for pair in zip(
+            (self.TIED_R, self.TIED_W, self.TIED_L), batch)]
+        assert iterate(*pool, self.P) == 1.0
 
     def test_iterate_below_lo_forces_a_full_pass(self):
-        lo, hi, sums, counts = self.bracket(self.TIED_R, self.TIED_W,
-                                            self.TIED_L, 0.125)
-        # mass below lo only: P * m outgrows s_lo
-        batch_r, batch_w = np.full(10, -1.0), np.full(10, 0.25)
-        batch_l = one_per_slab(10)
-        sums += _bracket_sums(batch_r, batch_w, batch_l, lo, hi)
-        counts += np.bincount(batch_l, minlength=SLABS)
-        assert iterate(np.concatenate([self.TIED_R, batch_r]),
-                       np.concatenate([self.TIED_W, batch_w]),
-                       np.concatenate([self.TIED_L, batch_l]), self.P) < lo
-        assert not _rules_out_stop(sums, counts, self.P, self.Z, 1e-9)
+        bracket, counts = self.bracket(self.TIED_R, self.TIED_W, self.TIED_L,
+                                       0.125)
+        # mass below lo only: P * m outgrows the mass down to lo
+        batch = np.full(10, -1.0), np.full(10, 0.25), one_per_slab(10)
+        self.add(bracket, counts, *batch)
+        pool = [np.concatenate(pair) for pair in zip(
+            (self.TIED_R, self.TIED_W, self.TIED_L), batch)]
+        assert iterate(*pool, self.P) < bracket.lo
+        assert not bracket.rules_out_stop(counts, self.P, self.Z, 1e-9)
 
     def test_mass_above_hi_forces_a_full_pass(self):
         gen = np.random.default_rng(1)
         r, w = gen.standard_normal(400), np.ones(400)
         labels = one_per_slab(400)
-        lo, hi, sums, counts = self.bracket(r, w, labels, 0.2)
+        bracket, counts = self.bracket(r, w, labels, 0.2)
         # a heavy batch beyond hi moves the crossing above it
-        batch_r, batch_w = np.full(10, hi + 1.0), np.full(10, 3.0)
-        batch_l = one_per_slab(10)
-        sums += _bracket_sums(batch_r, batch_w, batch_l, lo, hi)
-        counts += np.bincount(batch_l, minlength=SLABS)
-        assert iterate(np.concatenate([r, batch_r]),
-                       np.concatenate([w, batch_w]),
-                       np.concatenate([labels, batch_l]), self.P) >= hi
-        assert not _rules_out_stop(sums, counts, self.P, self.Z, 1e-9)
+        batch = np.full(10, bracket.hi + 1.0), np.full(10, 3.0), \
+            one_per_slab(10)
+        self.add(bracket, counts, *batch)
+        pool = [np.concatenate(pair) for pair in zip((r, w, labels), batch)]
+        assert iterate(*pool, self.P) >= bracket.hi
+        assert not bracket.rules_out_stop(counts, self.P, self.Z, 1e-9)
 
     def test_an_empty_slab_reduces_the_pool_as_iid_rows(self):
-        # the pool with slab 4 emptied into slab 5 weighs every row 1, as
-        # the same pool with one slab does
-        labels = self.TIED_L.copy()
-        labels[labels == 4] = 5
-        lo, hi, sums, counts = self.bracket(self.TIED_R, self.TIED_W, labels,
-                                            0.125)
-        assert counts[4] == 0
-        np.testing.assert_array_equal(_row_scale(counts, 20), np.ones(SLABS))
-        iid = (sums.sum(axis=1, keepdims=True), counts.sum(keepdims=True))
+        # slab 4 emptied into slab 5, and every row in slab 0: both pools
+        # weigh every row 1 and reduce as iid rows
+        emptied = self.TIED_L.copy()
+        emptied[emptied == 4] = 5
         for target in (1e-9, 0.5, 1.0, 10.0):
-            assert (_rules_out_stop(sums, counts, self.P, self.Z, target)
-                    == _rules_out_stop(*iid, self.P, self.Z, target))
+            decisions = set()
+            for labels in (emptied, np.zeros(20, dtype=np.intp)):
+                bracket, counts = self.bracket(self.TIED_R, self.TIED_W,
+                                               labels, 0.125)
+                np.testing.assert_array_equal(_row_scale(counts, 20),
+                                              np.ones(SLABS))
+                decisions.add(bracket.rules_out_stop(counts, self.P, self.Z,
+                                                     target))
+            assert len(decisions) == 1
 
     def test_a_skip_is_never_a_stop(self):
         # coarse grids tie responses across the pool and the batches, and
@@ -406,26 +415,22 @@ class TestSkipRule:
         for seed in range(40):
             gen = np.random.default_rng(seed)
             target = gen.uniform(0.05, 0.5)
-            pool_r = np.round(gen.standard_normal(200), 1)
-            pool_w = gen.exponential(size=200)
-            pool_l = gen.integers(0, SLABS, 200)
-            lo, hi, sums, counts = self.bracket(pool_r, pool_w, pool_l,
-                                                gen.uniform(0.0, 0.3))
+            pool = (np.round(gen.standard_normal(200), 1),
+                    gen.exponential(size=200), gen.integers(0, SLABS, 200))
+            bracket, counts = self.bracket(*pool, gen.uniform(0.0, 0.3))
             for _ in range(8):
-                batch_r = np.round(gen.standard_normal(50) + gen.normal(), 1)
-                batch_w = gen.exponential(size=50)
-                batch_l = gen.integers(0, SLABS, 50)
-                sums += _bracket_sums(batch_r, batch_w, batch_l, lo, hi)
-                counts += np.bincount(batch_l, minlength=SLABS)
-                pool_r = np.concatenate([pool_r, batch_r])
-                pool_w = np.concatenate([pool_w, batch_w])
-                pool_l = np.concatenate([pool_l, batch_l])
-                if not _rules_out_stop(sums, counts, self.P, self.Z, target):
+                batch = (np.round(gen.standard_normal(50) + gen.normal(), 1),
+                         gen.exponential(size=50),
+                         gen.integers(0, SLABS, 50))
+                self.add(bracket, counts, *batch)
+                pool = [np.concatenate(pair) for pair in zip(pool, batch)]
+                if not bracket.rules_out_stop(counts, self.P, self.Z,
+                                              target):
                     continue
                 skips += 1
-                level = iterate(pool_r, pool_w, pool_l, self.P)
-                assert lo <= level < hi <= pool_r.max()
+                level = iterate(*pool, self.P)
+                assert bracket.lo <= level < bracket.hi <= pool[0].max()
                 estimate, se = oracles.post_stratified(
-                    pool_l, np.where(pool_r >= level, pool_w, 0.0), SLABS)
+                    pool[2], np.where(pool[0] >= level, pool[1], 0.0), SLABS)
                 assert self.Z * se / estimate > target
         assert skips > 20
