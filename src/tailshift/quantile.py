@@ -11,11 +11,12 @@ w N / (I n_i), so the curve is sum_i (1/I) mean_i(w 1{r >= t}).  The pool
 is kept sorted by descending response, with each row's slab, so the hits
 at the inverted level are a prefix of it and the stop test reads the
 per-slab probability sums and second moments from there.  Each such full
-pass also brackets the iterate between two pool levels; a later batch only
-adds its terms to per-slab running sums over that bracket, and the sorted
-pool is touched again (all pending batches merged at once) only when those
-sums cannot rule out a stop.  Only when the stop test allows a stop is the
-pool reduced in draw order, once, for the report.  The quantile interval
+pass also brackets the iterate between two pool levels.  A later batch adds
+its rows above the bracket to per-slab running sums and keeps its rows
+inside it, so the crossing can be located among the bracket's rows alone;
+the sorted pool is touched again (all pending batches merged at once) only
+when that cannot rule out a stop.  Only when the stop test allows a stop is
+the pool reduced in draw order, once, for the report.  The quantile interval
 comes from pushing the probability interval through the local slope of
 that curve (a centered difference of its logarithm, no density estimate).
 """
@@ -80,19 +81,19 @@ def _merge_runs(desc, runs):
     """Merge ``runs`` of (responses, weights, slabs), in draw order, into the
     columns ``desc`` sorted by descending response.
 
-    ``desc`` and each run, stably sorted on its own, are runs that one
-    stable sort of their concatenation merges.  Elements of ``desc`` come
-    before run elements with an equal response, and earlier runs before
-    later ones, so the result is the stable descending sort of ``desc``
-    followed by the runs in draw order, whether they are merged at once or
-    one at a time.
+    The result is the stable descending sort of ``desc`` followed by the
+    runs in draw order: elements of ``desc`` come before run elements with
+    an equal response, and earlier runs before later ones.  Merging runs at
+    once or one at a time therefore gives the same columns.  Distinct
+    responses have one sorted order, so the faster unstable sort is kept
+    unless two responses are equal.
     """
-    sorted_runs = [desc]
-    for run in runs:
-        order = np.argsort(-run[0], kind="stable")
-        sorted_runs.append(tuple(column[order] for column in run))
-    pooled = [np.concatenate(column) for column in zip(*sorted_runs)]
-    order = np.argsort(-pooled[0], kind="stable")
+    pooled = [np.concatenate(column) for column in zip(desc, *runs)]
+    keys = -pooled[0]
+    order = np.argsort(keys)
+    ordered = keys[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        order = np.argsort(keys, kind="stable")
     return tuple(column[order] for column in pooled)
 
 
