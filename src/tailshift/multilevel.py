@@ -327,18 +327,19 @@ def width_exceeds(counts, s1, q, z, target):
 
     The half-width exceeds the target exactly when
     sum_i Q_i / n_i^2 > sum_i S1_i^2 / n_i^3 + k (sum_i S1_i / n_i)^2,
-    k = (target / z)^2, a comparison of non-negative sums.  Any order of summing n non-negative
-    terms lands within about n * eps of the true sum, so when this is True
-    the reduction of the same terms in any other order, pooled in draw
-    order included, exceeds ``target`` too.  With no hits it is False.
+    k = (target / z)^2, a comparison of non-negative sums.  Any order of
+    summing n non-negative terms lands within about n * eps of the true
+    sum, so when this is True the reduction of the same terms in any other
+    order, pooled in draw order included, exceeds ``target`` too.  With no
+    hits it is False.
     """
     counts, s1, q = _pooled_if_empty(counts, s1, q)
     err = summation_slack(int(counts.sum()))
     mean = s1 / counts
-    between = float((mean * mean / counts).sum())
-    spread = float((q / (counts * counts)).sum())
-    return (spread * (1.0 - err)
-            > (between + (target / z) ** 2 * float(mean.sum()) ** 2)
+    squares = float((q / (counts * counts)).sum())
+    means = float((mean * mean / counts).sum())
+    return (squares * (1.0 - err)
+            > (means + (target / z) ** 2 * float(mean.sum()) ** 2)
             * (1.0 + err) ** 2)
 
 

@@ -113,7 +113,7 @@ def _row_scale(counts, m):
 
 
 class _Bracket:
-    """Pool levels lo < hi around the iterate's crossing, and the rows that
+    """Pool levels lo <= hi around the iterate's crossing, and the rows that
     later batches add around it.
 
     hi is where the scaled cumulative weight ``cum`` of the sorted pool

@@ -319,7 +319,7 @@ class TestSkipRule:
         bracket.add(responses, weights, labels)
         counts += np.bincount(labels, minlength=SLABS)
 
-    def test_bracket_splits_the_pool_at_lo_and_hi(self):
+    def test_bracket_sums_match_the_pool(self):
         gen = np.random.default_rng(0)
         r = np.round(gen.standard_normal(400), 1)
         w, labels = gen.random(400), gen.integers(0, SLABS, 400)
@@ -352,7 +352,7 @@ class TestSkipRule:
         assert bracket.s_hi.sum() == 1.625
         assert not bracket.rules_out_stop(counts, self.P, self.Z, 1e-9)
 
-    def test_tie_at_lo_keeps_the_iterate_in_the_middle(self):
+    def test_tie_at_lo_keeps_the_iterate_in_the_bracket(self):
         bracket, counts = self.bracket(self.TIED_R, self.TIED_W, self.TIED_L,
                                        0.125)
         assert (bracket.lo, bracket.hi) == (1.0, 2.0)
