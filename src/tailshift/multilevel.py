@@ -208,7 +208,7 @@ class TailSample:
                 raise DomainError(
                     "cannot merge samples drawn for different targets")
         samples = (self, *others)
-        return TailSample(
+        merged = TailSample(
             responses=np.concatenate([s.responses for s in samples]),
             log_weights=np.concatenate([s.log_weights for s in samples]),
             gamma=self.gamma,
@@ -216,6 +216,11 @@ class TailSample:
             tail=self.tail,
             post_stratified=self.post_stratified,
         )
+        if all("labels" in vars(s) for s in samples):
+            # labels are read row by row, so the parts' cached ones are the
+            # pool's
+            merged.labels = np.concatenate([s.labels for s in samples])
+        return merged
 
 
 def next_level(responses, rho, gamma):
@@ -313,6 +318,16 @@ def stratified_exceedance(counts, s1, q):
     estimate = float(mean.sum()) / slabs
     variance = float(((q / counts - mean * mean) / counts).sum())
     return estimate, math.sqrt(max(variance, 0.0)) / slabs
+
+
+def row_scale(counts):
+    """Per-slab factors m / (I n_i), m = sum_i n_i, that turn a pool's
+    weight sums into ``stratified_exceedance``'s: a row of slab i weighs
+    w m / (I n_i).  Ones while a slab is empty, where the pool is reduced
+    as iid rows."""
+    if not counts.all():
+        return np.ones(counts.size)
+    return counts.sum() / (counts.size * counts)
 
 
 def summation_slack(n):

@@ -30,9 +30,9 @@ from .errors import BudgetExhausted, DomainError, NonMonotoneBracket
 from .model import oriented_response
 from .multilevel import (FINAL_BATCH, QUANTILE_STREAM, SLABS,
                          exceedance_terms, next_level, pooled_batches,
-                         run_ladder, slab_sums, stratified_exceedance,
-                         summation_slack, weighted_exceedance, width_exceeds,
-                         z_value)
+                         row_scale, run_ladder, slab_sums,
+                         stratified_exceedance, summation_slack,
+                         weighted_exceedance, width_exceeds, z_value)
 
 # refinement is driven this much tighter than the configured probability
 # precision so that round trips through the probability estimator stay
@@ -81,19 +81,15 @@ def _merge_runs(desc, runs):
     """Merge ``runs`` of (responses, weights, slabs), in draw order, into the
     columns ``desc`` sorted by descending response.
 
-    The result is the stable descending sort of ``desc`` followed by the
-    runs in draw order: elements of ``desc`` come before run elements with
-    an equal response, and earlier runs before later ones.  Merging runs at
-    once or one at a time therefore gives the same columns.  Distinct
-    responses have one sorted order, so the faster unstable sort is kept
-    unless two responses are equal.
+    One stable sort of the concatenation: elements of ``desc`` come before
+    run elements with an equal response, and earlier runs before later
+    ones, so the result is the stable descending sort of ``desc`` followed
+    by the runs in draw order, whether they are merged at once or one at a
+    time.  The stable sort (timsort) takes the sorted ``desc`` as one run,
+    so it sorts only the new rows and merges them into it in linear time.
     """
     pooled = [np.concatenate(column) for column in zip(desc, *runs)]
-    keys = -pooled[0]
-    order = np.argsort(keys)
-    ordered = keys[order]
-    if (ordered[1:] == ordered[:-1]).any():
-        order = np.argsort(keys, kind="stable")
+    order = np.argsort(-pooled[0], kind="stable")
     return tuple(column[order] for column in pooled)
 
 
@@ -102,14 +98,6 @@ def _merge_batches(desc, batches):
     descending response, in one pass."""
     return _merge_runs(desc, [(b.responses, b.weights, b.labels)
                               for b in batches])
-
-
-def _row_scale(counts, m):
-    """Per-slab factors m / (I n_i) that turn a pooled weight sum into the
-    post-stratified one; ones while a slab is empty (an iid pool)."""
-    if not counts.all():
-        return np.ones(counts.size)
-    return m / (counts.size * counts)
 
 
 class _Bracket:
@@ -163,7 +151,7 @@ class _Bracket:
         empty slab is reduced as iid rows here as in the full pass.
         """
         m = float(counts.sum())
-        scale = _row_scale(counts, m)
+        scale = row_scale(counts)
         mass = p * m
         err = summation_slack(int(m))
         above = float(self.s_hi @ scale)
@@ -282,7 +270,7 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
         desc = _merge_batches(desc, batches[merged:])
         merged = len(batches)
         desc_r, desc_w, desc_l = desc
-        scale = _row_scale(counts, m)
+        scale = row_scale(counts)
         cum = np.cumsum(desc_w * scale[desc_l])
         level = _survival_inverse(desc_r, cum, p * m)
         if level is None or level == desc_r[0]:
@@ -334,7 +322,7 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
         # the budget ran out on skipped batches; report their iterate
         desc_r, desc_w, desc_l = _merge_batches(desc, batches[merged:])
         level = _survival_inverse(
-            desc_r, np.cumsum(desc_w * _row_scale(counts, m)[desc_l]), p * m)
+            desc_r, np.cumsum(desc_w * row_scale(counts)[desc_l]), p * m)
     report = QuantileReport(
         quantile=float(oriented_response(model, level)),
         rel_half_width=math.inf, p=p, runs_exploration=exploration,

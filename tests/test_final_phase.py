@@ -22,12 +22,12 @@ from tailshift import (BudgetExhausted, LadderConfig, ModelSpec, RngStream,
 from tailshift.model import oriented_response
 from tailshift.multilevel import (FINAL_BATCH, FINAL_STREAM, QUANTILE_STREAM,
                                   SLABS, estimate_report, pooled_batches,
-                                  report_from_sample, run_ladder,
+                                  report_from_sample, row_scale, run_ladder,
                                   slab_labels, z_value)
 from tailshift import quantile as quantile_module
 from tailshift.quantile import (_WIDEN_LIMIT, REFINE_FACTOR, QuantileReport,
-                                _Bracket, _bracket_rule, _row_scale,
-                                _slope_at, _survival_inverse)
+                                _Bracket, _bracket_rule, _slope_at,
+                                _survival_inverse)
 
 SEEDS = range(4)
 
@@ -284,7 +284,7 @@ def pool_of(responses, weights, labels):
     order = np.argsort(-responses, kind="stable")
     desc = responses[order], weights[order], labels[order]
     counts = np.bincount(labels, minlength=SLABS).astype(float)
-    cum = np.cumsum(desc[1] * _row_scale(counts, responses.size)[desc[2]])
+    cum = np.cumsum(desc[1] * row_scale(counts)[desc[2]])
     return desc, counts, cum
 
 
@@ -402,7 +402,7 @@ class TestSkipRule:
             for labels in (emptied, np.zeros(20, dtype=np.intp)):
                 bracket, counts = self.bracket(self.TIED_R, self.TIED_W,
                                                labels, 0.125)
-                np.testing.assert_array_equal(_row_scale(counts, 20),
+                np.testing.assert_array_equal(row_scale(counts),
                                               np.ones(SLABS))
                 decisions.add(bracket.rules_out_stop(counts, self.P, self.Z,
                                                      target))

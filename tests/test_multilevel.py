@@ -315,6 +315,21 @@ class TestTailSample:
         assert a.merge(b).weights.tobytes() == np.concatenate(
             [a.weights, b.weights]).tobytes()
 
+    def test_merged_labels_are_the_parts_labels(self):
+        # the final phase's stop check reads the pool's labels from the
+        # batches' cached ones; a pool of uncached parts computes its own
+        model = ModelSpec.identity(2)
+        theta = np.array([1.0, 0.5])
+        parts = [draw_tail_sample(model, 1.0, theta, 1000, RngStream(0, i))
+                 for i in range(3)]
+        fresh = parts[0].merge(*parts[1:])
+        assert "labels" not in vars(fresh)
+        for part in parts:
+            part.labels
+        carried = parts[0].merge(*parts[1:])
+        assert "labels" in vars(carried)
+        assert carried.labels.tobytes() == fresh.labels.tobytes()
+
     @pytest.mark.parametrize("count", [1, 2, 4])
     def test_multiway_merge_equals_chained_merges(self, count):
         model = ModelSpec.identity(2)
