@@ -324,11 +324,11 @@ class TestTailSample:
                  for i in range(3)]
         fresh = parts[0].merge(*parts[1:])
         assert "labels" not in vars(fresh)
-        for part in parts:
-            part.labels
+        cached = np.concatenate([part.labels for part in parts])
         carried = parts[0].merge(*parts[1:])
         assert "labels" in vars(carried)
-        assert carried.labels.tobytes() == fresh.labels.tobytes()
+        assert carried.labels.tobytes() == cached.tobytes()
+        assert fresh.labels.tobytes() == cached.tobytes()
 
     @pytest.mark.parametrize("count", [1, 2, 4])
     def test_multiway_merge_equals_chained_merges(self, count):
