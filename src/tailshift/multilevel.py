@@ -330,11 +330,6 @@ def row_scale(counts):
     return counts.sum() / (counts.size * counts)
 
 
-def summation_slack(n):
-    """Relative rounding bound on any summation order of n terms t >= 0."""
-    return (2 * n + 16) * _EPS
-
-
 def width_exceeds(counts, s1, q, z, target):
     """Whether per-slab sums ``s1`` of terms t >= 0 and ``q`` of their
     squares put the relative half-width z * se / estimate of
@@ -349,7 +344,8 @@ def width_exceeds(counts, s1, q, z, target):
     hits it is False.
     """
     counts, s1, q = _pooled_if_empty(counts, s1, q)
-    err = summation_slack(int(counts.sum()))
+    # relative rounding bound on any summation order of the n terms
+    err = (2 * int(counts.sum()) + 16) * _EPS
     mean = s1 / counts
     squares = float((q / (counts * counts)).sum())
     means = float((mean * mean / counts).sum())

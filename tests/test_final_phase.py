@@ -1,9 +1,9 @@
 """The streaming final phase stops where a full re-reduction stops.
 
 ``estimate_to_precision`` and ``estimate_quantile`` test each batch from
-running state and reduce the pooled sample only when that state allows a
-stop; the quantile refinement also skips its sorted-pool pass on batches
-whose running bracket sums rule a stop out.  The reference loops here
+running state (per-slab sums, or the quantile refinement's sorted pool) and
+reduce the pooled sample in draw order only when that state allows a stop.
+The reference loops here
 re-reduce the whole pooled sample after every batch instead, with the
 explicit post-stratified estimator of ``oracles.post_stratified`` over slabs
 read from the redrawn points; both must stop on the same batch with the same
@@ -21,13 +21,13 @@ from tailshift import (BudgetExhausted, LadderConfig, ModelSpec, RngStream,
                        estimate_quantile, estimate_to_precision)
 from tailshift.model import oriented_response
 from tailshift.multilevel import (FINAL_BATCH, FINAL_STREAM, QUANTILE_STREAM,
-                                  SLABS, estimate_report, pooled_batches,
-                                  report_from_sample, row_scale, run_ladder,
-                                  slab_labels, z_value)
-from tailshift import quantile as quantile_module
+                                  SLABS, estimate_report, exceedance_terms,
+                                  pooled_batches, report_from_sample,
+                                  row_scale, run_ladder, slab_labels,
+                                  slab_sums, stratified_exceedance,
+                                  weighted_exceedance, width_exceeds, z_value)
 from tailshift.quantile import (_WIDEN_LIMIT, REFINE_FACTOR, QuantileReport,
-                                _Bracket, _bracket_rule, _slope_at,
-                                _survival_inverse)
+                                _bracket_rule, _slope_at, _survival_inverse)
 
 SEEDS = range(4)
 
@@ -179,58 +179,23 @@ def test_quantile_stops_on_the_same_batch(case, seed):
     assert_same_report(got, want)
 
 
-def record_passes(monkeypatch):
-    """Batch counts at which the refinement runs a full sorted-pool pass."""
-    batches, passes = [], []
-    original_pooled = quantile_module.pooled_batches
-    original_merge = quantile_module._merge_batches
-
-    def pooled(*args, **kwargs):
-        batches.clear()
-        for batch in original_pooled(*args, **kwargs):
-            batches.append(batch)
-            yield batch
-
-    def merge(*args):
-        passes.append(len(batches))
-        return original_merge(*args)
-    monkeypatch.setattr(quantile_module, "pooled_batches", pooled)
-    monkeypatch.setattr(quantile_module, "_merge_batches", merge)
-    return passes
-
-
 @pytest.mark.parametrize("seed", SEEDS)
-def test_quantile_budget_partial_on_a_skipped_batch(monkeypatch, seed):
+def test_quantile_budget_partial_matches(seed):
     model, p = QUANTILE_CASES["identity-1e-6"]
-    passes = record_passes(monkeypatch)
     full, _ = estimate_quantile(model, p, LadderConfig(), RngStream(seed))
-    # end the budget on the last batch the bracket skipped
-    last_skipped = max(set(range(1, passes[-1])) - set(passes))
-    budget = full.runs_exploration + 1000 * last_skipped
-    passes.clear()
-    want, converged = reference_quantile(model, p, RngStream(seed),
-                                         budget=budget)
-    assert not converged
-    with pytest.raises(BudgetExhausted) as err:
-        estimate_quantile(model, p, LadderConfig(), RngStream(seed),
-                          budget=budget)
-    got = err.value.report
-    assert passes[-1] == last_skipped and passes[-2] < last_skipped
-    assert got.runs_final == want.runs_final == 1000 * last_skipped
-    assert_same_report(got, want)
-
-
-def test_identity_quantile_takes_few_full_passes(monkeypatch):
-    # about 11 refinement batches per problem; the bracket skips all but
-    # the first, the stopping one and at most one between
-    model, p = QUANTILE_CASES["identity-1e-6"]
-    passes = record_passes(monkeypatch)
-    for seed in SEEDS:
-        passes.clear()
-        report, _ = estimate_quantile(model, p, LadderConfig(),
-                                      RngStream(seed))
-        assert report.runs_final >= 10_000
-        assert len(passes) <= 3
+    stop = full.runs_final // FINAL_BATCH
+    # end the budget 1 and 3 batches before the stop
+    for batches in (stop - 1, stop - 3):
+        budget = full.runs_exploration + FINAL_BATCH * batches
+        want, converged = reference_quantile(model, p, RngStream(seed),
+                                             budget=budget)
+        assert not converged
+        with pytest.raises(BudgetExhausted) as err:
+            estimate_quantile(model, p, LadderConfig(), RngStream(seed),
+                              budget=budget)
+        got = err.value.report
+        assert got.runs_final == want.runs_final == 1000 * batches
+        assert_same_report(got, want)
 
 
 @pytest.mark.parametrize("d", [1, 10, 110, 1010])
@@ -278,159 +243,22 @@ def test_final_phase_report_matches_the_reference(case):
     assert report.rel_half_width < iid.rel_half_width
 
 
-def pool_of(responses, weights, labels):
-    """The refinement's sorted pool, slab counts and scaled cumulative
-    weights for rows in draw order."""
-    order = np.argsort(-responses, kind="stable")
-    desc = responses[order], weights[order], labels[order]
-    counts = np.bincount(labels, minlength=SLABS).astype(float)
-    cum = np.cumsum(desc[1] * row_scale(counts)[desc[2]])
-    return desc, counts, cum
-
-
-def iterate(pool_r, pool_w, pool_l, p):
-    """The refinement's iterate over a pool in draw order."""
-    desc, _, cum = pool_of(pool_r, pool_w, pool_l)
-    return _survival_inverse(desc[0], cum, p * pool_r.size)
-
-
-def one_per_slab(size):
-    """Labels that give every slab the same count for size a multiple of
-    SLABS, so each row weighs N / (I n_i) = 1."""
-    return np.arange(size) % SLABS
-
-
-class TestSkipRule:
-    """A skipped batch is one whose full pass could neither stop nor widen."""
-
-    P, Z = 0.05, z_value(0.95)
-    # binary fractions keep every cumulative weight exact; P * 20 = 1, and
-    # two rows per slab scale every weight by 1
-    TIED_R = np.array([3.0, 2.0, 1.0, 1.0] + [0.0] * 16)
-    TIED_W = np.array([0.375, 0.5, 0.125, 0.125] + [2.0 ** -10] * 16)
-    TIED_L = one_per_slab(20)
-
-    def bracket(self, responses, weights, labels, delta):
-        desc, counts, cum = pool_of(responses, weights, labels)
-        return _Bracket(desc, cum, self.P * responses.size, delta), counts
-
-    @staticmethod
-    def add(bracket, counts, responses, weights, labels):
-        bracket.add(responses, weights, labels)
-        counts += np.bincount(labels, minlength=SLABS)
-
-    def test_bracket_sums_match_the_pool(self):
-        gen = np.random.default_rng(0)
-        r = np.round(gen.standard_normal(400), 1)
-        w, labels = gen.random(400), gen.integers(0, SLABS, 400)
-        bracket, _ = self.bracket(r, w, labels, 0.2)
-        lo, hi = bracket.lo, bracket.hi
-        assert lo < iterate(r, w, labels, self.P) < hi
-        # ties: every pool element equal to lo or hi counts
-        assert np.sum(r == lo) > 1 and np.sum(r == hi) > 1
-        top = r >= hi
-        np.testing.assert_allclose(
-            bracket.s_hi, np.bincount(labels[top], w[top], SLABS), rtol=1e-12)
-        np.testing.assert_allclose(
-            bracket.q_hi, np.bincount(labels[top], w[top] ** 2, SLABS),
-            rtol=1e-12)
-        # the middle is the pool's [lo, hi) in pool order
-        desc, _, _ = pool_of(r, w, labels)
-        middle = (desc[0] >= lo) & (desc[0] < hi)
-        for got, column in zip(bracket.middle, desc):
-            np.testing.assert_array_equal(got, column[middle])
-
-    def test_tie_at_hi_forces_a_full_pass(self):
-        # the cumulative weight reaches P * m (1 - delta) inside a block of
-        # equal responses and P * m = 1 one element later: the iterate is hi
-        r = np.array([3.0, 2.0, 2.0, 2.0, 2.0, 1.0] + [0.0] * 14)
-        w = np.array([0.125] + [0.375] * 4 + [0.125] + [2.0 ** -10] * 14)
-        labels = one_per_slab(20)
-        bracket, counts = self.bracket(r, w, labels, 0.125)
-        assert iterate(r, w, labels, self.P) == bracket.hi == 2.0
-        # s_hi holds the whole tied block, not the prefix up to its crossing
-        assert bracket.s_hi.sum() == 1.625
-        assert not bracket.rules_out_stop(counts, self.P, self.Z, 1e-9)
-
-    def test_tie_at_lo_keeps_the_iterate_in_the_bracket(self):
-        bracket, counts = self.bracket(self.TIED_R, self.TIED_W, self.TIED_L,
-                                       0.125)
-        assert (bracket.lo, bracket.hi) == (1.0, 2.0)
-        # both pool elements tied at lo are in the middle
-        np.testing.assert_array_equal(bracket.middle[0], [1.0, 1.0])
-        # a batch tied at lo carries the crossing there: a skip, and the
-        # full pass agrees that the iterate lies in [lo, hi)
-        batch = (np.array([1.0] + [0.0] * 9), np.array([0.5] + [0.0] * 9),
-                 one_per_slab(10))
-        self.add(bracket, counts, *batch)
-        assert bracket.rules_out_stop(counts, self.P, self.Z, 1e-9)
-        pool = [np.concatenate(pair) for pair in zip(
-            (self.TIED_R, self.TIED_W, self.TIED_L), batch)]
-        assert iterate(*pool, self.P) == 1.0
-
-    def test_iterate_below_lo_forces_a_full_pass(self):
-        bracket, counts = self.bracket(self.TIED_R, self.TIED_W, self.TIED_L,
-                                       0.125)
-        # mass below lo only: P * m outgrows the mass down to lo
-        batch = np.full(10, -1.0), np.full(10, 0.25), one_per_slab(10)
-        self.add(bracket, counts, *batch)
-        pool = [np.concatenate(pair) for pair in zip(
-            (self.TIED_R, self.TIED_W, self.TIED_L), batch)]
-        assert iterate(*pool, self.P) < bracket.lo
-        assert not bracket.rules_out_stop(counts, self.P, self.Z, 1e-9)
-
-    def test_mass_above_hi_forces_a_full_pass(self):
-        gen = np.random.default_rng(1)
-        r, w = gen.standard_normal(400), np.ones(400)
-        labels = one_per_slab(400)
-        bracket, counts = self.bracket(r, w, labels, 0.2)
-        # a heavy batch beyond hi moves the crossing above it
-        batch = np.full(10, bracket.hi + 1.0), np.full(10, 3.0), \
-            one_per_slab(10)
-        self.add(bracket, counts, *batch)
-        pool = [np.concatenate(pair) for pair in zip((r, w, labels), batch)]
-        assert iterate(*pool, self.P) >= bracket.hi
-        assert not bracket.rules_out_stop(counts, self.P, self.Z, 1e-9)
-
-    def test_an_empty_slab_reduces_the_pool_as_iid_rows(self):
-        # slab 4 emptied into slab 5, and every row in slab 0: both pools
-        # weigh every row 1 and reduce as iid rows
-        emptied = self.TIED_L.copy()
-        emptied[emptied == 4] = 5
-        for target in (1e-9, 0.5, 1.0, 10.0):
-            decisions = set()
-            for labels in (emptied, np.zeros(20, dtype=np.intp)):
-                bracket, counts = self.bracket(self.TIED_R, self.TIED_W,
-                                               labels, 0.125)
-                np.testing.assert_array_equal(row_scale(counts),
-                                              np.ones(SLABS))
-                decisions.add(bracket.rules_out_stop(counts, self.P, self.Z,
-                                                     target))
-            assert len(decisions) == 1
-
-    def test_a_skip_is_never_a_stop(self):
-        # coarse grids tie responses across the pool and the batches, and
-        # random slabs give each slab its own row weight
-        skips = 0
-        for seed in range(40):
-            gen = np.random.default_rng(seed)
-            target = gen.uniform(0.05, 0.5)
-            pool = (np.round(gen.standard_normal(200), 1),
-                    gen.exponential(size=200), gen.integers(0, SLABS, 200))
-            bracket, counts = self.bracket(*pool, gen.uniform(0.0, 0.3))
-            for _ in range(8):
-                batch = (np.round(gen.standard_normal(50) + gen.normal(), 1),
-                         gen.exponential(size=50),
-                         gen.integers(0, SLABS, 50))
-                self.add(bracket, counts, *batch)
-                pool = [np.concatenate(pair) for pair in zip(pool, batch)]
-                if not bracket.rules_out_stop(counts, self.P, self.Z,
-                                              target):
-                    continue
-                skips += 1
-                level = iterate(*pool, self.P)
-                assert bracket.lo <= level < bracket.hi <= pool[0].max()
-                estimate, se = oracles.post_stratified(
-                    pool[2], np.where(pool[0] >= level, pool[1], 0.0), SLABS)
-                assert self.Z * se / estimate > target
-        assert skips > 20
+def test_an_empty_slab_reduces_the_pool_as_iid_rows():
+    # slab 4 emptied into slab 5, and every row in slab 0: both pools weigh
+    # every row 1 and reduce as iid rows; binary fractions keep every sum
+    # exact
+    responses = np.array([3.0, 2.0, 1.0, 1.0] + [0.0] * 16)
+    weights = np.array([0.375, 0.5, 0.125, 0.125] + [2.0 ** -10] * 16)
+    emptied = np.arange(20) % SLABS
+    emptied[emptied == 4] = 5
+    z = z_value(0.95)
+    for level in (1.0, 0.0):
+        estimate, se = weighted_exceedance(responses, weights, level)
+        terms = exceedance_terms(responses, weights, level)
+        for labels in (emptied, np.zeros(20, dtype=np.intp)):
+            counts, s1, q = slab_sums(labels, terms)
+            np.testing.assert_array_equal(row_scale(counts), np.ones(SLABS))
+            assert stratified_exceedance(counts, s1, q) == (estimate, se)
+            for target in (1e-9, 0.5, 1.0, 10.0):
+                assert (width_exceeds(counts, s1, q, z, target)
+                        == (z * se / estimate > target))

@@ -153,19 +153,17 @@ class TestSortedPool:
     """The refinement's sorted pool matches a full re-sort of the pool."""
 
     def test_merge_matches_stable_sort_with_ties_across_batches(self):
-        from tailshift.quantile import _merge_batches
+        from tailshift.quantile import _merge_batch
         gen = np.random.default_rng(0)
         desc = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
         batches = []
-        # pending batches merge one, two or three at a time
-        for sizes in ((50,), (1, 200), (0,), (73, 1000, 40)):
+        for size in (50, 1, 200, 0, 73, 1000, 40):
             # a coarse grid puts equal responses in different batches
-            pending = [SimpleNamespace(
+            batch = SimpleNamespace(
                 responses=np.round(gen.standard_normal(size) * 2.0) / 2.0,
                 weights=gen.random(size), labels=gen.integers(0, 10, size))
-                for size in sizes]
-            desc = _merge_batches(desc, pending)
-            batches += [(b.responses, b.weights, b.labels) for b in pending]
+            desc = _merge_batch(desc, batch)
+            batches.append((batch.responses, batch.weights, batch.labels))
             pooled = [np.concatenate(column) for column in zip(*batches)]
             order = np.argsort(-pooled[0], kind="stable")
             for got, column in zip(desc, pooled):
@@ -174,8 +172,8 @@ class TestSortedPool:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_level_after_every_batch_matches_full_resort(self, monkeypatch,
                                                          seed):
-        # the loop computes a level only on batches its bracket cannot skip;
-        # each one must equal a full re-sort of the pool as of its batch
+        # the loop computes a level on every batch; each one must equal a
+        # full re-sort of the pool as of its batch
         p = 1e-4
         original_pooled = quantile_module.pooled_batches
         original_inverse = quantile_module._survival_inverse
@@ -197,9 +195,9 @@ class TestSortedPool:
         report, _ = estimate_quantile(ModelSpec.identity(1), p,
                                       LadderConfig(), RngStream(seed))
         assert report.converged
-        # the first batch and the stop batch always take a full pass
-        assert len(samples) > 1 and levels[0][0] == 1
-        assert levels[-1][0] == len(samples)
+        assert len(samples) > 1
+        assert [count for count, _ in levels] == list(
+            range(1, len(samples) + 1))
         for batch_count, level in levels:
             s = samples[batch_count - 1]
             # rows weigh N / (I n_i) on the post-stratified curve
