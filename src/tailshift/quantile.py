@@ -71,8 +71,7 @@ def _survival_inverse(desc_r, cum, mass):
 def _count_at_least(desc_r, value):
     """Number of elements of descending ``desc_r`` at least ``value``."""
     # the reversed view is ascending, and searching it copies nothing
-    return desc_r.size - int(np.searchsorted(desc_r[::-1], value,
-                                             side="left"))
+    return desc_r.size - np.searchsorted(desc_r[::-1], value, side="left")
 
 
 def _merge_batch(desc, batch):

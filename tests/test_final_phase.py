@@ -3,11 +3,10 @@
 ``estimate_to_precision`` and ``estimate_quantile`` test each batch from
 running state (per-slab sums, or the quantile refinement's sorted pool) and
 reduce the pooled sample in draw order only when that state allows a stop.
-The reference loops here
-re-reduce the whole pooled sample after every batch instead, with the
-explicit post-stratified estimator of ``oracles.post_stratified`` over slabs
-read from the redrawn points; both must stop on the same batch with the same
-report.
+The reference loops here re-reduce the whole pooled sample after every
+batch instead, with the explicit post-stratified estimator of
+``oracles.post_stratified`` over slabs read from the redrawn points; both
+must stop on the same batch with the same report.
 """
 
 import dataclasses
