@@ -109,9 +109,13 @@ def _log_mean_exp(expo, n):
     return m + np.log(np.exp(expo - m).sum() / n)
 
 
+def _objective_at(theta, expo, n):
+    """The objective at ``theta`` from its survivor exponents ``expo``."""
+    return float(0.5 * theta @ theta + _log_mean_exp(expo, n))
+
+
 def _objective(theta, pts, batch):
-    return float(0.5 * theta @ theta
-                 + _log_mean_exp(_exponents(theta, pts, batch), batch.size))
+    return _objective_at(theta, _exponents(theta, pts, batch), batch.size)
 
 
 def _gradient(theta, pts, batch):
@@ -147,9 +151,15 @@ def _newton_step(a, grad):
     """
     k, d = a.shape
     if d <= k:
-        return np.linalg.solve(np.eye(d) + a.T @ a, -grad)
+        return np.linalg.solve(_plus_identity(a.T @ a), -grad)
     ag = a @ grad
-    return a.T @ np.linalg.solve(np.eye(k) + a @ a.T, ag) - grad
+    return a.T @ np.linalg.solve(_plus_identity(a @ a.T), ag) - grad
+
+
+def _plus_identity(gram):
+    """``gram`` with one added to its diagonal, in place."""
+    gram.flat[::gram.shape[0] + 1] += 1.0
+    return gram
 
 
 def _solution(theta, iterations, grad_norm):
@@ -170,36 +180,43 @@ def solve_optimal_shift(batch, tol=1e-8, max_iter=50):
     ``max_iter`` steps or when the line search stalls.
     """
     pts = _survivor_rows(batch)
+    n = batch.size
     theta = batch.base_shift.copy()
-    value = _objective(theta, pts, batch)
+    # the exponents at theta, kept from the step that accepted it
+    expo = _exponents(theta, pts, batch)
+    value = _objective_at(theta, expo, n)
     for iteration in range(max_iter):
-        s = _softmax(_exponents(theta, pts, batch))
+        s = _softmax(expo)
         mean = s @ pts
         grad = theta - mean
         grad_norm = np.linalg.norm(grad)
         if grad_norm <= tol:
             return _solution(theta, iteration, grad_norm)
 
-        delta = _newton_step(np.sqrt(s)[:, None] * (pts - mean), grad)
+        centered = pts - mean
+        centered *= np.sqrt(s)[:, None]
+        delta = _newton_step(centered, grad)
         slope = grad @ delta
         if -slope <= 64.0 * np.finfo(float).eps * max(1.0, abs(value)):
             # the predicted decrease is below the objective's float
             # resolution; the quadratic model rules here, take the raw step
             theta = theta + delta
-            value = _objective(theta, pts, batch)
+            expo = _exponents(theta, pts, batch)
+            value = _objective_at(theta, expo, n)
             continue
         step = 1.0
         while True:
             candidate = theta + step * delta
-            cand_value = _objective(candidate, pts, batch)
+            cand_expo = _exponents(candidate, pts, batch)
+            cand_value = _objective_at(candidate, cand_expo, n)
             if cand_value <= value + 1e-4 * step * slope:
                 break
             step *= 0.5
             if step < 1e-18:
                 raise NotConverged("line search failed to make progress")
-        theta, value = candidate, cand_value
+        theta, expo, value = candidate, cand_expo, cand_value
 
-    grad_norm = np.linalg.norm(_gradient(theta, pts, batch))
+    grad_norm = np.linalg.norm(theta - _softmax(expo) @ pts)
     if grad_norm <= tol:
         return _solution(theta, max_iter, grad_norm)
     raise NotConverged(f"no convergence within {max_iter} Newton iterations")

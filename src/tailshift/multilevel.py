@@ -5,9 +5,12 @@ because a feasible-size batch contains no survivor.  The ladder raises an
 intermediate level one batch at a time: each batch is drawn under the shift
 solved at the previous level, the next level is the top-rho order statistic
 of its responses (capped at the target), and the shift is re-solved on the
-new survivors.  Events at each level are therefore never rare.  A final,
-independent batch under the last shift produces the unbiased probability
-estimate and its confidence interval.
+new survivors.  Events at each level are therefore never rare.  Final,
+independent batches under the last shift produce the unbiased probability
+estimate and its confidence interval.  Where ``level_size`` capped the
+levels below SURVIVORS_PER_DIM survivors per solved coordinate, the first
+final batch's hits, drawn near the optimum and more numerous than a level's
+survivors, solve the shift once more for every later batch.
 
 Every final-phase row also falls in one of SLABS equiprobable slabs of
 t = u . (x - theta), u = theta / |theta|, and the final phase reduces its
@@ -184,6 +187,9 @@ class TailSample:
     theta: np.ndarray
     tail: str = "right"         # the model's failure tail
     post_stratified: bool = False
+    # the drawn rows, which only the final phase's re-solve reads; a merge
+    # drops them
+    points: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def size(self):
@@ -200,23 +206,32 @@ class TailSample:
         return slab_labels(self.log_weights, self.theta)
 
     def merge(self, *others):
-        """This sample followed by ``others``, in order, in one pass."""
+        """This sample followed by ``others``, in order, in one pass.
+
+        Parts drawn under different shifts merge only when every part has
+        its labels cached, read from its own shift; the pool reports the
+        last part's shift.
+        """
+        samples = (self, *others)
         for other in others:
             if (other.gamma != self.gamma or other.tail != self.tail
-                    or other.post_stratified != self.post_stratified
-                    or not np.array_equal(other.theta, self.theta)):
+                    or other.post_stratified != self.post_stratified):
                 raise DomainError(
                     "cannot merge samples drawn for different targets")
-        samples = (self, *others)
+        labelled = all("labels" in vars(s) for s in samples)
+        if not labelled and any(not np.array_equal(s.theta, self.theta)
+                                for s in others):
+            raise DomainError(
+                "cannot merge samples of different shifts without labels")
         merged = TailSample(
             responses=np.concatenate([s.responses for s in samples]),
             log_weights=np.concatenate([s.log_weights for s in samples]),
             gamma=self.gamma,
-            theta=self.theta,
+            theta=samples[-1].theta,
             tail=self.tail,
             post_stratified=self.post_stratified,
         )
-        if all("labels" in vars(s) for s in samples):
+        if labelled:
             # labels are read row by row, so the parts' cached ones are the
             # pool's
             merged.labels = np.concatenate([s.labels for s in samples])
@@ -449,6 +464,7 @@ def draw_tail_sample(model, gamma, theta, m, rng, pool=None):
         gamma=float(oriented_response(model, gamma)),
         theta=theta,
         tail=model.tail,
+        points=points,
     )
 
 
@@ -492,29 +508,69 @@ def report_from_sample(sample, confidence=0.95, runs_exploration=0,
                            runs_exploration, gamma, sample.theta)
 
 
-def pooled_batches(model, gamma, theta, m, rng, stream, room, pool=None):
-    """The final phase: batches of m runs drawn under ``theta``.
+def levels_capped(dimension, rho, selection=None):
+    """Whether ``level_size`` capped the ladder's levels below
+    SURVIVORS_PER_DIM survivors per solved coordinate:
+    SURVIVORS_PER_DIM * k / rho > LEVEL_CAP, k the selection's size when
+    variables are selected and d otherwise."""
+    k = dimension if selection is None else selection.size
+    return SURVIVORS_PER_DIM * k / rho > LEVEL_CAP
 
-    Batch i comes from stream ``stream + i``.  Yields each fresh batch,
-    marked post-stratified, and stops before a batch that would take the
-    pooled runs past ``room``.
+
+def _resolved_shift(points, batch, selection):
+    """The shift solved on ``batch``'s hits at its own level, drawn at
+    ``points``; the batch's own shift when it has no hit."""
+    hits = WeightedBatch.from_threshold(points, batch.responses, batch.gamma,
+                                        base_shift=batch.theta)
+    if hits.survivor_count == 0:
+        return batch.theta
+    return _solve_level(hits, selection).theta
+
+
+def pooled_batches(model, gamma, trace, rho, m, rng, stream, room,
+                   pool=None):
+    """The final phase after the ladder ``trace``: batches of m runs, the
+    first drawn under the ladder's last shift.
+
+    Batch i comes from stream ``stream + i``.  When the ladder's levels were
+    capped (``levels_capped`` at ``rho``), the shift is solved once more, as
+    the ladder solves a level under its selection, on the first batch's hits
+    at its level, and every later batch is drawn under that shift; the
+    solve runs only when a second batch fits.  Each batch keeps the log
+    weights and slab labels of its own shift, so the batches pool into one
+    post-stratified sample.  Yields each fresh batch, marked
+    post-stratified, and stops before a batch that would take the pooled
+    runs past ``room``.
     """
+    theta = trace.levels[-1].theta
+    resolve = levels_capped(model.dimension, rho, trace.selection)
+    points = None
     for i in range(room // m):
-        yield replace(draw_tail_sample(model, gamma, theta, m,
-                                       rng.child(stream + i), pool),
-                      post_stratified=True)
+        if points is not None:
+            theta = _resolved_shift(points, batch, trace.selection)
+            points = None
+        batch = draw_tail_sample(model, gamma, theta, m,
+                                 rng.child(stream + i), pool)
+        if resolve and i == 0:
+            points = batch.points
+        batch = replace(batch, post_stratified=True, points=None)
+        batch.labels    # cached from the batch's own shift
+        yield batch
 
 
 def estimate_to_precision(model, gamma, config, target, rng,
                           budget=1_000_000, confidence=0.95, pool=None):
     """Full pipeline: ladder once, then batch until the CI target is met.
 
-    Each final-phase batch holds FINAL_BATCH runs.  The estimate and its
-    interval post-stratify the pool over SLABS slabs along theta; per-slab
-    running sums skip the batches whose interval is certainly too wide, and
-    the pool reduced in draw order decides every stop.  Returns (report,
-    trace, sample); the sample holds every final-phase response so
-    follow-up estimators (CVaR) need no further model runs.
+    Each final-phase batch holds FINAL_BATCH runs, and where the ladder's
+    levels were capped (``levels_capped``) the batches after the first are
+    drawn under the shift re-solved on its hits.  The estimate and its
+    interval post-stratify the pool over SLABS slabs along each batch's
+    shift; per-slab running sums skip the batches whose interval is
+    certainly too wide, and the pool reduced in draw order decides every
+    stop.  Returns (report, trace, sample); the sample holds every
+    final-phase response so follow-up estimators (CVaR) need no further
+    model runs.
     Raises BudgetExhausted carrying the partial report once the next batch
     would cross ``budget`` total runs.
     """
@@ -529,8 +585,9 @@ def estimate_to_precision(model, gamma, config, target, rng,
     z = z_value(confidence)
     batches = []
     sums = np.zeros((3, SLABS))
-    for batch in pooled_batches(model, gamma, theta, FINAL_BATCH, rng,
-                                FINAL_STREAM, budget - exploration, pool):
+    for batch in pooled_batches(model, gamma, trace, config.rho, FINAL_BATCH,
+                                rng, FINAL_STREAM, budget - exploration,
+                                pool):
         batches.append(batch)
         sums += slab_sums(batch.labels, exceedance_terms(
             batch.responses, batch.weights, batch.gamma))

@@ -4,7 +4,9 @@ The shared ladder runs with a bracket level rule instead of a fixed target
 level: it climbs until the weighted exceedance estimate of the tentative
 next level drops below p, at which point the target quantile lies inside the
 current batch's range.  The shift solved there then drives a refinement
-phase that pools fresh batches and inverts the pooled survival curve at p.
+phase that pools fresh batches and inverts the pooled survival curve at p;
+where the ladder's levels were capped, the first batch re-solves the shift
+for the rest (``multilevel.pooled_batches``).
 That curve is post-stratified over the final phase's slabs along theta
 (``multilevel.stratified_exceedance``): a row of slab i weighs
 w N / (I n_i), so the curve is sum_i (1/I) mean_i(w 1{r >= t}).  The pool
@@ -174,9 +176,11 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
     # the sorted pool: responses, weights, slabs
     desc = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
     counts = np.zeros(SLABS)
-    for batch in pooled_batches(model, pivot_gamma, theta, FINAL_BATCH, rng,
-                                QUANTILE_STREAM, budget - exploration, pool):
+    for batch in pooled_batches(model, pivot_gamma, trace, config.rho,
+                                FINAL_BATCH, rng, QUANTILE_STREAM,
+                                budget - exploration, pool):
         batches.append(batch)
+        theta = batch.theta     # the report's shift is the latest batch's
         m += batch.size
         counts += np.bincount(batch.labels, minlength=SLABS)
         desc = _merge_batch(desc, batch)

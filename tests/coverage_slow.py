@@ -26,6 +26,7 @@ TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                      "coverage_slow.md")
 # |c| of linear_family(d): ten coefficients 1.0 and d - 10 of 0.01
 NORM_110 = math.sqrt(10 + 100 * 0.01 ** 2)
+NORM_300 = math.sqrt(10 + 290 * 0.01 ** 2)
 NORM_510 = math.sqrt(10 + 500 * 0.01 ** 2)
 
 # name: (RunConfig fields, bundle block, value key, oracle truth, seeds)
@@ -47,6 +48,12 @@ CELLS = {
         dict(task="prob", model="builtin:linear", dim=110, dimred="on",
              gamma=NORM_110 * oracles.tail_quantile("1e-10")),
         "report", "estimate", 1e-10, range(400)),
+    # selection off and ladder levels capped: the final phase's re-solve
+    # saves the most runs here
+    "linear-d300-prob-3e-5": (
+        dict(task="prob", model="builtin:linear", dim=300,
+             gamma=NORM_300 * oracles.tail_quantile("3e-5")),
+        "report", "estimate", 3e-5, range(60)),
     # dimred="auto" selects variables at d=510
     "linear-d510-prob-1e-10-auto": (
         dict(task="prob", model="builtin:linear", dim=510,

@@ -221,3 +221,82 @@ def post_stratified(labels, terms, slabs):
     mean = s1 / counts
     variance = float(((q / counts - mean * mean) / counts).sum())
     return float(mean.sum()) / slabs, math.sqrt(max(variance, 0.0)) / slabs
+
+
+def newton_shift(batch, tol=1e-8, max_iter=50):
+    """(theta, Newton iterations) of the optimal-shift Newton solve, written
+    as plainly as ``meanshift.solve_optimal_shift``'s arithmetic allows.
+
+    Every iteration recomputes the survivor exponents -(theta + b) . X from
+    theta and builds each Newton system as identity plus Gram matrix, so the
+    library's reuse of exponents and in-place diagonal must reproduce it bit
+    for bit.  Raises RuntimeError where the library raises NotConverged.
+    """
+    pts = batch.points[batch.survivors]
+    n, dim = batch.size, batch.dimension
+
+    def exponents(theta):
+        return -(pts @ (np.asarray(theta, dtype=float) + batch.base_shift))
+
+    def softmax(expo):
+        w = np.exp(expo - expo.max())
+        return w / w.sum()
+
+    def objective(theta):
+        expo = exponents(theta)
+        m = expo.max()
+        return float(0.5 * theta @ theta
+                     + (m + np.log(np.exp(expo - m).sum() / n)))
+
+    def newton_step(a, grad):
+        k = a.shape[0]
+        if dim <= k:
+            return np.linalg.solve(np.eye(dim) + a.T @ a, -grad)
+        return (a.T @ np.linalg.solve(np.eye(k) + a @ a.T, a @ grad)
+                - grad)
+
+    theta = batch.base_shift.copy()
+    value = objective(theta)
+    for iteration in range(max_iter):
+        s = softmax(exponents(theta))
+        mean = s @ pts
+        grad = theta - mean
+        if np.linalg.norm(grad) <= tol:
+            return theta, iteration
+        delta = newton_step(np.sqrt(s)[:, None] * (pts - mean), grad)
+        slope = grad @ delta
+        if -slope <= 64.0 * np.finfo(float).eps * max(1.0, abs(value)):
+            theta = theta + delta
+            value = objective(theta)
+            continue
+        step = 1.0
+        while True:
+            candidate = theta + step * delta
+            cand_value = objective(candidate)
+            if cand_value <= value + 1e-4 * step * slope:
+                break
+            step *= 0.5
+            if step < 1e-18:
+                raise RuntimeError("line search failed to make progress")
+        theta, value = candidate, cand_value
+    grad = theta - softmax(exponents(theta)) @ pts
+    if np.linalg.norm(grad) <= tol:
+        return theta, max_iter
+    raise RuntimeError(f"no convergence within {max_iter} Newton iterations")
+
+
+def linear_relative_variance(theta, coefficients, gamma):
+    """Per-run relative variance of the shift-theta estimator of
+    P(c . X >= gamma), X ~ N(0, I), at 40 digits.
+
+    The weighted indicator's second moment is
+    e^(|theta|^2) Phi_bar((gamma + c . theta) / |c|); the relative variance
+    divides it by p^2 = Phi_bar(gamma / |c|)^2 and subtracts one.
+    """
+    th = [mp.mpf(float(t)) for t in theta]
+    c = [mp.mpf(float(a)) for a in coefficients]
+    norm = mp.sqrt(mp.fsum(a * a for a in c))
+    g = mp.mpf(gamma)
+    second = (mp.e ** mp.fsum(t * t for t in th)
+              * mp.ncdf(-(g + mp.fsum(a * t for a, t in zip(c, th))) / norm))
+    return float(second / mp.ncdf(-g / norm) ** 2 - 1)

@@ -5,8 +5,9 @@ running state (per-slab sums, or the quantile refinement's sorted pool) and
 reduce the pooled sample in draw order only when that state allows a stop.
 The reference loops here re-reduce the whole pooled sample after every
 batch instead, with the explicit post-stratified estimator of
-``oracles.post_stratified`` over slabs read from the redrawn points; both
-must stop on the same batch with the same report.
+``oracles.post_stratified`` over slabs read from the redrawn points, each
+batch redrawn under its own shift; both must stop on the same batch with
+the same report.
 """
 
 import dataclasses
@@ -18,31 +19,31 @@ import pytest
 import oracles
 from tailshift import (BudgetExhausted, LadderConfig, ModelSpec, RngStream,
                        estimate_quantile, estimate_to_precision)
+from tailshift.dimred import SubspaceSelection
 from tailshift.model import oriented_response
 from tailshift.multilevel import (FINAL_BATCH, FINAL_STREAM, QUANTILE_STREAM,
                                   SLABS, estimate_report, exceedance_terms,
-                                  pooled_batches, report_from_sample,
-                                  row_scale, run_ladder, slab_labels,
-                                  slab_sums, stratified_exceedance,
-                                  weighted_exceedance, width_exceeds, z_value)
+                                  levels_capped, pooled_batches,
+                                  report_from_sample, row_scale, run_ladder,
+                                  slab_labels, slab_sums,
+                                  stratified_exceedance, weighted_exceedance,
+                                  width_exceeds, z_value)
 from tailshift.quantile import (_WIDEN_LIMIT, REFINE_FACTOR, QuantileReport,
                                 _bracket_rule, _slope_at, _survival_inverse)
 
 SEEDS = range(4)
 
 
-def redrawn_points(rng, stream, theta, batches):
-    """The points of a final phase's first ``batches`` batches, redrawn from
-    their streams."""
-    return np.concatenate([
-        rng.child(stream + i).shifted_normals(FINAL_BATCH, theta)[0]
-        for i in range(batches)])
+def redrawn_labels(rng, stream, i, theta):
+    """Slabs of the rows of a final phase's batch i, redrawn from its stream
+    under its own shift ``theta`` and read along it."""
+    points, _ = rng.child(stream + i).shifted_normals(FINAL_BATCH, theta)
+    return oracles.slab_labels_of_points(points, theta, SLABS)
 
 
-def reference_estimate(sample, points, level):
+def reference_estimate(sample, labels, level):
     """Post-stratified exceedance estimate and standard error at ``level``
-    of a pooled sample, with slabs read from its points."""
-    labels = oracles.slab_labels_of_points(points, sample.theta, SLABS)
+    of a pooled sample, with slabs ``labels`` read from its points."""
     terms = np.where(sample.responses >= level,
                      np.exp(sample.log_weights), 0.0)
     return oracles.post_stratified(labels, terms, SLABS)
@@ -55,14 +56,16 @@ def reference_prob(model, gamma, target, rng, budget=1_000_000):
     exploration = trace.exploration_runs
     report = estimate_report(0.0, 0.0, 0, 0.95, exploration, gamma, theta)
     sample = None
-    for batch in pooled_batches(model, gamma, theta, FINAL_BATCH, rng,
-                                FINAL_STREAM, budget - exploration):
+    labels = np.empty(0, dtype=np.intp)
+    for i, batch in enumerate(pooled_batches(
+            model, gamma, trace, LadderConfig().rho, FINAL_BATCH, rng,
+            FINAL_STREAM, budget - exploration)):
         sample = batch if sample is None else sample.merge(batch)
-        points = redrawn_points(rng, FINAL_STREAM, theta,
-                                sample.size // FINAL_BATCH)
-        estimate, se = reference_estimate(sample, points, sample.gamma)
+        labels = np.concatenate([
+            labels, redrawn_labels(rng, FINAL_STREAM, i, batch.theta)])
+        estimate, se = reference_estimate(sample, labels, sample.gamma)
         report = estimate_report(estimate, se, sample.size, 0.95,
-                                 exploration, gamma, theta)
+                                 exploration, gamma, batch.theta)
         if report.zero_hits or report.rel_half_width <= target:
             return report, sample, True
     return dataclasses.replace(report, converged=False), sample, False
@@ -80,12 +83,14 @@ def reference_quantile(model, p, rng, precision=0.10, budget=1_000_000):
     widen = 0
     level = oriented_response(model, pivot_gamma)
     sample = None
-    for batch in pooled_batches(model, pivot_gamma, theta, FINAL_BATCH, rng,
-                                QUANTILE_STREAM, budget - exploration):
+    labels = np.empty(0, dtype=np.intp)
+    for i, batch in enumerate(pooled_batches(
+            model, pivot_gamma, trace, config.rho, FINAL_BATCH, rng,
+            QUANTILE_STREAM, budget - exploration)):
         sample = batch if sample is None else sample.merge(batch)
-        points = redrawn_points(rng, QUANTILE_STREAM, theta,
-                                sample.size // FINAL_BATCH)
-        labels = oracles.slab_labels_of_points(points, theta, SLABS)
+        theta = batch.theta
+        labels = np.concatenate([
+            labels, redrawn_labels(rng, QUANTILE_STREAM, i, theta)])
         # row weights N / (I n_i) turn the pooled survival curve into the
         # post-stratified one
         counts = np.bincount(labels, minlength=SLABS)
@@ -101,7 +106,7 @@ def reference_quantile(model, p, rng, precision=0.10, budget=1_000_000):
             assert widen <= _WIDEN_LIMIT
             continue
         widen = 0
-        estimate, se_p = reference_estimate(sample, points, level)
+        estimate, se_p = reference_estimate(sample, labels, level)
         if z * se_p / estimate > REFINE_FACTOR * precision:
             continue
         slope = _slope_at(responses, weights, level, estimate)
@@ -127,6 +132,9 @@ PROB_CASES = {
     "identity-1e-6": (ModelSpec.identity(1), oracles.tail_quantile("1e-6")),
     "linear-d10-1e-10": (ModelSpec.linear_family(10),
                          math.sqrt(10) * oracles.tail_quantile("1e-10")),
+    # capped ladder levels: the first batch re-solves the shift
+    "linear-d110-3e-5": (ModelSpec.linear_family(110),
+                         math.sqrt(10.01) * oracles.tail_quantile("3e-5")),
 }
 
 
@@ -164,6 +172,7 @@ QUANTILE_CASES = {
     "identity-1e-6": (ModelSpec.identity(1), 1e-6),
     "skewed-1e-6": (ModelSpec.skewed(), 1e-6),
     "left-skewed-1e-6": (ModelSpec.skewed(tail="left"), 1e-6),
+    "linear-d110-1e-5": (ModelSpec.linear_family(110), 1e-5),
 }
 
 
@@ -230,9 +239,13 @@ def test_final_phase_report_matches_the_reference(case):
                                                   LadderConfig(), 0.10, rng)
     assert sample.post_stratified and report.converged
     assert (trace.selection is not None) == (model.dimension > 500)
-    points = redrawn_points(rng, FINAL_STREAM, report.theta,
-                            sample.size // FINAL_BATCH)
-    estimate, se = reference_estimate(sample, points, sample.gamma)
+    # one re-solve at most: every batch after the first shares the last
+    # batch's shift
+    thetas = [trace.levels[-1].theta] + [report.theta] * (
+        sample.size // FINAL_BATCH - 1)
+    labels = np.concatenate([redrawn_labels(rng, FINAL_STREAM, i, theta)
+                             for i, theta in enumerate(thetas)])
+    estimate, se = reference_estimate(sample, labels, sample.gamma)
     assert_same_report(report, estimate_report(
         estimate, se, sample.size, 0.95, trace.exploration_runs, gamma,
         report.theta))
@@ -261,3 +274,88 @@ def test_an_empty_slab_reduces_the_pool_as_iid_rows():
             for target in (1e-9, 0.5, 1.0, 10.0):
                 assert (width_exceeds(counts, s1, q, z, target)
                         == (z * se / estimate > target))
+
+
+def test_levels_are_capped_only_past_the_level_cap():
+    # 2 k / rho > 1000 at the default rho = 0.1: d=110 yes; d=10, d=50 and
+    # a d=1010 selection of at most 50 coordinates no
+    rho = LadderConfig().rho
+    assert levels_capped(110, rho)
+    assert not levels_capped(10, rho)
+    assert not levels_capped(50, rho)
+    for size in (12, 18, 50):
+        selection = SubspaceSelection(np.arange(size), 1010)
+        assert not levels_capped(1010, rho, selection)
+    assert levels_capped(1010, rho, SubspaceSelection(np.arange(51), 1010))
+
+
+@pytest.mark.parametrize("d", [10, 110, 1010])
+def test_the_shift_is_resolved_once_where_levels_are_capped(d):
+    model = ModelSpec.linear_family(d)
+    gamma = (np.linalg.norm(model.coefficient_stack())
+             * oracles.tail_quantile("3e-5"))
+    report, trace, sample = estimate_to_precision(
+        model, gamma, LadderConfig(), 0.05, RngStream(2))
+    assert (trace.selection is not None) == (d == 1010)
+    assert sample.size > FINAL_BATCH
+    assert np.array_equal(report.theta, sample.theta)
+    ladder_theta = trace.levels[-1].theta
+    assert np.array_equal(report.theta, ladder_theta) == (d != 110)
+
+
+def ladder_and_batches(model, gamma, seed, room):
+    """The ladder's shift and trace, and the final batches that fit
+    ``room``."""
+    rng = RngStream(seed)
+    config = LadderConfig()
+    theta, trace = run_ladder(model, config, rng, gamma=gamma)
+    return theta, trace, list(pooled_batches(
+        model, gamma, trace, config.rho, FINAL_BATCH, rng, FINAL_STREAM,
+        room))
+
+
+def test_each_batch_keeps_its_own_shift_and_labels():
+    model = ModelSpec.linear_family(110)
+    gamma = math.sqrt(10.01) * oracles.tail_quantile("3e-5")
+    rng = RngStream(3)
+    theta, trace, batches = ladder_and_batches(model, gamma, 3,
+                                               3 * FINAL_BATCH + 999)
+    assert len(batches) == 3
+    # the first batch is drawn under the ladder's shift, every later one
+    # under the one re-solved on the first batch's hits
+    assert np.array_equal(batches[0].theta, theta)
+    assert not np.array_equal(batches[1].theta, theta)
+    assert np.array_equal(batches[2].theta, batches[1].theta)
+    for i, batch in enumerate(batches):
+        assert batch.post_stratified and batch.points is None
+        assert "labels" in vars(batch)
+        np.testing.assert_array_equal(
+            batch.labels, redrawn_labels(rng, FINAL_STREAM, i, batch.theta))
+    pooled = batches[0].merge(*batches[1:])
+    np.testing.assert_array_equal(
+        pooled.labels, np.concatenate([b.labels for b in batches]))
+    np.testing.assert_array_equal(pooled.theta, batches[-1].theta)
+
+
+def test_no_resolve_when_the_room_holds_one_batch():
+    model = ModelSpec.linear_family(110)
+    gamma = math.sqrt(10.01) * oracles.tail_quantile("3e-5")
+    theta, _, batches = ladder_and_batches(model, gamma, 3,
+                                           2 * FINAL_BATCH - 1)
+    assert len(batches) == 1
+    assert np.array_equal(batches[0].theta, theta)
+
+
+@pytest.mark.parametrize("model", [ModelSpec.linear(np.ones(110)),
+                                   ModelSpec.linear_family(110)],
+                         ids=["dense", "linear-family"])
+def test_resolved_shift_lowers_the_exact_variance(model):
+    # the closed-form per-run relative variance at p = 3e-5: the re-solved
+    # shift reads below the ladder's on every seed
+    c = model.coefficient_stack().ravel()
+    gamma = float(np.linalg.norm(c)) * oracles.tail_quantile("3e-5")
+    for seed in range(10):
+        theta, _, batches = ladder_and_batches(model, gamma, seed,
+                                               2 * FINAL_BATCH)
+        assert (oracles.linear_relative_variance(batches[1].theta, c, gamma)
+                < oracles.linear_relative_variance(theta, c, gamma))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -190,6 +191,40 @@ class TestSolver:
         batch = make_batch(11, gamma=50.0)
         with pytest.raises(NoSurvivors):
             solve_optimal_shift(batch)
+
+
+def recorded_ladder_batches(monkeypatch):
+    """Every batch the ladder solves a shift on: identity at d=1 and the
+    linear family at d=10 and d=110, seeds 0-2."""
+    from tailshift import LadderConfig, multilevel, run_ladder
+    cases = [(ModelSpec.identity(1), oracles.tail_quantile("1e-6")),
+             (ModelSpec.linear_family(10),
+              math.sqrt(10) * oracles.tail_quantile("1e-10")),
+             (ModelSpec.linear_family(110),
+              math.sqrt(10.01) * oracles.tail_quantile("3e-5"))]
+    batches = []
+
+    def record(batch, *args, **kwargs):
+        batches.append(batch)
+        return solve_optimal_shift(batch, *args, **kwargs)
+    monkeypatch.setattr(multilevel, "solve_optimal_shift", record)
+    for model, gamma in cases:
+        for seed in range(3):
+            run_ladder(model, LadderConfig(), RngStream(seed), gamma=gamma)
+    return batches
+
+
+def test_solver_matches_the_plain_newton_loop_bit_for_bit(monkeypatch):
+    # the solver reuses the accepted step's exponents and adds the identity
+    # in place; neither may change a bit of theta or the iteration count
+    batches = recorded_ladder_batches(monkeypatch)
+    monkeypatch.undo()
+    assert {b.dimension for b in batches} == {1, 10, 110}
+    for batch in batches:
+        sol = solve_optimal_shift(batch)
+        theta, iterations = oracles.newton_shift(batch)
+        assert sol.theta.tobytes() == theta.tobytes()
+        assert sol.newton_iterations == iterations
 
 
 class TestUnbiasednessTransport:

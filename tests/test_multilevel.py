@@ -330,6 +330,33 @@ class TestTailSample:
         assert carried.labels.tobytes() == cached.tobytes()
         assert fresh.labels.tobytes() == cached.tobytes()
 
+    def test_merge_of_labelled_parts_of_different_shifts(self):
+        # each part's labels are read along its own shift; the pool carries
+        # them and reports the last part's shift
+        model = ModelSpec.identity(2)
+        shifts = [np.array([1.0, 0.5]), np.array([1.2, 0.25]),
+                  np.array([1.2, 0.25])]
+        parts = [draw_tail_sample(model, 1.0, shift, 40, RngStream(0, i))
+                 for i, shift in enumerate(shifts)]
+        own = [part.labels for part in parts]
+        merged = parts[0].merge(*parts[1:])
+        assert "labels" in vars(merged)
+        assert merged.labels.tobytes() == np.concatenate(own).tobytes()
+        assert merged.theta is parts[-1].theta
+
+    @pytest.mark.parametrize("unlabelled", [0, 1, 2])
+    def test_merge_of_different_shifts_needs_every_label(self, unlabelled):
+        model = ModelSpec.identity(2)
+        shifts = [np.array([1.0, 0.5]), np.array([1.2, 0.25]),
+                  np.array([1.0, 0.5])]
+        parts = [draw_tail_sample(model, 1.0, shift, 40, RngStream(0, i))
+                 for i, shift in enumerate(shifts)]
+        for i, part in enumerate(parts):
+            if i != unlabelled:
+                part.labels     # cached
+        with pytest.raises(DomainError):
+            parts[0].merge(*parts[1:])
+
     @pytest.mark.parametrize("count", [1, 2, 4])
     def test_multiway_merge_equals_chained_merges(self, count):
         model = ModelSpec.identity(2)
