@@ -18,7 +18,7 @@ import pytest
 
 import oracles
 from tailshift import (BudgetExhausted, LadderConfig, ModelSpec, RngStream,
-                       estimate_quantile, estimate_to_precision)
+                       estimate_quantile, estimate_to_precision, multilevel)
 from tailshift.dimred import SubspaceSelection
 from tailshift.model import oriented_response
 from tailshift.multilevel import (FINAL_BATCH, FINAL_STREAM, QUANTILE_STREAM,
@@ -337,13 +337,23 @@ def test_each_batch_keeps_its_own_shift_and_labels():
     np.testing.assert_array_equal(pooled.theta, batches[-1].theta)
 
 
-def test_no_resolve_when_the_room_holds_one_batch():
+def test_no_resolve_when_the_room_holds_one_batch(monkeypatch):
     model = ModelSpec.linear_family(110)
     gamma = math.sqrt(10.01) * oracles.tail_quantile("3e-5")
-    theta, _, batches = ladder_and_batches(model, gamma, 3,
-                                           2 * FINAL_BATCH - 1)
-    assert len(batches) == 1
-    assert np.array_equal(batches[0].theta, theta)
+    solves = []
+    resolved_shift = multilevel._resolved_shift
+
+    def counted(*args):
+        solves.append(args)
+        return resolved_shift(*args)
+    monkeypatch.setattr(multilevel, "_resolved_shift", counted)
+    for room, batches_drawn in ((2 * FINAL_BATCH - 1, 1),
+                                (2 * FINAL_BATCH, 2)):
+        solves.clear()
+        theta, _, batches = ladder_and_batches(model, gamma, 3, room)
+        assert len(batches) == batches_drawn
+        assert len(solves) == batches_drawn - 1
+        assert np.array_equal(batches[0].theta, theta)
 
 
 @pytest.mark.parametrize("model", [ModelSpec.linear(np.ones(110)),
