@@ -63,7 +63,7 @@ FINAL_BATCH = 1000          # runs per final-phase and quantile refinement batch
 # about 100 rows per slab per batch
 SLABS = FINAL_BATCH // 100
 _SLAB_BOUNDS = slab_levels(SLABS)[1:-1]
-_EPS = float(np.finfo(float).eps)
+_SLAB_INDEX = np.arange(SLABS)
 
 
 @cache
@@ -304,20 +304,21 @@ def exceedance_terms(responses, weights, level):
     return np.where(responses >= level, weights, 0.0)
 
 
-def slab_sums(labels, terms):
+def slab_sums(labels, terms, carry=None):
     """Rows (n_i, S1_i, Q_i) per slab: counts, sums of ``terms`` and of
-    their squares, each slab summed in row order."""
-    return np.stack([np.bincount(labels, minlength=SLABS),
-                     np.bincount(labels, terms, SLABS),
-                     np.bincount(labels, terms * terms, SLABS)])
+    their squares, each slab summed in row order.
 
-
-def _pooled_if_empty(counts, s1, q):
-    # post-stratifying needs a row in every slab; without one the pool is
-    # reduced as a single slab, that is as iid rows
-    if counts.all():
-        return counts, s1, q
-    return tuple(column.sum(keepdims=True) for column in (counts, s1, q))
+    ``carry``, the sums of earlier rows, enters each slab ahead of its rows.
+    ``np.bincount`` adds in array order, so the carried sums are the sums
+    over the earlier rows followed by these, bit for bit.
+    """
+    if carry is None:
+        carry = np.zeros((3, SLABS))
+    rows = np.concatenate([_SLAB_INDEX, labels])
+    return np.stack([carry[0] + np.bincount(labels, minlength=SLABS),
+                     np.bincount(rows, np.concatenate([carry[1], terms])),
+                     np.bincount(rows, np.concatenate([carry[2],
+                                                       terms * terms]))])
 
 
 def stratified_exceedance(counts, s1, q):
@@ -325,9 +326,13 @@ def stratified_exceedance(counts, s1, q):
 
     From per-slab ``slab_sums`` over I equiprobable slabs:
     sum_i S1_i / (I n_i), with variance
-    sum_i (Q_i / n_i - (S1_i / n_i)^2) / (I^2 n_i).
+    sum_i (Q_i / n_i - (S1_i / n_i)^2) / (I^2 n_i).  Post-stratifying needs
+    a row in every slab; without one the pool is reduced as a single slab,
+    that is as iid rows.
     """
-    counts, s1, q = _pooled_if_empty(counts, s1, q)
+    if not counts.all():
+        counts, s1, q = (column.sum(keepdims=True)
+                         for column in (counts, s1, q))
     slabs = counts.size
     mean = s1 / counts
     estimate = float(mean.sum()) / slabs
@@ -343,30 +348,6 @@ def row_scale(counts):
     if not counts.all():
         return np.ones(counts.size)
     return counts.sum() / (counts.size * counts)
-
-
-def width_exceeds(counts, s1, q, z, target):
-    """Whether per-slab sums ``s1`` of terms t >= 0 and ``q`` of their
-    squares put the relative half-width z * se / estimate of
-    ``stratified_exceedance`` above ``target`` by more than rounding.
-
-    The half-width exceeds the target exactly when
-    sum_i Q_i / n_i^2 > sum_i S1_i^2 / n_i^3 + k (sum_i S1_i / n_i)^2,
-    k = (target / z)^2, a comparison of non-negative sums.  Any order of
-    summing n non-negative terms lands within about n * eps of the true
-    sum, so when this is True the reduction of the same terms in any other
-    order, pooled in draw order included, exceeds ``target`` too.  With no
-    hits it is False.
-    """
-    counts, s1, q = _pooled_if_empty(counts, s1, q)
-    # relative rounding bound on any summation order of the n terms
-    err = (2 * int(counts.sum()) + 16) * _EPS
-    mean = s1 / counts
-    squares = float((q / (counts * counts)).sum())
-    means = float((mean * mean / counts).sum())
-    return (squares * (1.0 - err)
-            > (means + (target / z) ** 2 * float(mean.sum()) ** 2)
-            * (1.0 + err) ** 2)
 
 
 def run_ladder(model, config, rng, pool=None, level_rule=None,
@@ -566,11 +547,11 @@ def estimate_to_precision(model, gamma, config, target, rng,
     levels were capped (``levels_capped``) the batches after the first are
     drawn under the shift re-solved on its hits.  The estimate and its
     interval post-stratify the pool over SLABS slabs along each batch's
-    shift; per-slab running sums skip the batches whose interval is
-    certainly too wide, and the pool reduced in draw order decides every
-    stop.  Returns (report, trace, sample); the sample holds every
-    final-phase response so follow-up estimators (CVaR) need no further
-    model runs.
+    shift.  After every batch they are read from per-slab sums carried
+    across batches, which equal the pool's own ``slab_sums`` bit for bit,
+    so the report is ``report_from_sample`` of the pool.  Returns (report,
+    trace, sample); the sample holds every final-phase response so
+    follow-up estimators (CVaR) need no further model runs.
     Raises BudgetExhausted carrying the partial report once the next batch
     would cross ``budget`` total runs.
     """
@@ -582,26 +563,20 @@ def estimate_to_precision(model, gamma, config, target, rng,
     # the partial report when not even one batch fits the budget
     report = estimate_report(0.0, 0.0, 0, confidence, exploration, gamma,
                              theta)
-    z = z_value(confidence)
     batches = []
-    sums = np.zeros((3, SLABS))
+    sums = None
     for batch in pooled_batches(model, gamma, trace, config.rho, FINAL_BATCH,
                                 rng, FINAL_STREAM, budget - exploration,
                                 pool):
         batches.append(batch)
-        sums += slab_sums(batch.labels, exceedance_terms(
-            batch.responses, batch.weights, batch.gamma))
-        if width_exceeds(*sums, z, target):
-            continue
-        # the running sums allow a stop; the pool in draw order decides it
-        sample = batches[0].merge(*batches[1:])
-        report = report_from_sample(sample, confidence, exploration, gamma)
+        sums = slab_sums(batch.labels, exceedance_terms(
+            batch.responses, batch.weights, batch.gamma), sums)
+        estimate, se = stratified_exceedance(*sums)
+        report = estimate_report(estimate, se, FINAL_BATCH * len(batches),
+                                 confidence, exploration, gamma, batch.theta)
         # a failed ladder is surfaced as zero hits, never silently retried
         if report.zero_hits or report.rel_half_width <= target:
-            return report, trace, sample
-    if batches:
-        report = report_from_sample(batches[0].merge(*batches[1:]),
-                                    confidence, exploration, gamma)
+            return report, trace, batches[0].merge(*batches[1:])
     raise BudgetExhausted(
         f"budget of {budget} runs hit before reaching {target:.3g}",
         report=replace(report, converged=False), trace=trace)

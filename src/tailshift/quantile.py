@@ -12,12 +12,12 @@ That curve is post-stratified over the final phase's slabs along theta
 w N / (I n_i), so the curve is sum_i (1/I) mean_i(w 1{r >= t}).  The pool
 is kept sorted by descending response, with each row's slab.  Each batch is
 merged into it and one cumulative sum of the scaled weights is inverted at
-p; the hits at that iterate are a prefix of the pool, so the stop test
-reads the per-slab probability sums and second moments from there.  Only
-when the stop test allows a stop is the pool reduced in draw order, once,
-for the report.  The quantile interval comes from pushing the probability
-interval through the local slope of that curve (a centered difference of
-its logarithm, no density estimate).
+p; the hits at that iterate are a prefix of the pool, so the stop test and
+the report read the per-slab probability sums and second moments from
+there, summed in the pool's order.  The quantile interval comes from
+pushing the probability interval through the local slope of that curve (a
+centered difference of its logarithm, no density estimate), read from the
+same sorted pool.
 """
 
 import math
@@ -27,11 +27,9 @@ import numpy as np
 
 from .errors import BudgetExhausted, DomainError, NonMonotoneBracket
 from .model import oriented_response
-from .multilevel import (FINAL_BATCH, QUANTILE_STREAM, SLABS,
-                         exceedance_terms, next_level, pooled_batches,
-                         row_scale, run_ladder, slab_sums,
-                         stratified_exceedance, weighted_exceedance,
-                         width_exceeds, z_value)
+from .multilevel import (FINAL_BATCH, QUANTILE_STREAM, SLABS, next_level,
+                         pooled_batches, row_scale, run_ladder, slab_sums,
+                         stratified_exceedance, weighted_exceedance, z_value)
 
 # refinement is driven this much tighter than the configured probability
 # precision so that round trips through the probability estimator stay
@@ -148,12 +146,12 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
     FINAL_BATCH runs each.  After every batch the iterate inverts the
     pool's post-stratified survival curve at p.  The refinement stops once
     the post-stratified probability estimate at that iterate reaches
-    REFINE_FACTOR * precision relative half-width: the sorted pool's
-    per-slab sums rule out a stop only beyond rounding (``width_exceeds``),
-    and the pool reduced in draw order decides every stop.  The quantile
-    interval is that probability interval divided by the local survival
-    slope.  A budget partial reports the last batch's iterate, or the pivot
-    while the refinement widens.
+    REFINE_FACTOR * precision relative half-width, reduced once per batch
+    from the per-slab sums of the hits, a prefix of the pool sorted by
+    descending response.  The quantile interval is that probability
+    interval divided by the local survival slope of the same sorted pool.
+    A budget partial reports the last batch's iterate, or the pivot while
+    the refinement widens.
     """
     if not 0.0 < p < 1.0:
         raise DomainError("target probability must lie in (0, 1)")
@@ -172,22 +170,20 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
     level = pivot
     m = 0
     target = REFINE_FACTOR * precision
-    batches = []                # draw order
     # the sorted pool: responses, weights, slabs
     desc = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
     counts = np.zeros(SLABS)
     for batch in pooled_batches(model, pivot_gamma, trace, config.rho,
                                 FINAL_BATCH, rng, QUANTILE_STREAM,
                                 budget - exploration, pool):
-        batches.append(batch)
         theta = batch.theta     # the report's shift is the latest batch's
         m += batch.size
         counts += np.bincount(batch.labels, minlength=SLABS)
         desc = _merge_batch(desc, batch)
         desc_r, desc_w, desc_l = desc
-        scale = row_scale(counts)
-        level = _survival_inverse(desc_r, np.cumsum(desc_w * scale[desc_l]),
-                                  p * m)
+        # rows weighted m / (I n_i): the post-stratified survival curve
+        scaled = desc_w * row_scale(counts)[desc_l]
+        level = _survival_inverse(desc_r, np.cumsum(scaled), p * m)
         if level is None or level == desc_r[0]:
             # quantile sits beyond the sampled range; widen with more batches
             widen += 1
@@ -200,19 +196,10 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
         # the hits at level are a prefix of the sorted pool
         hits = _count_at_least(desc_r, level)
         _, s1, q = slab_sums(desc_l[:hits], desc_w[:hits])
-        if width_exceeds(counts, s1, q, z, target):
-            continue
-        # the sorted pool allows a stop; the pool in draw order decides it
-        responses = np.concatenate([b.responses for b in batches])
-        pooled_w = np.concatenate([b.weights for b in batches])
-        labels = np.concatenate([b.labels for b in batches])
-        estimate, se_p = stratified_exceedance(*slab_sums(
-            labels, exceedance_terms(responses, pooled_w, level)))
+        estimate, se_p = stratified_exceedance(counts, s1, q)
         if z * se_p / estimate > target:
             continue
-        # the slope of the post-stratified curve: rows weighted m / (I n_i)
-        slope = _slope_at(responses, pooled_w * scale[labels], level,
-                          estimate)
+        slope = _slope_at(desc_r, scaled, level, estimate)
         half = z * se_p / slope
         quantile = float(oriented_response(model, level))
         rel = half / max(abs(quantile), 1e-300)

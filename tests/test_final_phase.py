@@ -1,13 +1,14 @@
 """The streaming final phase stops where a full re-reduction stops.
 
-``estimate_to_precision`` and ``estimate_quantile`` test each batch from
-running state (per-slab sums, or the quantile refinement's sorted pool) and
-reduce the pooled sample in draw order only when that state allows a stop.
+``estimate_to_precision`` reduces each batch into per-slab sums carried
+from the earlier batches, and ``estimate_quantile`` reduces the hits of
+its pool kept sorted by descending response; each reduces once per batch.
 The reference loops here re-reduce the whole pooled sample after every
 batch instead, with the explicit post-stratified estimator of
 ``oracles.post_stratified`` over slabs read from the redrawn points, each
-batch redrawn under its own shift; both must stop on the same batch with
-the same report.
+batch redrawn under its own shift.  The probability's pool is summed in
+draw order and the quantile's in its stable descending-response order;
+both must stop on the same batch with the same report.
 """
 
 import dataclasses
@@ -27,7 +28,7 @@ from tailshift.multilevel import (FINAL_BATCH, FINAL_STREAM, QUANTILE_STREAM,
                                   report_from_sample, row_scale, run_ladder,
                                   slab_labels, slab_sums,
                                   stratified_exceedance, weighted_exceedance,
-                                  width_exceeds, z_value)
+                                  z_value)
 from tailshift.quantile import (_WIDEN_LIMIT, REFINE_FACTOR, QuantileReport,
                                 _bracket_rule, _slope_at, _survival_inverse)
 
@@ -106,10 +107,14 @@ def reference_quantile(model, p, rng, precision=0.10, budget=1_000_000):
             assert widen <= _WIDEN_LIMIT
             continue
         widen = 0
-        estimate, se_p = reference_estimate(sample, labels, level)
+        # the pool's rows in its stable descending-response order: the hits
+        # first
+        terms = np.where(responses >= level, np.exp(sample.log_weights), 0.0)
+        estimate, se_p = oracles.post_stratified(labels[order], terms[order],
+                                                 SLABS)
         if z * se_p / estimate > REFINE_FACTOR * precision:
             continue
-        slope = _slope_at(responses, weights, level, estimate)
+        slope = _slope_at(responses[order], weights[order], level, estimate)
         half = z * se_p / slope
         quantile = float(oriented_response(model, level))
         n_mc = estimate * (1.0 - estimate) * (z / (slope * half)) ** 2
@@ -147,6 +152,8 @@ def test_prob_stops_on_the_same_batch(case, seed):
                                            RngStream(seed))
     assert got.runs_final == want.runs_final
     assert_same_report(got, want)
+    assert_same_report(got, report_from_sample(sample, 0.95,
+                                               got.runs_exploration, gamma))
     np.testing.assert_array_equal(sample.responses, want_sample.responses)
     np.testing.assert_array_equal(sample.log_weights, want_sample.log_weights)
 
@@ -154,8 +161,8 @@ def test_prob_stops_on_the_same_batch(case, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_prob_budget_partial_matches(seed):
     model, gamma = PROB_CASES["identity-1e-6"]
-    want, _, converged = reference_prob(model, gamma, 0.01, RngStream(seed),
-                                        budget=12_000)
+    want, want_sample, converged = reference_prob(
+        model, gamma, 0.01, RngStream(seed), budget=12_000)
     assert not converged
     with pytest.raises(BudgetExhausted) as err:
         estimate_to_precision(model, gamma, LadderConfig(), 0.01,
@@ -163,6 +170,8 @@ def test_prob_budget_partial_matches(seed):
     got = err.value.report
     assert got.runs_final == want.runs_final > 0
     assert_same_report(got, want)
+    assert_same_report(got, dataclasses.replace(report_from_sample(
+        want_sample, 0.95, got.runs_exploration, gamma), converged=False))
 
 
 QUANTILE_CASES = {
@@ -263,7 +272,6 @@ def test_an_empty_slab_reduces_the_pool_as_iid_rows():
     weights = np.array([0.375, 0.5, 0.125, 0.125] + [2.0 ** -10] * 16)
     emptied = np.arange(20) % SLABS
     emptied[emptied == 4] = 5
-    z = z_value(0.95)
     for level in (1.0, 0.0):
         estimate, se = weighted_exceedance(responses, weights, level)
         terms = exceedance_terms(responses, weights, level)
@@ -271,9 +279,26 @@ def test_an_empty_slab_reduces_the_pool_as_iid_rows():
             counts, s1, q = slab_sums(labels, terms)
             np.testing.assert_array_equal(row_scale(counts), np.ones(SLABS))
             assert stratified_exceedance(counts, s1, q) == (estimate, se)
-            for target in (1e-9, 0.5, 1.0, 10.0):
-                assert (width_exceeds(counts, s1, q, z, target)
-                        == (z * se / estimate > target))
+
+
+@pytest.mark.parametrize("parts", range(1, 6))
+def test_carried_slab_sums_equal_one_pass_over_the_pool(parts):
+    gen = np.random.default_rng(parts)
+    sizes = gen.integers(50, 400, parts)
+    labels = [gen.integers(0, SLABS, n) for n in sizes]
+    # slab 3 is empty in the first part, and in the pool of one part
+    labels[0][labels[0] == 3] = 4
+    # weights over many magnitudes, about a third of them hits
+    terms = [np.exp(gen.normal(-20.0, 5.0, n)) * (gen.random(n) < 0.3)
+             for n in sizes]
+    for kind in ("weights", "zeros"):
+        if kind == "zeros":
+            terms = [np.zeros(n) for n in sizes]
+        carried = None
+        for part_labels, part_terms in zip(labels, terms):
+            carried = slab_sums(part_labels, part_terms, carried)
+        np.testing.assert_array_equal(
+            carried, slab_sums(np.concatenate(labels), np.concatenate(terms)))
 
 
 def test_levels_are_capped_only_past_the_level_cap():

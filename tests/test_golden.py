@@ -1,10 +1,15 @@
 """Exact report bytes for a fixed set of (config, seed) pairs.
 
 Refactors of the engine must reproduce these files byte for byte.  Each case
-runs once and is emitted in all three formats.  To rewrite the files after a
-deliberate change of output, run from the repository root:
+runs once and is emitted in all three formats.  To rewrite the files of the
+named cases after a deliberate change of output, run from the repository
+root:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+With no name every case is rewritten.  Each file whose bytes changed is
+printed.  The d=110 cases depend on the OpenBLAS thread count, so rewrite
+only the cases a change moves.
 """
 
 import difflib
@@ -73,15 +78,25 @@ def test_report_bytes_match_golden(name):
             pytest.fail("report bytes changed:\n" + "\n".join(diff))
 
 
-def write_golden():
+def write_golden(names):
+    """Rewrite the golden files of ``names`` (every case when empty) and
+    print each file whose bytes changed."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        return f"unknown golden case: {', '.join(unknown)}"
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name in sorted(CASES):
+    for name in sorted(names or CASES):
         code, payloads = emit_case(name)
         for fmt, payload in payloads.items():
-            with open(golden_path(name, fmt), "wb") as fh:
+            path = golden_path(name, fmt)
+            if os.path.exists(path):
+                with open(path, "rb") as fh:
+                    if fh.read() == payload:
+                        continue
+            with open(path, "wb") as fh:
                 fh.write(payload)
-        print(f"{name}: exit {code}")
+            print(f"changed {os.path.relpath(path)} (exit {code})")
 
 
 if __name__ == "__main__":
-    sys.exit(write_golden())
+    sys.exit(write_golden(sys.argv[1:]))
