@@ -20,7 +20,10 @@ sum_i (1/I)^2 var_i / n_i (Glasserman, Heidelberger & Shahabuddin 1999,
 Math. Finance 9).  The draw's log weight
 -|theta| t - |theta|^2 / 2 fixes each row's slab, so no draw changes.  With
 the slabs equiprobable this removes the between-slab term
-sum_i p_i (mu_i - mu)^2 from the plain estimator's variance.
+sum_i p_i (mu_i - mu)^2 from the plain estimator's variance.  The
+per-slab sums are carried from batch to batch, each slab's earlier sum
+entering ahead of its new rows, so every batch reduces only its own rows
+and the sums still equal one pass over the pool in draw order.
 
 Every ladder level and final batch is one ``RngStream.shifted_normals`` draw
 from its own child stream of the run's root stream, which returns the
@@ -63,7 +66,6 @@ FINAL_BATCH = 1000          # runs per final-phase and quantile refinement batch
 # about 100 rows per slab per batch
 SLABS = FINAL_BATCH // 100
 _SLAB_BOUNDS = slab_levels(SLABS)[1:-1]
-_SLAB_INDEX = np.arange(SLABS)
 
 
 @cache
@@ -314,11 +316,11 @@ def slab_sums(labels, terms, carry=None):
     """
     if carry is None:
         carry = np.zeros((3, SLABS))
-    rows = np.concatenate([_SLAB_INDEX, labels])
+    entries = np.concatenate([np.arange(SLABS), labels])
     return np.stack([carry[0] + np.bincount(labels, minlength=SLABS),
-                     np.bincount(rows, np.concatenate([carry[1], terms])),
-                     np.bincount(rows, np.concatenate([carry[2],
-                                                       terms * terms]))])
+                     np.bincount(entries, np.concatenate([carry[1], terms])),
+                     np.bincount(entries, np.concatenate([carry[2],
+                                                          terms * terms]))])
 
 
 def stratified_exceedance(counts, s1, q):
