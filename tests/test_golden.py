@@ -8,11 +8,15 @@ root:
     PYTHONPATH=src python tests/test_golden.py [NAME ...]
 
 With no name every case is rewritten.  Each file whose bytes changed is
-printed.  The d=110 cases depend on the OpenBLAS thread count, so rewrite
+printed; for a JSON file the line also gives the largest relative change
+among its numbers and says whether any integer (a run count) changed.  The
+d=110 cases depend on the OpenBLAS thread count, so rewrite
 only the cases a change moves.
 """
 
 import difflib
+import json
+import math
 import os
 import sys
 
@@ -78,6 +82,42 @@ def test_report_bytes_match_golden(name):
             pytest.fail("report bytes changed:\n" + "\n".join(diff))
 
 
+def json_numbers(doc, path=""):
+    """(path, value) of every number in a parsed JSON document, in order."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from json_numbers(value, f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from json_numbers(value, f"{path}[{i}]")
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path, doc
+
+
+def json_moves(old, new):
+    """How the numbers of a rewritten JSON report moved: its largest
+    relative change and where, and whether any integer changed."""
+    before = dict(json_numbers(json.loads(old)))
+    after = dict(json_numbers(json.loads(new)))
+    if before.keys() != after.keys():
+        return "the set of numbers changed"
+    largest, where, integers = 0.0, None, []
+    for path, a in before.items():
+        b = after[path]
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        if isinstance(a, int) or isinstance(b, int):
+            integers.append(f"{path} {a} -> {b}")
+        rel = abs(b - a) / abs(a) if a else math.inf
+        if not rel <= largest:
+            largest, where = rel, path
+    moved = (f"largest relative change {largest:.2g} at {where}"
+             if where else "no number moved")
+    if integers:
+        return f"{moved}; integers changed: {', '.join(integers)}"
+    return f"{moved}; no integer changed"
+
+
 def write_golden(names):
     """Rewrite the golden files of ``names`` (every case when empty) and
     print each file whose bytes changed."""
@@ -89,13 +129,17 @@ def write_golden(names):
         code, payloads = emit_case(name)
         for fmt, payload in payloads.items():
             path = golden_path(name, fmt)
+            note = ""
             if os.path.exists(path):
                 with open(path, "rb") as fh:
-                    if fh.read() == payload:
-                        continue
+                    old = fh.read()
+                if old == payload:
+                    continue
+                if fmt == "json":
+                    note = ": " + json_moves(old, payload)
             with open(path, "wb") as fh:
                 fh.write(payload)
-            print(f"changed {os.path.relpath(path)} (exit {code})")
+            print(f"changed {os.path.relpath(path)} (exit {code}){note}")
 
 
 if __name__ == "__main__":
