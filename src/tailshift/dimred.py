@@ -99,17 +99,13 @@ def augment_selection(selection, batch, max_dim=SELECTION_CAP, sig_level=3.5):
 def solve_shift_in_subspace(batch, selection):
     """Solve the optimal shift restricted to the selected coordinates.
 
-    The base shift must be zero off the subset, as every ladder shift is
-    (the first level starts at zero and selections only grow), so the
-    restricted problem is the batch on the selected columns.  The returned
-    shift is full-dimensional with exact zeros off the subset.
+    The rows' log weights carry every coordinate of the shifts they were
+    drawn under, so the restricted problem is the batch on the selected
+    columns.  The returned shift is full-dimensional with exact zeros off
+    the subset.
     """
     if selection.dimension != batch.dimension:
         raise DomainError("selection dimension does not match the batch")
-    idx = selection.indices
-    if np.any(np.delete(batch.base_shift, idx)):
-        raise DomainError("base shift must be zero off the selected coordinates")
-    reduced = replace(batch, points=batch.points[:, idx],
-                      base_shift=batch.base_shift[idx])
-    sol = solve_optimal_shift(reduced)
+    sol = solve_optimal_shift(
+        replace(batch, points=batch.points[:, selection.indices]))
     return replace(sol, theta=selection.embed(sol.theta))

@@ -6,18 +6,21 @@ x by the density ratio
     f(x; from) / f(x; to) = exp((from - to) . x + (|to|^2 - |from|^2) / 2).
 
 The best shift minimises the second moment, under the nominal law, of the
-final estimator's weighted survivor indicator (the variance criterion).  From
-a batch drawn under the base shift b that moment is
+final estimator's weighted survivor indicator (the variance criterion).  Each
+row x_j of a batch carries its own log weight l_j = log f_0 / f_q(x_j) under
+the proposal q it was drawn from, so rows of several proposals can share one
+solve.  From such a batch that moment is
 
-    E_b[ 1_A (f_0 / f_b)(X) (f_0 / f_theta)(X) ],
+    (1/n) sum_survivors exp(l_j) (f_0 / f_theta)(x_j)
+        = (1/n) sum_survivors exp(l_j - theta . x_j + |theta|^2 / 2):
 
-whose exponent is -(theta + b) . X: one ratio carries the batch back to the
-nominal law, the other is the final estimator's weight.  The criterion is
-smooth and strongly convex, but its curvature shrinks with the event
-probability, so the solver instead works on a log-transformed objective with
-the same stationary point whose Hessian never drops below the identity:
+one ratio carries the row back to the nominal law, the other is the final
+estimator's weight.  The criterion is smooth and strongly convex, but its
+curvature shrinks with the event probability, so the solver instead works on
+a log-transformed objective with the same stationary point whose Hessian
+never drops below the identity:
 
-    J(theta) = |theta|^2 / 2 + log( (1/n) sum_survivors exp(-(theta + b) . X_j) )
+    J(theta) = |theta|^2 / 2 + log( (1/n) sum_survivors exp(l_j - theta . x_j) )
 
 grad J(theta) = theta - weighted_mean(X);  hess J(theta) = I + weighted_cov(X).
 
@@ -35,35 +38,33 @@ from .errors import DomainError, NoSurvivors, NotConverged
 
 @dataclass
 class WeightedBatch:
-    """Samples drawn under ``base_shift`` with survivor flags at some level."""
+    """Rows with survivor flags at some level and their log weights
+    log f_0 / f_q, each under the proposal q the row was drawn from."""
 
     points: np.ndarray          # (n, d)
-    responses: np.ndarray       # (n,) oriented responses
     survivors: np.ndarray       # (n,) bool
-    base_shift: np.ndarray      # (d,)
+    log_weights: np.ndarray     # (n,)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
-        self.responses = np.asarray(self.responses, dtype=float)
         self.survivors = np.asarray(self.survivors, dtype=bool)
-        self.base_shift = np.asarray(self.base_shift, dtype=float)
-        n, d = self.points.shape
+        self.log_weights = np.asarray(self.log_weights, dtype=float)
+        n = self.points.shape[0]
         if n < 1:
             raise DomainError("batch must contain at least one sample")
-        if self.responses.shape != (n,) or self.survivors.shape != (n,):
-            raise DomainError("responses and survivor flags must have length n")
-        if self.base_shift.shape != (d,):
-            raise DomainError("base shift dimension does not match the points")
+        if self.survivors.shape != (n,) or self.log_weights.shape != (n,):
+            raise DomainError("survivor flags and log weights must have length n")
         if not (np.all(np.isfinite(self.points))
-                and np.all(np.isfinite(self.responses))
-                and np.all(np.isfinite(self.base_shift))):
+                and np.all(np.isfinite(self.log_weights))):
             raise DomainError("batch contains non-finite entries")
 
     @classmethod
-    def from_threshold(cls, points, responses, level, base_shift):
+    def from_threshold(cls, points, responses, level, log_weights):
         responses = np.asarray(responses, dtype=float)
-        return cls(points=points, responses=responses,
-                   survivors=responses >= level, base_shift=base_shift)
+        if not np.all(np.isfinite(responses)):
+            raise DomainError("batch contains non-finite entries")
+        return cls(points=points, survivors=responses >= level,
+                   log_weights=log_weights)
 
     @property
     def size(self):
@@ -88,15 +89,16 @@ class ShiftSolution:
 
 
 def _survivor_rows(batch):
-    """The batch's survivor points, gathered once per solve."""
+    """The batch's survivor points and log weights, gathered once per solve."""
     if batch.survivor_count == 0:
         raise NoSurvivors("no survivor in the batch")
-    return batch.points[batch.survivors]
+    return batch.points[batch.survivors], batch.log_weights[batch.survivors]
 
 
-def _exponents(theta, pts, batch):
-    """Log weight exp-arguments -(theta + b) . X of survivor rows ``pts``."""
-    return -(pts @ (np.asarray(theta, dtype=float) + batch.base_shift))
+def _exponents(theta, pts, offsets):
+    """Exp-arguments l_j - theta . x_j of survivor rows ``pts`` whose log
+    weights are ``offsets``."""
+    return offsets - pts @ theta
 
 
 def _softmax(expo):
@@ -114,30 +116,24 @@ def _objective_at(theta, expo, n):
     return float(0.5 * theta @ theta + _log_mean_exp(expo, n))
 
 
-def _objective(theta, pts, batch):
-    return _objective_at(theta, _exponents(theta, pts, batch), batch.size)
-
-
-def _gradient(theta, pts, batch):
-    return theta - _softmax(_exponents(theta, pts, batch)) @ pts
-
-
 def log_objective(theta, batch):
     """Convexified objective sharing its stationary point with the criterion."""
     theta = np.asarray(theta, dtype=float)
-    return _objective(theta, _survivor_rows(batch), batch)
+    pts, offsets = _survivor_rows(batch)
+    return _objective_at(theta, _exponents(theta, pts, offsets), batch.size)
 
 
 def log_objective_gradient(theta, batch):
     theta = np.asarray(theta, dtype=float)
-    return _gradient(theta, _survivor_rows(batch), batch)
+    pts, offsets = _survivor_rows(batch)
+    return theta - _softmax(_exponents(theta, pts, offsets)) @ pts
 
 
 def log_objective_hessian(theta, batch):
     """I + weighted covariance of the survivor points; always >= I."""
     theta = np.asarray(theta, dtype=float)
-    pts = _survivor_rows(batch)
-    s = _softmax(_exponents(theta, pts, batch))
+    pts, offsets = _survivor_rows(batch)
+    s = _softmax(_exponents(theta, pts, offsets))
     mean = s @ pts
     centered = pts - mean
     return np.eye(batch.dimension) + centered.T @ (s[:, None] * centered)
@@ -173,17 +169,17 @@ def _solution(theta, iterations, grad_norm):
 def solve_optimal_shift(batch, tol=1e-8, max_iter=50):
     """Newton solve of the optimal shift on the convexified objective.
 
-    Starts from the batch's base shift.  Each Newton system
+    Starts at zero, the nominal law.  Each Newton system
     (I + weighted_cov) delta = -grad is solved directly, in whichever of the
     dimension and the survivor count is smaller; an Armijo backtracking line
     search keeps the objective monotone.  Raises NotConverged past
     ``max_iter`` steps or when the line search stalls.
     """
-    pts = _survivor_rows(batch)
+    pts, offsets = _survivor_rows(batch)
     n = batch.size
-    theta = batch.base_shift.copy()
+    theta = np.zeros(batch.dimension)
     # the exponents at theta, kept from the step that accepted it
-    expo = _exponents(theta, pts, batch)
+    expo = _exponents(theta, pts, offsets)
     value = _objective_at(theta, expo, n)
     for iteration in range(max_iter):
         s = _softmax(expo)
@@ -201,13 +197,13 @@ def solve_optimal_shift(batch, tol=1e-8, max_iter=50):
             # the predicted decrease is below the objective's float
             # resolution; the quadratic model rules here, take the raw step
             theta = theta + delta
-            expo = _exponents(theta, pts, batch)
+            expo = _exponents(theta, pts, offsets)
             value = _objective_at(theta, expo, n)
             continue
         step = 1.0
         while True:
             candidate = theta + step * delta
-            cand_expo = _exponents(candidate, pts, batch)
+            cand_expo = _exponents(candidate, pts, offsets)
             cand_value = _objective_at(candidate, cand_expo, n)
             if cand_value <= value + 1e-4 * step * slope:
                 break

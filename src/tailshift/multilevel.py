@@ -398,7 +398,7 @@ def run_ladder(model, config, rng, pool=None, level_rule=None,
         weights = np.exp(log_weights)
         level, done = level_rule(responses, weights)
         batch = WeightedBatch.from_threshold(points, responses, level,
-                                             base_shift=theta)
+                                             log_weights)
         if _use_dimred(config, d):
             # later levels may reveal coordinates the pilot missed; grow the
             # subset (never shrink) so an early miss cannot poison the run
@@ -504,7 +504,7 @@ def _resolved_shift(points, batch, selection):
     """The shift solved on ``batch``'s hits at its own level, drawn at
     ``points``; the batch's own shift when it has no hit."""
     hits = WeightedBatch.from_threshold(points, batch.responses, batch.gamma,
-                                        base_shift=batch.theta)
+                                        batch.log_weights)
     if hits.survivor_count == 0:
         return batch.theta
     return _solve_level(hits, selection).theta

@@ -157,15 +157,15 @@ def cvar_exact_bias(cvar, p, n):
 def _criterion_terms(theta, batch):
     """Survivor points and their explicit weighted-indicator terms at theta.
 
-    exp(-(theta + base) . X_j + (|theta|^2 + |base|^2) / 2) per survivor:
-    the ratio f_0 / f_base back to the nominal law times the final weight
-    f_0 / f_theta.  These overflow for extreme shifts, which the library's
-    log-space objective avoids.
+    exp(l_j - theta . X_j + |theta|^2 / 2) per survivor, l_j its log weight:
+    the ratio f_0 / f_q back to the nominal law from the row's own proposal q
+    times the final weight f_0 / f_theta.  These overflow for extreme shifts,
+    which the library's log-space objective avoids.
     """
     theta = np.asarray(theta, dtype=float)
-    base = batch.base_shift
     pts = batch.points[batch.survivors]
-    w = np.exp(-(pts @ (theta + base)) + 0.5 * (theta @ theta + base @ base))
+    offsets = batch.log_weights[batch.survivors]
+    w = np.exp(offsets - pts @ theta + 0.5 * (theta @ theta))
     return theta, pts, w
 
 
@@ -227,16 +227,17 @@ def newton_shift(batch, tol=1e-8, max_iter=50):
     """(theta, Newton iterations) of the optimal-shift Newton solve, written
     as plainly as ``meanshift.solve_optimal_shift``'s arithmetic allows.
 
-    Every iteration recomputes the survivor exponents -(theta + b) . X from
-    theta and builds each Newton system as identity plus Gram matrix, so the
-    library's reuse of exponents and in-place diagonal must reproduce it bit
-    for bit.  Raises RuntimeError where the library raises NotConverged.
+    It starts at zero.  Every iteration recomputes the survivor exponents
+    l_j - theta . X_j from theta and builds each Newton system as identity
+    plus Gram matrix, so the library's reuse of exponents and in-place
+    diagonal must reproduce it bit for bit.  Raises RuntimeError where the library raises NotConverged.
     """
     pts = batch.points[batch.survivors]
+    offsets = batch.log_weights[batch.survivors]
     n, dim = batch.size, batch.dimension
 
     def exponents(theta):
-        return -(pts @ (np.asarray(theta, dtype=float) + batch.base_shift))
+        return offsets - pts @ theta
 
     def softmax(expo):
         w = np.exp(expo - expo.max())
@@ -255,7 +256,7 @@ def newton_shift(batch, tol=1e-8, max_iter=50):
         return (a.T @ np.linalg.solve(np.eye(k) + a @ a.T, a @ grad)
                 - grad)
 
-    theta = batch.base_shift.copy()
+    theta = np.zeros(dim)
     value = objective(theta)
     for iteration in range(max_iter):
         s = softmax(exponents(theta))

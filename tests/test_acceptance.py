@@ -157,7 +157,7 @@ def probe_batch(seed):
     points = gen.standard_normal((n, d))
     responses = points.sum(axis=1) / math.sqrt(d)
     level = next_level(responses, 0.2, np.inf)
-    batch = WeightedBatch.from_threshold(points, responses, level, np.zeros(d))
+    batch = WeightedBatch.from_threshold(points, responses, level, np.zeros(n))
     theta = gen.standard_normal(d) * 0.6
     return theta, batch
 
@@ -274,7 +274,7 @@ def test_criterion_09_dimension_reduction():
         responses = response_values(model, noise)
         level = next_level(responses, 0.10, np.inf)
         batch = WeightedBatch.from_threshold(noise, responses, level,
-                                             np.zeros(1010))
+                                             np.zeros(1000))
         selection = select_important(batch, max_dim=200, energy=0.99)
         recovered += set(range(10)) <= set(selection.indices.tolist())
     assert recovered >= int(0.95 * 50)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy import optimize
 
-from oracles import variance_criterion
+from oracles import (variance_criterion, variance_criterion_gradient,
+                     variance_criterion_hessian)
 from tailshift import (DomainError, LadderConfig, ModelSpec, NoSurvivors,
                        RngStream, WeightedBatch, estimate_to_precision,
                        response_values, run_ladder, select_important,
@@ -14,8 +16,7 @@ def pilot_batch(model, seed, n=1000, rho=0.10):
     noise = RngStream(seed, 1001).generator.standard_normal((n, model.dimension))
     responses = response_values(model, noise)
     level = next_level(responses, rho, np.inf)
-    return WeightedBatch.from_threshold(noise, responses, level,
-                                        base_shift=np.zeros(model.dimension))
+    return WeightedBatch.from_threshold(noise, responses, level, np.zeros(n))
 
 
 class TestSelectImportant:
@@ -39,15 +40,13 @@ class TestSelectImportant:
     def test_tie_break_prefers_low_indices(self):
         # one survivor with identical coordinates: every statistic ties
         points = np.ones((1, 8))
-        batch = WeightedBatch(points, np.array([5.0]), np.array([True]),
-                              np.zeros(8))
+        batch = WeightedBatch(points, np.array([True]), np.zeros(1))
         selection = select_important(batch, max_dim=5, energy=1.0)
         np.testing.assert_array_equal(selection.indices, [0, 1, 2, 3, 4])
 
     def test_full_selection_at_threshold_one(self):
         points = RngStream(4, 7).generator.standard_normal((1, 6))
-        batch = WeightedBatch(points, np.array([1.0]), np.array([True]),
-                              np.zeros(6))
+        batch = WeightedBatch(points, np.array([True]), np.zeros(1))
         selection = select_important(batch, max_dim=10, energy=1.0)
         assert selection.size == 6
 
@@ -55,7 +54,7 @@ class TestSelectImportant:
         model = ModelSpec.linear_family(20)
         noise = RngStream(5, 1001).generator.standard_normal((100, 20))
         batch = WeightedBatch.from_threshold(
-            noise, response_values(model, noise), 1e9, np.zeros(20))
+            noise, response_values(model, noise), 1e9, np.zeros(100))
         with pytest.raises(NoSurvivors):
             select_important(batch)
 
@@ -79,8 +78,8 @@ class TestSubspaceSolve:
         selection = select_important(batch, max_dim=1, energy=0.99)
         np.testing.assert_array_equal(selection.indices, [0])
         sub = solve_shift_in_subspace(batch, selection)
-        batch_1d = WeightedBatch(batch.points[:, :1], batch.responses,
-                                 batch.survivors, np.zeros(1))
+        batch_1d = WeightedBatch(batch.points[:, :1], batch.survivors,
+                                 batch.log_weights)
         full_1d = solve_optimal_shift(batch_1d)
         assert sub.theta[0] == pytest.approx(full_1d.theta[0], abs=1e-8)
 
@@ -102,14 +101,35 @@ class TestSubspaceSolve:
             assert (variance_criterion(sub.theta, batch)
                     >= variance_criterion(full.theta, batch) * (1 - 1e-8))
 
-    def test_base_shift_off_subset_rejected(self):
+    def test_draw_shift_off_subset_solves_the_restricted_criterion(self):
+        # rows drawn under a shift that is non-zero off the selection: their
+        # log weights carry it, and the subspace solve is the root of the
+        # criterion's gradient restricted to the selected coordinates
         model = ModelSpec.linear_family(20)
-        batch = pilot_batch(model, 9, n=500)
-        selection = select_important(batch, max_dim=5, energy=0.99)
-        off = np.setdiff1d(np.arange(20), selection.indices)[0]
-        batch.base_shift[off] = 0.5
-        with pytest.raises(DomainError, match="off the selected"):
-            solve_shift_in_subspace(batch, selection)
+        selection = select_important(pilot_batch(model, 9, n=500),
+                                     max_dim=5, energy=0.99)
+        idx = selection.indices
+        off = np.setdiff1d(np.arange(20), idx)
+        shift = np.zeros(20)
+        shift[idx] = 0.4
+        shift[off[:3]] = 0.5
+        noise = RngStream(9, 1002).generator.standard_normal((500, 20))
+        points = noise + shift
+        responses = response_values(model, points)
+        batch = WeightedBatch.from_threshold(
+            points, responses, next_level(responses, 0.10, np.inf),
+            -(noise @ shift) - 0.5 * (shift @ shift))
+        sub = solve_shift_in_subspace(batch, selection)
+        direct = optimize.root(
+            lambda t: variance_criterion_gradient(
+                selection.embed(t), batch)[idx],
+            x0=np.zeros(idx.size),
+            jac=lambda t: variance_criterion_hessian(
+                selection.embed(t), batch)[np.ix_(idx, idx)],
+            method="hybr", tol=1e-13)
+        assert direct.success
+        assert np.linalg.norm(sub.theta[idx] - direct.x) <= 1e-8
+        assert np.all(sub.theta[off] == 0.0)
 
 
 class TestDimredModes:

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -14,25 +13,38 @@ from tailshift import (ModelSpec, NoSurvivors, NotConverged, RngStream,
 from tailshift.meanshift import _newton_step
 
 
-def make_batch(seed, n=200, d=3, gamma=0.5, base_shift=None):
-    """Batch of standard normals with a linear response and threshold gamma."""
-    base = np.zeros(d) if base_shift is None else np.asarray(base_shift, float)
+def make_batch(seed, n=200, d=3, gamma=0.5, shift=None):
+    """Batch drawn from N(shift, I), the nominal law when ``shift`` is None,
+    with a linear response and threshold gamma."""
     noise = RngStream(seed, 77).generator.standard_normal((n, d))
-    points = noise + base
+    if shift is None:
+        points, log_weights = noise, np.zeros(n)
+    else:
+        shift = np.asarray(shift, float)
+        points = noise + shift
+        log_weights = -(noise @ shift) - 0.5 * (shift @ shift)
     responses = points.sum(axis=1) / np.sqrt(d)
-    return WeightedBatch.from_threshold(points, responses, gamma, base)
+    return WeightedBatch.from_threshold(points, responses, gamma, log_weights)
+
+
+def pooled(*batches):
+    """One batch of the rows of ``batches``, each keeping its log weight."""
+    return WeightedBatch(np.concatenate([b.points for b in batches]),
+                         np.concatenate([b.survivors for b in batches]),
+                         np.concatenate([b.log_weights for b in batches]))
 
 
 class TestVarianceCriterion:
-    def test_unit_at_base_shift_all_survivors(self):
+    def test_unit_at_zero_shift_all_survivors(self):
         batch = make_batch(1, gamma=-np.inf)
-        assert variance_criterion(batch.base_shift, batch) == pytest.approx(
+        assert variance_criterion(np.zeros(3), batch) == pytest.approx(
             1.0, rel=1e-14)
 
     def test_closed_form_identity_model(self):
         # 1-D closed form: v(t) = e^(t^2) Phi(-(gamma + t))
         noise = RngStream(2, 5).generator.standard_normal((1_000_000, 1))
-        batch = WeightedBatch.from_threshold(noise, noise[:, 0], 1.5, np.zeros(1))
+        batch = WeightedBatch.from_threshold(noise, noise[:, 0], 1.5,
+                                             np.zeros(len(noise)))
         expected = oracles.shift_second_moment(1.0, 1.5)
         got = variance_criterion(np.array([1.0]), batch)
         assert got == pytest.approx(expected, rel=0.02)
@@ -108,8 +120,7 @@ class TestDerivatives:
 
     def test_single_survivor_gradient_vanishes_at_the_point(self):
         points = np.array([[0.4, -0.2], [3.0, 1.0]])
-        batch = WeightedBatch(points, np.array([0.0, 5.0]),
-                              np.array([False, True]), np.zeros(2))
+        batch = WeightedBatch(points, np.array([False, True]), np.zeros(2))
         grad = variance_criterion_gradient(points[1], batch)
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
@@ -128,7 +139,7 @@ class TestSolver:
     def test_single_point_batch(self):
         target = np.array([1.3, -0.7, 0.2])
         points = np.tile(target, (5, 1))
-        batch = WeightedBatch(points, np.ones(5), np.ones(5, bool), np.zeros(3))
+        batch = WeightedBatch(points, np.ones(5, bool), np.zeros(5))
         sol = solve_optimal_shift(batch)
         np.testing.assert_allclose(sol.theta, target, atol=1e-10)
 
@@ -136,14 +147,15 @@ class TestSolver:
         # full-sample survivor batch at gamma = 1.5; the solved shift must
         # sit near the closed-form minimizer of e^(t^2) Phi(-(1.5 + t))
         noise = RngStream(6, 5).generator.standard_normal((1_000_000, 1))
-        batch = WeightedBatch.from_threshold(noise, noise[:, 0], 1.5, np.zeros(1))
+        batch = WeightedBatch.from_threshold(noise, noise[:, 0], 1.5,
+                                             np.zeros(len(noise)))
         sol = solve_optimal_shift(batch)
         argmin = oracles.optimal_shift_1d(1.5)
         assert argmin == pytest.approx(1.78, abs=0.02)
         assert abs(sol.theta[0] - argmin) <= 0.05
 
     @pytest.mark.parametrize("base", [0.0, 4.0, 5.5])
-    def test_solved_shift_does_not_depend_on_base_shift(self, base):
+    def test_solved_shift_does_not_depend_on_the_draw_shift(self, base):
         # the survivors of a batch drawn under N(base, 1) at gamma = 4.753,
         # drawn exactly from N(base, 1) conditioned on x >= gamma (the
         # non-survivors never enter the solve); whatever the base, the
@@ -151,8 +163,8 @@ class TestSolver:
         gamma, n = 4.753, 20_000
         u = RngStream(7, int(10 * base)).generator.random(n)
         points = base + stats.norm.isf(u * stats.norm.sf(gamma - base))
-        batch = WeightedBatch(points[:, None], points, np.ones(n, bool),
-                              np.array([base]))
+        batch = WeightedBatch(points[:, None], np.ones(n, bool),
+                              -base * points + 0.5 * base * base)
         argmin = oracles.optimal_shift_1d(gamma)
         assert argmin == pytest.approx(4.855, abs=1e-3)
         assert abs(solve_optimal_shift(batch).theta[0] - argmin) <= 0.05
@@ -164,17 +176,21 @@ class TestSolver:
 
     def test_matches_direct_criterion_minimizer(self):
         # independent route: root-find the raw criterion's gradient, for
-        # batches drawn under no shift and under a base shift
-        for seed, base in itertools.product(range(3), (None, [0.6, -0.4])):
-            batch = make_batch(seed, n=50, d=2, gamma=0.8, base_shift=base)
-            sol = solve_optimal_shift(batch, tol=1e-12)
-            direct = optimize.root(
-                lambda t: variance_criterion_gradient(t, batch),
-                x0=np.zeros(2),
-                jac=lambda t: variance_criterion_hessian(t, batch),
-                method="hybr", tol=1e-13)
-            assert direct.success
-            assert np.linalg.norm(sol.theta - direct.x) <= 1e-8
+        # batches drawn under no shift, under one shift, and pooled from the
+        # rows of two shifts, each row with its own log weight
+        for seed in range(3):
+            shifted = make_batch(seed, n=50, d=2, gamma=0.8, shift=[0.6, -0.4])
+            other = make_batch(seed + 3, n=50, d=2, gamma=0.8, shift=[1.1, 0.2])
+            for batch in (make_batch(seed, n=50, d=2, gamma=0.8), shifted,
+                          pooled(shifted, other)):
+                sol = solve_optimal_shift(batch, tol=1e-12)
+                direct = optimize.root(
+                    lambda t: variance_criterion_gradient(t, batch),
+                    x0=np.zeros(2),
+                    jac=lambda t: variance_criterion_hessian(t, batch),
+                    method="hybr", tol=1e-13)
+                assert direct.success
+                assert np.linalg.norm(sol.theta - direct.x) <= 1e-8
 
     def test_newton_iteration_count_and_gradient(self):
         batch = make_batch(9, n=500, gamma=1.2)
