@@ -7,9 +7,10 @@ from scipy import optimize, stats
 import oracles
 from oracles import (variance_criterion, variance_criterion_gradient,
                      variance_criterion_hessian)
-from tailshift import (ModelSpec, NoSurvivors, NotConverged, RngStream,
-                       WeightedBatch, log_objective, log_objective_gradient,
-                       log_objective_hessian, solve_optimal_shift)
+from tailshift import (DomainError, ModelSpec, NoSurvivors, NotConverged,
+                       RngStream, WeightedBatch, log_objective,
+                       log_objective_gradient, log_objective_hessian,
+                       solve_optimal_shift)
 from tailshift.meanshift import _newton_step
 
 
@@ -207,6 +208,15 @@ class TestSolver:
         batch = make_batch(11, gamma=50.0)
         with pytest.raises(NoSurvivors):
             solve_optimal_shift(batch)
+
+    @pytest.mark.parametrize("field", ["points", "responses", "log_weights"])
+    def test_non_finite_input_rejected(self, field):
+        rows = dict(points=np.zeros((3, 2)), responses=np.zeros(3),
+                    log_weights=np.zeros(3))
+        rows[field].flat[1] = np.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            WeightedBatch.from_threshold(rows["points"], rows["responses"],
+                                         0.0, rows["log_weights"])
 
 
 def recorded_ladder_batches(monkeypatch):
