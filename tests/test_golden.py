@@ -8,8 +8,9 @@ root:
     PYTHONPATH=src python tests/test_golden.py [NAME ...]
 
 With no name every case is rewritten.  Each file whose bytes changed is
-printed; for a JSON file the line also gives the largest relative change
-among its numbers and says whether any integer (a run count) changed.  The
+printed; for a JSON file the line also names each number path removed or
+added, gives the largest relative change among the numbers both files hold
+and says whether any of their integers (a run count) changed.  The
 d=110 cases depend on the OpenBLAS thread count, so rewrite
 only the cases a change moves.
 """
@@ -95,14 +96,17 @@ def json_numbers(doc, path=""):
 
 
 def json_moves(old, new):
-    """How the numbers of a rewritten JSON report moved: its largest
-    relative change and where, and whether any integer changed."""
+    """How the numbers of a rewritten JSON report moved: each number path
+    removed or added, then the largest relative change among the paths
+    both hold and where, and whether any of their integers changed."""
     before = dict(json_numbers(json.loads(old)))
     after = dict(json_numbers(json.loads(new)))
-    if before.keys() != after.keys():
-        return "the set of numbers changed"
+    notes = [f"removed {path}" for path in before if path not in after]
+    notes += [f"added {path}" for path in after if path not in before]
     largest, where, integers = 0.0, None, []
     for path, a in before.items():
+        if path not in after:
+            continue
         b = after[path]
         if a == b or (math.isnan(a) and math.isnan(b)):
             continue
@@ -111,11 +115,26 @@ def json_moves(old, new):
         rel = abs(b - a) / abs(a) if a else math.inf
         if not rel <= largest:
             largest, where = rel, path
-    moved = (f"largest relative change {largest:.2g} at {where}"
-             if where else "no number moved")
-    if integers:
-        return f"{moved}; integers changed: {', '.join(integers)}"
-    return f"{moved}; no integer changed"
+    notes.append(f"largest relative change {largest:.2g} at {where}"
+                 if where else "no number moved")
+    notes.append(f"integers changed: {', '.join(integers)}" if integers
+                 else "no integer changed")
+    return "; ".join(notes)
+
+
+def test_json_moves_names_a_removed_number():
+    old = json.dumps({"config": {"rho": 0.1, "seed": 1}, "runs": 5})
+    new = json.dumps({"config": {"seed": 1}, "runs": 5})
+    assert json_moves(old, new) == (
+        "removed config.rho; no number moved; no integer changed")
+
+
+def test_json_moves_gives_the_largest_move_and_integer_changes():
+    old = json.dumps({"a": 1.0, "b": [2.0, 4.0], "runs": 10, "gamma": None})
+    new = json.dumps({"a": 1.5, "b": [2.0, 3.0], "runs": 12, "gamma": 2.0})
+    assert json_moves(old, new) == (
+        "added gamma; largest relative change 0.5 at a; "
+        "integers changed: runs 10 -> 12")
 
 
 def write_golden(names):
