@@ -52,7 +52,6 @@ class RunConfig:
     p: float | None = None
     precision: float = 0.10
     confidence: float = 0.95
-    rho: float = 0.10
     max_levels: int = 30
     budget: int = 1_000_000
     seed: int = 0
@@ -74,8 +73,6 @@ class RunConfig:
             raise ConfigError(f"precision: must lie in (0, 1), got {self.precision}")
         if not 0.0 < self.confidence < 1.0:
             raise ConfigError(f"confidence: must lie in (0, 1), got {self.confidence}")
-        if not 0.0 < self.rho < 1.0:
-            raise ConfigError(f"rho: must lie in (0, 1), got {self.rho}")
         if self.max_levels < 1:
             raise ConfigError(f"max_levels: must be >= 1, got {self.max_levels}")
         if self.budget < 1:

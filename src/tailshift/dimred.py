@@ -15,6 +15,7 @@ from .errors import DomainError, NoSurvivors
 from .meanshift import solve_optimal_shift
 
 SELECTION_CAP = 200         # most coordinates a selection keeps
+AUGMENT_SIG_LEVEL = 3.5     # augment_selection's floor, in standard errors
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ def select_important(batch, max_dim=SELECTION_CAP, energy=0.99,
                              dimension=batch.dimension)
 
 
-def augment_selection(selection, batch, max_dim=SELECTION_CAP, sig_level=3.5):
+def augment_selection(selection, batch):
     """Grow a selection with coordinates a fresh batch shows to matter.
 
     Forward selection only: coordinates are added and never removed.  The
@@ -88,10 +89,9 @@ def augment_selection(selection, batch, max_dim=SELECTION_CAP, sig_level=3.5):
     Returns the original selection when nothing new qualifies or the cap
     would be exceeded.
     """
-    extra = select_important(batch, max_dim=max_dim, energy=1.0,
-                             sig_level=sig_level)
+    extra = select_important(batch, energy=1.0, sig_level=AUGMENT_SIG_LEVEL)
     merged = np.union1d(selection.indices, extra.indices)
-    if merged.size == selection.size or merged.size > max_dim:
+    if merged.size == selection.size or merged.size > SELECTION_CAP:
         return selection
     return SubspaceSelection(indices=merged, dimension=selection.dimension)
 

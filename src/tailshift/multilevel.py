@@ -3,7 +3,7 @@
 For a very rare event, solving for the optimal shift directly is hopeless
 because a feasible-size batch contains no survivor.  The ladder raises an
 intermediate level one batch at a time: each batch is drawn under the shift
-solved at the previous level, the next level is the top-rho order statistic
+solved at the previous level, the next level is the top-RHO order statistic
 of its responses (capped at the target), and the shift is re-solved on the
 new survivors.  Events at each level are therefore never rare.  Final,
 independent batches under the last shift produce the unbiased probability
@@ -57,6 +57,9 @@ DIMRED_THRESHOLD = 500      # dimred="auto" selects variables when d exceeds it
 # STALL_LIMIT consecutive stalls end the ladder
 PROGRESS_FLOOR = 1e-9
 STALL_LIMIT = 3
+# the fraction of a batch kept above each ladder level (Au & Beck 2001,
+# Prob. Eng. Mech. 16)
+RHO = 0.10
 # the terms of level_size, the runs of every ladder level
 SURVIVORS_PER_DIM = 2
 LEVEL_FLOOR = 300
@@ -87,15 +90,15 @@ def mc_equivalent_runs(p, rel_half_width, confidence=0.95):
     return z * z * max(1.0 - p, 0.0) / (p * rel_half_width * rel_half_width)
 
 
-def level_size(dimension, rho):
-    """Runs per ladder level for a d-dimensional model keeping the top rho.
+def level_size(dimension):
+    """Runs per ladder level for a d-dimensional model keeping the top RHO.
 
-    The smallest n with rho * n >= SURVIVORS_PER_DIM * d, kept inside
+    The smallest n with RHO * n >= SURVIVORS_PER_DIM * d, kept inside
     [LEVEL_FLOOR, LEVEL_CAP].  Variable selection does not lower it: the
     selection is made from full-dimension survivors.
     """
     # small slack so exact-fraction quotients do not round up, as in next_level
-    need = math.ceil(SURVIVORS_PER_DIM * dimension / rho - 1e-9)
+    need = math.ceil(SURVIVORS_PER_DIM * dimension / RHO - 1e-9)
     return min(LEVEL_CAP, max(LEVEL_FLOOR, need))
 
 
@@ -103,13 +106,10 @@ def level_size(dimension, rho):
 class LadderConfig:
     """Settings of the exploration ladder."""
 
-    rho: float = 0.10
     max_levels: int = 30
     dimred: str = "auto"        # "on", "off", or "auto" (on when d > DIMRED_THRESHOLD)
 
     def validate(self):
-        if not 0.0 < self.rho < 1.0:
-            raise DomainError("rho must lie in (0, 1)")
         if self.max_levels < 1:
             raise DomainError("max_levels must be at least 1")
         if self.dimred not in DIMRED_MODES:
@@ -240,23 +240,21 @@ class TailSample:
         return merged
 
 
-def next_level(responses, rho, gamma):
-    """Next ladder level: the top-rho order statistic, capped at gamma.
+def next_level(responses, gamma):
+    """Next ladder level: the top-RHO order statistic, capped at gamma.
 
-    Uses the sorted value at index ceil((1 - rho) * n), which guarantees at
-    least ceil(rho * n) - 1 survivors at the returned level.
+    Uses the sorted value at index ceil((1 - RHO) * n), which guarantees at
+    least ceil(RHO * n) - 1 survivors at the returned level.
     """
     responses = np.asarray(responses, dtype=float)
     n = responses.size
     if n == 0:
         raise DomainError("responses must be nonempty")
-    if not 0.0 < rho < 1.0:
-        raise DomainError("rho must lie in (0, 1)")
     if np.all(responses == responses[0]) and responses[0] < gamma:
         raise DegenerateBatch(
             "all responses identical and below the target level")
     # small slack so exact-fraction products do not round up to the next index
-    idx = min(n - 1, int(math.ceil((1.0 - rho) * n - 1e-9)))
+    idx = min(n - 1, int(math.ceil((1.0 - RHO) * n - 1e-9)))
     level = float(np.partition(responses, idx)[idx])
     return min(level, gamma)
 
@@ -356,11 +354,11 @@ def run_ladder(model, config, rng, pool=None, level_rule=None,
                budget=math.inf, gamma=None):
     """Run the exploration ladder; returns the final shift and the trace.
 
-    Every level draws ``level_size(model.dimension, config.rho)`` runs.
+    Every level draws ``level_size(model.dimension)`` runs.
     ``level_rule(responses, weights) -> (level, done)`` picks each level from
     a batch's oriented responses and likelihood-ratio weights; the ladder
     stops once the shift is solved at a level marked done.  The default rule
-    is the top-rho statistic capped at ``gamma``, done at gamma.
+    is the top-RHO statistic capped at ``gamma``, done at gamma.
     Trace rows carry the 95% relative half-width their ``ci95_rel`` column
     names, whatever confidence the final estimate uses.
     Raises MaxLevelsExceeded (carrying the trace) past ``max_levels`` or,
@@ -378,10 +376,10 @@ def run_ladder(model, config, rng, pool=None, level_rule=None,
         stall_floor = PROGRESS_FLOOR * max(1.0, abs(gamma_o))
 
         def level_rule(responses, weights):
-            level = next_level(responses, config.rho, gamma_o)
+            level = next_level(responses, gamma_o)
             return level, level >= gamma_o
     d = model.dimension
-    n = level_size(d, config.rho)
+    n = level_size(d)
     z = z_value(0.95)
     theta = np.zeros(d)
     trace = LadderTrace()
@@ -491,13 +489,13 @@ def report_from_sample(sample, confidence=0.95, runs_exploration=0,
                            runs_exploration, gamma, sample.theta)
 
 
-def levels_capped(dimension, rho, selection=None):
+def levels_capped(dimension, selection=None):
     """Whether ``level_size`` capped the ladder's levels below
     SURVIVORS_PER_DIM survivors per solved coordinate:
-    SURVIVORS_PER_DIM * k / rho > LEVEL_CAP, k the selection's size when
+    SURVIVORS_PER_DIM * k / RHO > LEVEL_CAP, k the selection's size when
     variables are selected and d otherwise."""
     k = dimension if selection is None else selection.size
-    return SURVIVORS_PER_DIM * k / rho > LEVEL_CAP
+    return SURVIVORS_PER_DIM * k / RHO > LEVEL_CAP
 
 
 def _resolved_shift(points, batch, selection):
@@ -510,13 +508,12 @@ def _resolved_shift(points, batch, selection):
     return _solve_level(hits, selection).theta
 
 
-def pooled_batches(model, gamma, trace, rho, m, rng, stream, room,
-                   pool=None):
-    """The final phase after the ladder ``trace``: batches of m runs, the
-    first drawn under the ladder's last shift.
+def pooled_batches(model, gamma, trace, rng, stream, room, pool=None):
+    """The final phase after the ladder ``trace``: batches of FINAL_BATCH
+    runs, the first drawn under the ladder's last shift.
 
     Batch i comes from stream ``stream + i``.  When the ladder's levels were
-    capped (``levels_capped`` at ``rho``), the shift is solved once more, as
+    capped (``levels_capped``), the shift is solved once more, as
     the ladder solves a level under its selection, on the first batch's hits
     at its level, and every later batch is drawn under that shift; the
     solve runs only when a second batch fits.  Each batch keeps the log
@@ -526,13 +523,13 @@ def pooled_batches(model, gamma, trace, rho, m, rng, stream, room,
     runs past ``room``.
     """
     theta = trace.levels[-1].theta
-    resolve = levels_capped(model.dimension, rho, trace.selection)
+    resolve = levels_capped(model.dimension, trace.selection)
     points = None
-    for i in range(room // m):
+    for i in range(room // FINAL_BATCH):
         if points is not None:
             theta = _resolved_shift(points, batch, trace.selection)
             points = None
-        batch = draw_tail_sample(model, gamma, theta, m,
+        batch = draw_tail_sample(model, gamma, theta, FINAL_BATCH,
                                  rng.child(stream + i), pool)
         if resolve and i == 0:
             points = batch.points
@@ -567,9 +564,8 @@ def estimate_to_precision(model, gamma, config, target, rng,
                              theta)
     batches = []
     sums = None
-    for batch in pooled_batches(model, gamma, trace, config.rho, FINAL_BATCH,
-                                rng, FINAL_STREAM, budget - exploration,
-                                pool):
+    for batch in pooled_batches(model, gamma, trace, rng, FINAL_STREAM,
+                                budget - exploration, pool):
         batches.append(batch)
         sums = slab_sums(batch.labels, exceedance_terms(
             batch.responses, batch.weights, batch.gamma), sums)

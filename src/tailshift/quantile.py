@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import BudgetExhausted, DomainError, NonMonotoneBracket
 from .model import oriented_response
-from .multilevel import (FINAL_BATCH, QUANTILE_STREAM, SLABS, next_level,
-                         pooled_batches, row_scale, run_ladder, slab_sums,
+from .multilevel import (QUANTILE_STREAM, SLABS, next_level, pooled_batches,
+                         row_scale, run_ladder, slab_sums,
                          stratified_exceedance, weighted_exceedance, z_value)
 
 # refinement is driven this much tighter than the configured probability
@@ -90,15 +90,15 @@ def _merge_batch(desc, batch):
     return tuple(column[order] for column in pooled)
 
 
-def _bracket_rule(p, rho):
+def _bracket_rule(p):
     """Ladder level rule that brackets the quantile of probability p.
 
-    Levels follow the uncapped top-rho statistic until its weighted
+    Levels follow the uncapped top-RHO statistic until its weighted
     exceedance falls to p; that batch's level is where the weighted survival
     curve crosses p, and it ends the ladder.
     """
     def rule(responses, weights):
-        tentative = next_level(responses, rho, math.inf)
+        tentative = next_level(responses, math.inf)
         exceed, _ = weighted_exceedance(responses, weights, tentative)
         if exceed > p:
             return tentative, False
@@ -159,7 +159,7 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
         raise DomainError("target relative half-width must lie in (0, 1)")
     z = z_value(confidence)
     theta, trace = run_ladder(model, config, rng, pool,
-                              level_rule=_bracket_rule(p, config.rho),
+                              level_rule=_bracket_rule(p),
                               budget=budget)
     exploration = trace.exploration_runs
     # the last ladder level brackets p; refinement batches are drawn there
@@ -173,9 +173,8 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
     # the sorted pool: responses, weights, slabs
     desc = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
     counts = np.zeros(SLABS)
-    for batch in pooled_batches(model, pivot_gamma, trace, config.rho,
-                                FINAL_BATCH, rng, QUANTILE_STREAM,
-                                budget - exploration, pool):
+    for batch in pooled_batches(model, pivot_gamma, trace, rng,
+                                QUANTILE_STREAM, budget - exploration, pool):
         theta = batch.theta     # the report's shift is the latest batch's
         m += batch.size
         counts += np.bincount(batch.labels, minlength=SLABS)

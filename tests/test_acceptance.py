@@ -156,7 +156,9 @@ def probe_batch(seed):
     n = int(gen.integers(60, 200))
     points = gen.standard_normal((n, d))
     responses = points.sum(axis=1) / math.sqrt(d)
-    level = next_level(responses, 0.2, np.inf)
+    # the top-0.2 order statistic, as the ladder takes its top RHO
+    idx = min(n - 1, math.ceil((1.0 - 0.2) * n - 1e-9))
+    level = float(np.sort(responses)[idx])
     batch = WeightedBatch.from_threshold(points, responses, level, np.zeros(n))
     theta = gen.standard_normal(d) * 0.6
     return theta, batch
@@ -272,7 +274,7 @@ def test_criterion_09_dimension_reduction():
     for seed in range(50):
         noise = RngStream(seed, 1001).generator.standard_normal((1000, 1010))
         responses = response_values(model, noise)
-        level = next_level(responses, 0.10, np.inf)
+        level = next_level(responses, np.inf)
         batch = WeightedBatch.from_threshold(noise, responses, level,
                                              np.zeros(1000))
         selection = select_important(batch, max_dim=200, energy=0.99)

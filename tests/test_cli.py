@@ -85,7 +85,7 @@ class TestConfigValidation:
 
     # settings replaced by a rule (n_per_level) or a constant (the rest)
     REMOVED_SETTINGS = ["n_per_level", "batch", "dimred_max", "dimred_energy",
-                        "pilot"]
+                        "pilot", "rho"]
 
     @pytest.mark.parametrize("name", REMOVED_SETTINGS)
     def test_removed_setting_flag_rejected(self, capsys, name):
@@ -210,7 +210,7 @@ class TestConfigValidation:
         from tailshift.cli import _build_parser
         sample = {"model": "builtin:linear", "dim": 12, "tail": "left",
                   "gamma": -2.5, "p": 0.25, "precision": 0.2,
-                  "confidence": 0.9, "rho": 0.2, "max_levels": 7,
+                  "confidence": 0.9, "max_levels": 7,
                   "budget": 5000, "seed": 9, "workers": 2, "dimred": "off",
                   "strata": 4, "n_total": 800, "format": "csv",
                   "out": "report.csv"}
@@ -223,7 +223,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("flag, value", [
         ("--dim", "0"), ("--precision", "1.0"), ("--confidence", "0"),
-        ("--rho", "1.5"), ("--max-levels", "0"),
+        ("--max-levels", "0"),
         ("--budget", "0"), ("--workers", "0"), ("--strata", "1"),
         ("--n-total", "39")])
     def test_setting_out_of_range(self, capsys, flag, value):

@@ -11,11 +11,11 @@ from tailshift import (DomainError, LadderConfig, ModelSpec, NoSurvivors,
 from tailshift.multilevel import next_level
 
 
-def pilot_batch(model, seed, n=1000, rho=0.10):
-    """First ladder level: nominal batch thresholded at its top-rho level."""
+def pilot_batch(model, seed, n=1000):
+    """First ladder level: nominal batch thresholded at its top-RHO level."""
     noise = RngStream(seed, 1001).generator.standard_normal((n, model.dimension))
     responses = response_values(model, noise)
-    level = next_level(responses, rho, np.inf)
+    level = next_level(responses, np.inf)
     return WeightedBatch.from_threshold(noise, responses, level, np.zeros(n))
 
 
@@ -117,7 +117,7 @@ class TestSubspaceSolve:
         points = noise + shift
         responses = response_values(model, points)
         batch = WeightedBatch.from_threshold(
-            points, responses, next_level(responses, 0.10, np.inf),
+            points, responses, next_level(responses, np.inf),
             -(noise @ shift) - 0.5 * (shift @ shift))
         sub = solve_shift_in_subspace(batch, selection)
         direct = optimize.root(

@@ -59,8 +59,7 @@ def reference_prob(model, gamma, target, rng, budget=1_000_000):
     sample = None
     labels = np.empty(0, dtype=np.intp)
     for i, batch in enumerate(pooled_batches(
-            model, gamma, trace, LadderConfig().rho, FINAL_BATCH, rng,
-            FINAL_STREAM, budget - exploration)):
+            model, gamma, trace, rng, FINAL_STREAM, budget - exploration)):
         sample = batch if sample is None else sample.merge(batch)
         labels = np.concatenate([
             labels, redrawn_labels(rng, FINAL_STREAM, i, batch.theta)])
@@ -78,7 +77,7 @@ def reference_quantile(model, p, rng, precision=0.10, budget=1_000_000):
     config = LadderConfig()
     z = z_value(0.95)
     theta, trace = run_ladder(model, config, rng,
-                              level_rule=_bracket_rule(p, config.rho))
+                              level_rule=_bracket_rule(p))
     exploration = trace.exploration_runs
     pivot_gamma = trace.levels[-1].gamma
     widen = 0
@@ -86,8 +85,8 @@ def reference_quantile(model, p, rng, precision=0.10, budget=1_000_000):
     sample = None
     labels = np.empty(0, dtype=np.intp)
     for i, batch in enumerate(pooled_batches(
-            model, pivot_gamma, trace, config.rho, FINAL_BATCH, rng,
-            QUANTILE_STREAM, budget - exploration)):
+            model, pivot_gamma, trace, rng, QUANTILE_STREAM,
+            budget - exploration)):
         sample = batch if sample is None else sample.merge(batch)
         theta = batch.theta
         labels = np.concatenate([
@@ -302,16 +301,15 @@ def test_carried_slab_sums_equal_one_pass_over_the_pool(parts):
 
 
 def test_levels_are_capped_only_past_the_level_cap():
-    # 2 k / rho > 1000 at the default rho = 0.1: d=110 yes; d=10, d=50 and
-    # a d=1010 selection of at most 50 coordinates no
-    rho = LadderConfig().rho
-    assert levels_capped(110, rho)
-    assert not levels_capped(10, rho)
-    assert not levels_capped(50, rho)
+    # 2 k / RHO > 1000 at RHO = 0.1: d=110 yes; d=10, d=50 and a d=1010
+    # selection of at most 50 coordinates no
+    assert levels_capped(110)
+    assert not levels_capped(10)
+    assert not levels_capped(50)
     for size in (12, 18, 50):
         selection = SubspaceSelection(np.arange(size), 1010)
-        assert not levels_capped(1010, rho, selection)
-    assert levels_capped(1010, rho, SubspaceSelection(np.arange(51), 1010))
+        assert not levels_capped(1010, selection)
+    assert levels_capped(1010, SubspaceSelection(np.arange(51), 1010))
 
 
 @pytest.mark.parametrize("d", [10, 110, 1010])
@@ -332,11 +330,9 @@ def ladder_and_batches(model, gamma, seed, room):
     """The ladder's shift and trace, and the final batches that fit
     ``room``."""
     rng = RngStream(seed)
-    config = LadderConfig()
-    theta, trace = run_ladder(model, config, rng, gamma=gamma)
-    return theta, trace, list(pooled_batches(
-        model, gamma, trace, config.rho, FINAL_BATCH, rng, FINAL_STREAM,
-        room))
+    theta, trace = run_ladder(model, LadderConfig(), rng, gamma=gamma)
+    return theta, trace, list(pooled_batches(model, gamma, trace, rng,
+                                             FINAL_STREAM, room))
 
 
 def test_each_batch_keeps_its_own_shift_and_labels():

@@ -11,7 +11,7 @@ from tailshift import (BudgetExhausted, DegenerateBatch, DomainError,
                        estimate_to_precision, mc_equivalent_runs, next_level,
                        report_from_sample, run_ladder)
 from tailshift.cli import _report_dict, emit_report
-from tailshift.multilevel import estimate_report, level_size
+from tailshift.multilevel import RHO, estimate_report, level_size
 
 # an exec: simulator whose response is min(x1, 3)
 CAPPED_AT_3 = """\
@@ -31,43 +31,40 @@ while True:
 class TestNextLevel:
     def test_order_statistic_convention(self):
         responses = np.arange(1.0, 101.0)
-        assert next_level(responses, 0.10, 1e6) == 91.0
+        assert next_level(responses, 1e6) == 91.0
 
     def test_matches_sorted_oracle(self):
         responses = RngStream(0).generator.standard_normal(137)
-        rho = 0.25
-        idx = min(136, math.ceil((1 - rho) * 137 - 1e-9))
-        assert next_level(responses, rho, 1e6) == sorted(responses)[idx]
+        idx = min(136, math.ceil((1 - RHO) * 137 - 1e-9))
+        assert idx == 124
+        assert next_level(responses, 1e6) == sorted(responses)[idx]
 
     def test_capped_at_gamma(self):
         responses = np.arange(1.0, 101.0)
-        assert next_level(responses, 0.10, 50.0) == 50.0
+        assert next_level(responses, 50.0) == 50.0
 
-    def test_median_when_below_gamma(self):
+    def test_top_decile_when_below_gamma(self):
+        # 0.9 * 101 = 90.9 rounds up to index 91
         responses = np.arange(1.0, 102.0)
-        level = next_level(responses, 0.5, 1e6)
-        assert level == 52.0
+        level = next_level(responses, 1e6)
+        assert level == 92.0
         assert level < 1e6
 
     def test_degenerate_batch(self):
         with pytest.raises(DegenerateBatch):
-            next_level(np.full(100, 3.3), 0.1, 10.0)
+            next_level(np.full(100, 3.3), 10.0)
 
-    def test_bad_rho(self):
-        with pytest.raises(DomainError):
-            next_level(np.arange(10.0), 1.5, 1.0)
+
+LEVEL_SIZES = [(1, 300), (15, 300), (16, 320), (20, 400), (30, 600),
+               (49, 980), (50, 1000), (110, 1000), (1010, 1000)]
 
 
 class TestLevelSize:
-    @pytest.mark.parametrize("d, rho, n", [
-        (1, 0.1, 300), (15, 0.1, 300), (16, 0.1, 320), (20, 0.1, 400),
-        (30, 0.1, 600), (49, 0.1, 980), (50, 0.1, 1000), (110, 0.1, 1000),
-        (1010, 0.1, 1000), (30, 0.2, 300), (40, 0.2, 400), (100, 0.2, 1000),
-        (101, 0.2, 1000), (80, 0.5, 320), (250, 0.5, 1000),
-        # 2 * 84 / 0.35 is 480.00000000000006 in floating point
-        (84, 0.35, 480)])
-    def test_table(self, d, rho, n):
-        assert level_size(d, rho) == n
+    # each id names the kept fraction RHO the table's sizes follow from
+    @pytest.mark.parametrize("d, n", LEVEL_SIZES,
+                             ids=[f"{d}-{RHO}-{n}" for d, n in LEVEL_SIZES])
+    def test_table(self, d, n):
+        assert level_size(d) == n
 
     def test_ladder_draws_the_rule_size(self):
         model = ModelSpec.linear_family(20)
@@ -107,10 +104,10 @@ class TestRunLadder:
 
     def test_survivor_floor(self):
         model = ModelSpec.identity(1)
-        config = LadderConfig(rho=0.10)
+        config = LadderConfig()
         for seed in range(10):
             _, trace = run_ladder(model, config, RngStream(seed), gamma=4.0)
-            floor = math.ceil(config.rho * level_size(1, config.rho)) - 1
+            floor = math.ceil(RHO * level_size(1)) - 1
             assert floor == 29
             assert all(lvl.survivor_count >= floor for lvl in trace.levels)
 

@@ -93,7 +93,7 @@ class TestBracketRule:
         # the tentative level's exceedance is below p, yet the whole
         # batch's weight is too: no level of it has exceedance p
         from tailshift.quantile import _bracket_rule
-        rule = _bracket_rule(0.5, 0.10)
+        rule = _bracket_rule(0.5)
         with pytest.raises(NonMonotoneBracket):
             rule(np.arange(100.0), np.full(100, 1e-9))
 
