@@ -156,7 +156,7 @@ def probe_batch(seed):
     n = int(gen.integers(60, 200))
     points = gen.standard_normal((n, d))
     responses = points.sum(axis=1) / math.sqrt(d)
-    # the top-0.2 order statistic, as the ladder takes its top RHO
+    # the order statistic that keeps the top 0.2 of the batch
     idx = min(n - 1, math.ceil((1.0 - 0.2) * n - 1e-9))
     level = float(np.sort(responses)[idx])
     batch = WeightedBatch.from_threshold(points, responses, level, np.zeros(n))
