@@ -6,7 +6,10 @@ next level drops below p, at which point the target quantile lies inside the
 current batch's range.  The shift solved there then drives a refinement
 phase that pools fresh batches and inverts the pooled survival curve at p;
 where the ladder's levels were capped, the first batch re-solves the shift
-for the rest (``multilevel.pooled_batches``).
+for the rest (``multilevel.pooled_batches``).  The refinement stops once the
+probability interval at the iterate is at most ``ROUND_TRIP_SHARE`` of the
+interval a ``FINAL_BATCH``-run round trip through ``prob`` would report
+there, and at most the precision.
 That curve is post-stratified over the final phase's slabs along theta
 (``multilevel.stratified_exceedance``): a row of slab i weighs
 w N / (I n_i), so the curve is sum_i (1/I) mean_i(w 1{r >= t}).  The pool
@@ -27,14 +30,15 @@ import numpy as np
 
 from .errors import BudgetExhausted, DomainError, NonMonotoneBracket
 from .model import oriented_response
-from .multilevel import (QUANTILE_STREAM, SLABS, next_level, pooled_batches,
-                         row_scale, run_ladder, slab_sums,
+from .multilevel import (FINAL_BATCH, QUANTILE_STREAM, SLABS, next_level,
+                         pooled_batches, row_scale, run_ladder, slab_sums,
                          stratified_exceedance, weighted_exceedance, z_value)
 
-# refinement is driven this much tighter than the configured probability
-# precision so that round trips through the probability estimator stay
-# inside their own interval
-REFINE_FACTOR = 0.3
+# the refinement stops once its probability interval at the iterate is at
+# most this share of the interval a FINAL_BATCH-run round trip through
+# ``prob`` would report there; 0.7 let criterion 05's round trips fall below
+# 45 of 50
+ROUND_TRIP_SHARE = 0.5
 
 _WIDEN_LIMIT = 5
 
@@ -113,6 +117,19 @@ def _bracket_rule(p):
     return rule
 
 
+def _round_trip_width(hit_sum, hit_square_sum, m, z):
+    """Relative half-width of a FINAL_BATCH-run iid estimate of the hit
+    probability, from the hits' weight sum and sum of squared weights among
+    m runs drawn under the same shift.
+
+    The per-run relative variance v = (sum w^2 / m) / p^2 - 1, with
+    p = sum w / m, gives z sqrt(v / FINAL_BATCH).
+    """
+    p = hit_sum / m
+    v = hit_square_sum / m / (p * p) - 1.0
+    return z * math.sqrt(max(v, 0.0) / FINAL_BATCH)
+
+
 def _slope_at(responses, weights, level, g_at):
     """Slope -dS/dt of the weighted survival curve S at ``level``.
 
@@ -144,12 +161,17 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
 
     Returns (QuantileReport, LadderTrace).  Refinement batches hold
     FINAL_BATCH runs each.  After every batch the iterate inverts the
-    pool's post-stratified survival curve at p.  The refinement stops once
-    the post-stratified probability estimate at that iterate reaches
-    REFINE_FACTOR * precision relative half-width, reduced once per batch
-    from the per-slab sums of the hits, a prefix of the pool sorted by
-    descending response.  The quantile interval is that probability
-    interval divided by the local survival slope of the same sorted pool.
+    pool's post-stratified survival curve at p.  The hits at that iterate
+    are a prefix of the pool sorted by descending response, and their
+    per-slab sums are reduced once per batch.  The refinement stops once
+    the post-stratified probability estimate there reaches a relative
+    half-width of min(precision, ROUND_TRIP_SHARE * rt), where rt is the
+    relative half-width that a FINAL_BATCH-run ``prob`` round trip at the
+    iterate would report: z sqrt(v / FINAL_BATCH), with v the pool's iid
+    per-run relative variance of the hits (``_round_trip_width``).  So
+    ``precision`` stays a ceiling on the probability interval.  The
+    quantile interval is that probability interval divided by the local
+    survival slope of the same sorted pool.
     A budget partial reports the last batch's iterate, or the pivot while
     the refinement widens.
     """
@@ -169,7 +191,6 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
     widen = 0
     level = pivot
     m = 0
-    target = REFINE_FACTOR * precision
     # the sorted pool: responses, weights, slabs
     desc = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
     counts = np.zeros(SLABS)
@@ -196,7 +217,8 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
         hits = _count_at_least(desc_r, level)
         _, s1, q = slab_sums(desc_l[:hits], desc_w[:hits])
         estimate, se_p = stratified_exceedance(counts, s1, q)
-        if z * se_p / estimate > target:
+        round_trip = _round_trip_width(float(s1.sum()), float(q.sum()), m, z)
+        if z * se_p / estimate > min(precision, ROUND_TRIP_SHARE * round_trip):
             continue
         slope = _slope_at(desc_r, scaled, level, estimate)
         half = z * se_p / slope

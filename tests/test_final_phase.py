@@ -29,7 +29,7 @@ from tailshift.multilevel import (FINAL_BATCH, FINAL_STREAM, QUANTILE_STREAM,
                                   slab_labels, slab_sums,
                                   stratified_exceedance, weighted_exceedance,
                                   z_value)
-from tailshift.quantile import (_WIDEN_LIMIT, REFINE_FACTOR, QuantileReport,
+from tailshift.quantile import (_WIDEN_LIMIT, ROUND_TRIP_SHARE, QuantileReport,
                                 _bracket_rule, _slope_at, _survival_inverse)
 
 SEEDS = range(4)
@@ -72,8 +72,12 @@ def reference_prob(model, gamma, target, rng, budget=1_000_000):
 
 
 def reference_quantile(model, p, rng, precision=0.10, budget=1_000_000):
-    """(quantile report, converged), re-sorting and reducing the pool every
-    batch."""
+    """(quantile report, stop), re-sorting and reducing the pool every batch.
+
+    ``stop`` is None for a budget partial, else the probability's relative
+    half-width at the stop and the relative half-width ``round_trip`` of a
+    FINAL_BATCH-run iid estimate there.
+    """
     config = LadderConfig()
     z = z_value(0.95)
     theta, trace = run_ladder(model, config, rng,
@@ -82,12 +86,14 @@ def reference_quantile(model, p, rng, precision=0.10, budget=1_000_000):
     pivot_gamma = trace.levels[-1].gamma
     widen = 0
     level = oriented_response(model, pivot_gamma)
+    runs = 0
     sample = None
     labels = np.empty(0, dtype=np.intp)
     for i, batch in enumerate(pooled_batches(
             model, pivot_gamma, trace, rng, QUANTILE_STREAM,
             budget - exploration)):
         sample = batch if sample is None else sample.merge(batch)
+        runs = sample.size
         theta = batch.theta
         labels = np.concatenate([
             labels, redrawn_labels(rng, QUANTILE_STREAM, i, theta)])
@@ -111,7 +117,13 @@ def reference_quantile(model, p, rng, precision=0.10, budget=1_000_000):
         terms = np.where(responses >= level, np.exp(sample.log_weights), 0.0)
         estimate, se_p = oracles.post_stratified(labels[order], terms[order],
                                                  SLABS)
-        if z * se_p / estimate > REFINE_FACTOR * precision:
+        # the pool's iid per-run relative variance of the hits, in draw
+        # order, sets the half-width of a FINAL_BATCH-run round trip
+        p_iid = terms.sum() / runs
+        v = (terms * terms).sum() / runs / p_iid ** 2 - 1.0
+        round_trip = z * math.sqrt(v / FINAL_BATCH)
+        rel_p = z * se_p / estimate
+        if rel_p > min(precision, ROUND_TRIP_SHARE * round_trip):
             continue
         slope = _slope_at(responses[order], weights[order], level, estimate)
         half = z * se_p / slope
@@ -119,13 +131,14 @@ def reference_quantile(model, p, rng, precision=0.10, budget=1_000_000):
         n_mc = estimate * (1.0 - estimate) * (z / (slope * half)) ** 2
         return QuantileReport(
             quantile=quantile, rel_half_width=half / max(abs(quantile), 1e-300),
-            p=p, runs_exploration=exploration, runs_final=sample.size,
-            speedup=n_mc / (exploration + sample.size), theta=theta), True
+            p=p, runs_exploration=exploration, runs_final=runs,
+            speedup=n_mc / (exploration + runs), theta=theta), (rel_p,
+                                                               round_trip)
     return QuantileReport(
         quantile=float(oriented_response(model, level)),
         rel_half_width=math.inf, p=p, runs_exploration=exploration,
-        runs_final=sample.size, speedup=0.0, theta=theta,
-        converged=False), False
+        runs_final=runs, speedup=0.0, theta=theta,
+        converged=False), None
 
 
 def assert_same_report(got, want):
@@ -188,11 +201,29 @@ QUANTILE_CASES = {
 @pytest.mark.parametrize("case", list(QUANTILE_CASES))
 def test_quantile_stops_on_the_same_batch(case, seed):
     model, p = QUANTILE_CASES[case]
-    want, converged = reference_quantile(model, p, RngStream(seed))
-    assert converged
+    want, stop = reference_quantile(model, p, RngStream(seed))
+    assert stop is not None
     got, _ = estimate_quantile(model, p, LadderConfig(), RngStream(seed))
     assert got.runs_final == want.runs_final
     assert_same_report(got, want)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("precision", [0.10, 0.05])
+def test_quantile_stop_is_the_tighter_of_precision_and_round_trip(precision,
+                                                                  seed):
+    # a round trip at p=1e-6 reads about 14%: half of it is below the
+    # default precision, which the round trip then sets, and above 5%,
+    # where the precision is the ceiling that sets the stop
+    model, p = QUANTILE_CASES["identity-1e-6"]
+    want, (rel_p, round_trip) = reference_quantile(model, p, RngStream(seed),
+                                                   precision=precision)
+    got, _ = estimate_quantile(model, p, LadderConfig(), RngStream(seed),
+                               precision=precision)
+    assert_same_report(got, want)
+    limit = ROUND_TRIP_SHARE * round_trip
+    assert rel_p <= min(precision, limit)
+    assert (limit < precision) == (precision == 0.10)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -200,12 +231,12 @@ def test_quantile_budget_partial_matches(seed):
     model, p = QUANTILE_CASES["identity-1e-6"]
     full, _ = estimate_quantile(model, p, LadderConfig(), RngStream(seed))
     stop = full.runs_final // FINAL_BATCH
-    # end the budget 1 and 3 batches before the stop
-    for batches in (stop - 1, stop - 3):
+    # end the budget 1 batch before the stop, and with the ladder alone
+    for batches in (stop - 1, 0):
         budget = full.runs_exploration + FINAL_BATCH * batches
-        want, converged = reference_quantile(model, p, RngStream(seed),
-                                             budget=budget)
-        assert not converged
+        want, stop_widths = reference_quantile(model, p, RngStream(seed),
+                                               budget=budget)
+        assert stop_widths is None
         with pytest.raises(BudgetExhausted) as err:
             estimate_quantile(model, p, LadderConfig(), RngStream(seed),
                               budget=budget)

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -83,9 +84,11 @@ class TestQuantileEstimate:
         model = ModelSpec.identity(1)
         with pytest.raises(BudgetExhausted) as err:
             estimate_quantile(model, 1e-4, LadderConfig(), RngStream(8),
-                              budget=5000)
+                              budget=1900)
         assert err.value.report is not None
         assert not err.value.report.converged
+        # the ladder's 900 runs and one refinement batch, before the stop
+        assert err.value.report.runs_final == 1000
 
 
 class TestBracketRule:
@@ -230,3 +233,22 @@ class TestSlope:
         slope = _slope_at(np.array([0.0, 1.0, 2.0, 2.0]), np.ones(4), 2.0,
                           0.5)
         assert np.isfinite(slope) and slope > 0.0
+
+
+class TestRoundTripWidth:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_closed_form_at_a_fixed_shift(self, seed):
+        # 200,000 identity runs at the shift 4.5 around the 1e-6 quantile:
+        # the estimate's spread is about 0.4% of the closed form
+        from tailshift.multilevel import FINAL_BATCH, z_value
+        from tailshift.quantile import _round_trip_width
+        level = oracles.tail_quantile("1e-6")
+        theta = np.array([4.5])
+        points, log_weights = RngStream(seed).shifted_normals(200_000, theta)
+        terms = np.where(points[:, 0] >= level, np.exp(log_weights), 0.0)
+        z = z_value(0.95)
+        width = _round_trip_width(terms.sum(), (terms * terms).sum(),
+                                  terms.size, z)
+        closed = z * math.sqrt(oracles.linear_relative_variance(
+            theta, [1.0], level) / FINAL_BATCH)
+        assert abs(width / closed - 1.0) < 0.02
