@@ -6,10 +6,7 @@ next level drops below p, at which point the target quantile lies inside the
 current batch's range.  The shift solved there then drives a refinement
 phase that pools fresh batches and inverts the pooled survival curve at p;
 where the ladder's levels were capped, the first batch re-solves the shift
-for the rest (``multilevel.pooled_batches``).  The refinement stops once the
-probability interval at the iterate is at most ``ROUND_TRIP_SHARE`` of the
-interval a ``FINAL_BATCH``-run round trip through ``prob`` would report
-there, and at most the precision.
+for the rest (``multilevel.pooled_batches``).
 That curve is post-stratified over the final phase's slabs along theta
 (``multilevel.stratified_exceedance``): a row of slab i weighs
 w N / (I n_i), so the curve is sum_i (1/I) mean_i(w 1{r >= t}).  The pool
@@ -20,7 +17,10 @@ the report read the per-slab probability sums and second moments from
 there, summed in the pool's order.  The quantile interval comes from
 pushing the probability interval through the local slope of that curve (a
 centered difference of its logarithm, no density estimate), read from the
-same sorted pool.
+same sorted pool.  The refinement stops once the probability interval at
+the iterate is at most ``ROUND_TRIP_SHARE`` of the interval that a
+``FINAL_BATCH``-run round trip through ``prob`` would report there, and at
+most the precision.
 """
 
 import math
