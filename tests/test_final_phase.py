@@ -129,11 +129,11 @@ def reference_quantile(model, p, rng, precision=0.10, budget=1_000_000):
         half = z * se_p / slope
         quantile = float(oriented_response(model, level))
         n_mc = estimate * (1.0 - estimate) * (z / (slope * half)) ** 2
-        return QuantileReport(
+        report = QuantileReport(
             quantile=quantile, rel_half_width=half / max(abs(quantile), 1e-300),
             p=p, runs_exploration=exploration, runs_final=runs,
-            speedup=n_mc / (exploration + runs), theta=theta), (rel_p,
-                                                               round_trip)
+            speedup=n_mc / (exploration + runs), theta=theta)
+        return report, (rel_p, round_trip)
     return QuantileReport(
         quantile=float(oriented_response(model, level)),
         rel_half_width=math.inf, p=p, runs_exploration=exploration,
