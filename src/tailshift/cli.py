@@ -18,8 +18,8 @@ import numpy as np
 
 from .core import SEED_LIMIT, RngStream
 from .cvar import estimate_cvar
-from .errors import (BudgetExhausted, ConfigError, MaxLevelsExceeded,
-                     SimulatorError, TailshiftError)
+from .errors import (BudgetExhausted, ConfigError, DomainError,
+                     MaxLevelsExceeded, SimulatorError, TailshiftError)
 from .model import ModelSpec, SimulatorPool
 from .multilevel import (DIMRED_MODES, LadderConfig, estimate_to_precision,
                          run_ladder)
@@ -103,6 +103,8 @@ class RunConfig:
                 raise ConfigError(f"out: cannot write a report to {self.out!r}")
 
     def build_model(self):
+        """The configured ModelSpec; an ``exec:`` model's pool starts here
+        with ``workers`` simulators, and the caller closes it."""
         spec = self.model
         if spec.startswith("builtin:"):
             name = spec.split(":", 1)[1]
@@ -114,8 +116,12 @@ class RunConfig:
                 return ModelSpec.skewed(self.dim, tail=self.tail)
             raise ConfigError(f"model: unknown builtin {name!r}")
         if spec.startswith("exec:"):
-            return ModelSpec.external(spec.split(":", 1)[1], self.dim,
-                                      tail=self.tail)
+            pool = SimulatorPool(spec.split(":", 1)[1], workers=self.workers)
+            try:
+                return ModelSpec.external(pool, self.dim, tail=self.tail)
+            except DomainError:
+                pool.close()
+                raise
         raise ConfigError(
             f"model: expected builtin:<name> or exec:<path>, got {spec!r}")
 
@@ -212,13 +218,11 @@ def _bundle(config, status):
 def run(config):
     """Execute the configured task; returns (exit_code, report bundle)."""
     config.validate()
-    model = config.build_model()
     rng = RngStream(config.seed)
-    pool = None
+    model = None
     try:
-        if model.kind == "external":
-            pool = SimulatorPool(model.command, workers=config.workers)
-        return _dispatch(config, model, rng, pool)
+        model = config.build_model()
+        return _dispatch(config, model, rng)
     except BudgetExhausted as exc:
         bundle = _bundle(config, "budget_exhausted")
         if exc.report is not None:
@@ -238,16 +242,16 @@ def run(config):
         bundle["failed_indices"] = list(exc.indices)
         return EXIT_SIMULATOR, bundle
     finally:
-        if pool is not None:
-            pool.close()
+        if model is not None and model.pool is not None:
+            model.pool.close()
 
 
-def _dispatch(config, model, rng, pool):
+def _dispatch(config, model, rng):
     ladder_cfg = config.ladder_config()
     if config.task in ("prob", "cvar"):
         report, trace, sample = estimate_to_precision(
             model, config.gamma, ladder_cfg, config.precision, rng,
-            budget=config.budget, confidence=config.confidence, pool=pool)
+            budget=config.budget, confidence=config.confidence)
         status = "ok" if report.converged else "zero_hits"
         bundle = _bundle(config, status)
         bundle["report"] = _report_dict(report)
@@ -261,23 +265,22 @@ def _dispatch(config, model, rng, pool):
     if config.task == "quantile":
         report, trace = estimate_quantile(
             model, config.p, ladder_cfg, rng, precision=config.precision,
-            budget=config.budget, confidence=config.confidence, pool=pool)
+            budget=config.budget, confidence=config.confidence)
         bundle = _bundle(config, "ok")
         bundle["quantile"] = _quantile_dict(report)
         bundle["selected"] = _selection_list(trace)
         bundle["trace"] = _trace_rows(trace)
         return EXIT_OK, bundle
     # strata: ladder for the direction, then the stratified pass
-    theta, trace = run_ladder(model, ladder_cfg, rng, pool,
-                              budget=config.budget, gamma=config.gamma)
+    theta, trace = run_ladder(model, ladder_cfg, rng, budget=config.budget,
+                              gamma=config.gamma)
     if trace.exploration_runs + config.n_total > config.budget:
         raise BudgetExhausted(
             f"budget of {config.budget} runs leaves no room for "
             f"{config.n_total} stratified runs", trace=trace)
     report, rows = stratified_estimate(
         model, config.gamma, theta, config.strata, config.n_total, rng,
-        confidence=config.confidence, pool=pool,
-        runs_exploration=trace.exploration_runs)
+        confidence=config.confidence, runs_exploration=trace.exploration_runs)
     bundle = _bundle(config, "ok" if report.converged else "zero_hits")
     bundle["report"] = _report_dict(report)
     bundle["strata"] = [{k: _json_safe(v) for k, v in row.items()}

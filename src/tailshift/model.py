@@ -1,8 +1,8 @@
 """Black-box response models.
 
-Builtin analytic families cover testing and benchmarking; an external-process
-adapter runs any executable that speaks the line protocol below, standing in
-for a circuit simulator or any other expensive evaluator.
+Builtin analytic families cover testing and benchmarking; an external model
+runs any executable that speaks the line protocol below on its SimulatorPool,
+standing in for a circuit simulator or any other expensive evaluator.
 
 Protocol (request on the child's stdin, reply on its stdout):
 
@@ -150,7 +150,7 @@ class ModelSpec:
 
     kind is one of "identity", "linear", "skewed", "external".  Linear models
     carry two coefficient blocks: ``coeff_a`` applies to the leading
-    coordinates, ``coeff_b`` to the rest.
+    coordinates, ``coeff_b`` to the rest.  External models carry a ``pool``.
     """
 
     kind: str
@@ -158,7 +158,7 @@ class ModelSpec:
     tail: str = "right"
     coeff_a: np.ndarray | None = None
     coeff_b: np.ndarray | None = None
-    command: str | None = None
+    pool: "SimulatorPool | None" = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -199,11 +199,11 @@ class ModelSpec:
         return cls(kind="skewed", dimension=dimension, tail=tail)
 
     @classmethod
-    def external(cls, command, dimension, tail="right"):
-        """Response evaluated by a child process speaking the line protocol."""
-        if not command:
-            raise ConfigError("external model requires a command")
-        return cls(kind="external", dimension=dimension, tail=tail, command=command)
+    def external(cls, pool, dimension, tail="right"):
+        """Response evaluated by ``pool``, a running SimulatorPool."""
+        if not isinstance(pool, SimulatorPool):
+            raise ConfigError("external model requires a SimulatorPool")
+        return cls(kind="external", dimension=dimension, tail=tail, pool=pool)
 
     def coefficient_stack(self):
         """Stacked coefficient vector c with h(X) ~ N(0, |c|^2); None if no oracle."""
@@ -269,17 +269,14 @@ _BUILTINS = {
 }
 
 
-def response_values(model, points, pool=None):
-    """Vectorized responses for an (n, d) array of points."""
+def response_values(model, points):
+    """Vectorized responses for (n, d) points, on an external model's pool."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != model.dimension:
         raise DomainError(
             f"points must be (n, {model.dimension}), got {points.shape}")
     if model.kind == "external":
-        if pool is not None:
-            return pool.evaluate(points)
-        with SimulatorPool(model.command) as tmp:
-            return tmp.evaluate(points)
+        return model.pool.evaluate(points)
     return _BUILTINS[model.kind](model, points)
 
 
@@ -372,7 +369,7 @@ class ExternalSimulator:
 
 
 class SimulatorPool:
-    """Pool of external simulators, one per worker.
+    """An external model's pool of simulators, one per worker.
 
     Batches are split into contiguous index chunks, evaluated concurrently,
     and reassembled in index order, so results do not depend on the worker
@@ -381,6 +378,8 @@ class SimulatorPool:
     """
 
     def __init__(self, command, workers=1):
+        if not command or command.isspace():
+            raise ConfigError("external model requires a command")
         if workers < 1:
             raise ConfigError("worker count must be at least 1")
         self.workers = int(workers)

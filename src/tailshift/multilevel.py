@@ -179,8 +179,9 @@ class TailSample:
 
     Everything downstream of the simulator (probability, CI, CVaR) reduces
     over these arrays, so follow-up estimators cost no extra model runs.
-    A final-phase pool is ``post_stratified``: its probability is reduced
-    per slab along theta.  Any other sample is reduced as iid rows.
+    A final-phase batch carries its rows' slab ``labels`` along theta and
+    has its probability reduced per slab; a sample without labels is
+    reduced as iid rows.
     """
 
     responses: np.ndarray       # oriented
@@ -188,7 +189,7 @@ class TailSample:
     gamma: float                # oriented threshold
     theta: np.ndarray
     tail: str = "right"         # the model's failure tail
-    post_stratified: bool = False
+    labels: np.ndarray | None = field(default=None, repr=False)
     # the drawn rows, which only the final phase's re-solve reads; a merge
     # drops them
     points: np.ndarray | None = field(default=None, repr=False)
@@ -202,42 +203,32 @@ class TailSample:
         """Linear likelihood ratios f_0 / f_theta, exponentiated once."""
         return np.exp(self.log_weights)
 
-    @cached_property
-    def labels(self):
-        """Each row's slab along theta, read from its log weight."""
-        return slab_labels(self.log_weights, self.theta)
-
     def merge(self, *others):
         """This sample followed by ``others``, in order, in one pass.
 
-        Parts drawn under different shifts merge only when every part has
-        its labels cached, read from its own shift; the pool reports the
-        last part's shift.
+        Either every part carries labels, each read along its own shift,
+        and the pool carries theirs, or no part does and all share one
+        shift.  The pool reports the last part's shift.
         """
         samples = (self, *others)
+        labelled = self.labels is not None
         for other in others:
             if (other.gamma != self.gamma or other.tail != self.tail
-                    or other.post_stratified != self.post_stratified):
+                    or (other.labels is not None) != labelled):
                 raise DomainError(
                     "cannot merge samples drawn for different targets")
-        labelled = all("labels" in vars(s) for s in samples)
-        if not labelled and any(not np.array_equal(s.theta, self.theta)
-                                for s in others):
-            raise DomainError(
-                "cannot merge samples of different shifts without labels")
-        merged = TailSample(
+            if not labelled and not np.array_equal(other.theta, self.theta):
+                raise DomainError(
+                    "cannot merge samples of different shifts without labels")
+        return TailSample(
             responses=np.concatenate([s.responses for s in samples]),
             log_weights=np.concatenate([s.log_weights for s in samples]),
             gamma=self.gamma,
             theta=samples[-1].theta,
             tail=self.tail,
-            post_stratified=self.post_stratified,
+            labels=(np.concatenate([s.labels for s in samples]) if labelled
+                    else None),
         )
-        if labelled:
-            # labels are read row by row, so the parts' cached ones are the
-            # pool's
-            merged.labels = np.concatenate([s.labels for s in samples])
-        return merged
 
 
 def next_level(responses, gamma):
@@ -350,8 +341,8 @@ def row_scale(counts):
     return counts.sum() / (counts.size * counts)
 
 
-def run_ladder(model, config, rng, pool=None, level_rule=None,
-               budget=math.inf, gamma=None):
+def run_ladder(model, config, rng, level_rule=None, budget=math.inf,
+               gamma=None):
     """Run the exploration ladder; returns the final shift and the trace.
 
     Every level draws ``level_size(model.dimension)`` runs.
@@ -392,7 +383,7 @@ def run_ladder(model, config, rng, pool=None, level_rule=None,
                 f"budget of {budget} runs hit during the ladder", trace=trace)
         points, log_weights = rng.child(LADDER_STREAM + k).shifted_normals(
             n, theta)
-        responses = oriented_response(model, response_values(model, points, pool))
+        responses = oriented_response(model, response_values(model, points))
         weights = np.exp(log_weights)
         level, done = level_rule(responses, weights)
         batch = WeightedBatch.from_threshold(points, responses, level,
@@ -432,13 +423,13 @@ def run_ladder(model, config, rng, pool=None, level_rule=None,
         trace=trace)
 
 
-def draw_tail_sample(model, gamma, theta, m, rng, pool=None):
+def draw_tail_sample(model, gamma, theta, m, rng):
     """Draw m fresh samples under the shift and record weighted responses."""
     if m < 1:
         raise DomainError("sample size must be at least 1")
     theta = np.asarray(theta, dtype=float)
     points, log_weights = rng.shifted_normals(int(m), theta)
-    values = response_values(model, points, pool)
+    values = response_values(model, points)
     return TailSample(
         responses=oriented_response(model, values),
         log_weights=log_weights,
@@ -475,10 +466,10 @@ def report_from_sample(sample, confidence=0.95, runs_exploration=0,
                        gamma=None):
     """Probability estimate with CI and speedup from a weighted tail sample.
 
-    A post-stratified sample (a final-phase pool) is reduced per slab in row
-    order by ``stratified_exceedance``, any other as iid rows.
+    A sample with slab labels (a final-phase pool) is reduced per slab in
+    row order by ``stratified_exceedance``, any other as iid rows.
     """
-    if sample.post_stratified:
+    if sample.labels is not None:
         estimate, se = stratified_exceedance(*slab_sums(
             sample.labels,
             exceedance_terms(sample.responses, sample.weights, sample.gamma)))
@@ -508,7 +499,7 @@ def _resolved_shift(points, batch, selection):
     return _solve_level(hits, selection).theta
 
 
-def pooled_batches(model, gamma, trace, rng, stream, room, pool=None):
+def pooled_batches(model, gamma, trace, rng, stream, room):
     """The final phase after the ladder ``trace``: batches of FINAL_BATCH
     runs, the first drawn under the ladder's last shift.
 
@@ -518,9 +509,9 @@ def pooled_batches(model, gamma, trace, rng, stream, room, pool=None):
     at its level, and every later batch is drawn under that shift; the
     solve runs only when a second batch fits.  Each batch keeps the log
     weights and slab labels of its own shift, so the batches pool into one
-    post-stratified sample.  Yields each fresh batch, marked
-    post-stratified, and stops before a batch that would take the pooled
-    runs past ``room``.
+    post-stratified sample.  Yields each fresh batch with its ``labels``
+    set and its points dropped, and stops before a batch that would take
+    the pooled runs past ``room``.
     """
     theta = trace.levels[-1].theta
     resolve = levels_capped(model.dimension, trace.selection)
@@ -530,16 +521,16 @@ def pooled_batches(model, gamma, trace, rng, stream, room, pool=None):
             theta = _resolved_shift(points, batch, trace.selection)
             points = None
         batch = draw_tail_sample(model, gamma, theta, FINAL_BATCH,
-                                 rng.child(stream + i), pool)
+                                 rng.child(stream + i))
         if resolve and i == 0:
             points = batch.points
-        batch = replace(batch, post_stratified=True, points=None)
-        batch.labels    # cached from the batch's own shift
+        batch = replace(batch, points=None,
+                        labels=slab_labels(batch.log_weights, batch.theta))
         yield batch
 
 
 def estimate_to_precision(model, gamma, config, target, rng,
-                          budget=1_000_000, confidence=0.95, pool=None):
+                          budget=1_000_000, confidence=0.95):
     """Full pipeline: ladder once, then batch until the CI target is met.
 
     Each final-phase batch holds FINAL_BATCH runs, and where the ladder's
@@ -556,8 +547,7 @@ def estimate_to_precision(model, gamma, config, target, rng,
     """
     if not 0.0 < target < 1.0:
         raise DomainError("target relative half-width must lie in (0, 1)")
-    theta, trace = run_ladder(model, config, rng, pool, budget=budget,
-                              gamma=gamma)
+    theta, trace = run_ladder(model, config, rng, budget=budget, gamma=gamma)
     exploration = trace.exploration_runs
     # the partial report when not even one batch fits the budget
     report = estimate_report(0.0, 0.0, 0, confidence, exploration, gamma,
@@ -565,7 +555,7 @@ def estimate_to_precision(model, gamma, config, target, rng,
     batches = []
     sums = None
     for batch in pooled_batches(model, gamma, trace, rng, FINAL_STREAM,
-                                budget - exploration, pool):
+                                budget - exploration):
         batches.append(batch)
         sums = slab_sums(batch.labels, exceedance_terms(
             batch.responses, batch.weights, batch.gamma), sums)

@@ -156,7 +156,7 @@ def _slope_at(responses, weights, level, g_at):
 
 
 def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
-                      confidence=0.95, pool=None):
+                      confidence=0.95):
     """Estimate the level whose exceedance probability is p, with a CI.
 
     Returns (QuantileReport, LadderTrace).  Refinement batches hold
@@ -180,9 +180,8 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
     if not 0.0 < precision < 1.0:
         raise DomainError("target relative half-width must lie in (0, 1)")
     z = z_value(confidence)
-    theta, trace = run_ladder(model, config, rng, pool,
-                              level_rule=_bracket_rule(p),
-                              budget=budget)
+    theta, trace = run_ladder(model, config, rng,
+                              level_rule=_bracket_rule(p), budget=budget)
     exploration = trace.exploration_runs
     # the last ladder level brackets p; refinement batches are drawn there
     pivot_gamma = trace.levels[-1].gamma
@@ -195,7 +194,7 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
     desc = (np.empty(0), np.empty(0), np.empty(0, dtype=np.intp))
     counts = np.zeros(SLABS)
     for batch in pooled_batches(model, pivot_gamma, trace, rng,
-                                QUANTILE_STREAM, budget - exploration, pool):
+                                QUANTILE_STREAM, budget - exploration):
         theta = batch.theta     # the report's shift is the latest batch's
         m += batch.size
         counts += np.bincount(batch.labels, minlength=SLABS)

@@ -45,13 +45,14 @@ def _conditional_rows(u, a, b, n, rng):
 
 
 def stratified_estimate(model, gamma, theta, count, total, rng,
-                        confidence=0.95, pool=None, runs_exploration=0):
+                        confidence=0.95, runs_exploration=0):
     """Stratified importance-sampling estimate of the failure probability.
 
     The ``count`` slabs are equiprobable along theta / |theta| and drawn
     under N(theta, I); one slab is plain importance sampling under theta.
     Each slab gets total // count runs, and the first total % count slabs
-    one more; slab i draws from stream ``STRATA_STREAM + i``.
+    one more; slab i, drawn from stream ``STRATA_STREAM + i``, is one
+    ``response_values`` batch, on the pool of an external model.
 
     Returns (EstimateReport, per-stratum rows), each row holding
     (prob, count, dev, mean): dev is the slab's Bessel standard deviation
@@ -78,7 +79,7 @@ def stratified_estimate(model, gamma, theta, count, total, rng,
         rows = _conditional_rows(direction, levels[i], levels[i + 1],
                                  int(counts[i]), rng.child(STRATA_STREAM + i))
         log_weights = shift_rows(rows, theta, rows.size)
-        values = oriented_response(model, response_values(model, rows, pool))
+        values = oriented_response(model, response_values(model, rows))
         terms = np.where(values >= gamma_o, np.exp(log_weights), 0.0)
         means[i], devs[i] = terms.mean(), terms.std(ddof=1)
 

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import oracles
+from test_model import started  # noqa: F401, a fixture
 from test_multilevel import CAPPED_AT_3
-from tailshift import ConfigError
+from tailshift import ConfigError, DegenerateBatch, DomainError
 from tailshift.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_LADDER, EXIT_OK,
                            EXIT_SIMULATOR, RunConfig, emit_report, load_config,
                            main, run)
@@ -482,6 +483,71 @@ class TestExternalModel:
             "--gamma", "1.0", "--seed", "0", "--format", "json"])
         assert code == EXIT_SIMULATOR
         assert json.loads(payload)["status"] == "simulator_failed"
+
+    @pytest.mark.parametrize("model", ["exec:", "exec: "])
+    def test_empty_exec_command_is_a_config_error(self, capsys, started,
+                                                  model):
+        code = main(["prob", "--model", model, "--gamma", "1"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: external model requires a command\n")
+        assert not started
+
+
+# an exec: simulator whose response is always 0
+CONSTANT_SIM = """\
+import sys
+while True:
+    header = sys.stdin.readline()
+    if not header:
+        break
+    n, d = map(int, header.split()[1:])
+    for _ in range(n):
+        sys.stdin.readline()
+        print("0")
+    sys.stdout.flush()
+"""
+
+
+class TestSimulatorsStop:
+    """``run`` starts an exec: model's simulators and stops them however
+    the run ends."""
+
+    @staticmethod
+    def assert_stopped(started, workers):
+        assert len(started) == workers
+        for proc in started:
+            assert proc.poll() is not None
+            assert proc.stdin.closed and proc.stdout.closed
+
+    @pytest.mark.parametrize("body, settings, code", [
+        (LINEAR_SIM, {"dim": 4, "gamma": 5.0}, EXIT_OK),
+        # the ladder leaves less than one final batch of the budget
+        (LINEAR_SIM, {"dim": 4, "gamma": 5.0, "budget": 1500}, EXIT_BUDGET),
+        ("#!/usr/bin/env python3\n", {"dim": 2, "gamma": 1.0},
+         EXIT_SIMULATOR),
+        (CAPPED_AT_3, {"dim": 2, "gamma": 4.0}, EXIT_LADDER),
+    ], ids=["ok", "budget", "simulator", "ladder"])
+    def test_every_exit_code(self, tmp_path, started, body, settings, code):
+        command = write_sim(tmp_path, body=body)
+        got, _ = run(RunConfig(task="prob", model=f"exec:{command}",
+                               seed=0, workers=2, **settings))
+        assert got == code
+        self.assert_stopped(started, 2)
+
+    def test_engine_error_out_of_run(self, tmp_path, started):
+        command = write_sim(tmp_path, body=CONSTANT_SIM)
+        with pytest.raises(DegenerateBatch):
+            run(RunConfig(task="prob", model=f"exec:{command}", dim=2,
+                          gamma=1.0, seed=0, workers=2))
+        self.assert_stopped(started, 2)
+
+    def test_model_refused_after_its_pool_started(self, tmp_path, started):
+        # unvalidated, the model itself refuses dim 0 once the pool is up
+        command = write_sim(tmp_path)
+        with pytest.raises(DomainError):
+            RunConfig(model=f"exec:{command}", dim=0, workers=2).build_model()
+        self.assert_stopped(started, 2)
 
 
 class TestLadderFailureExit:

@@ -276,7 +276,7 @@ def test_final_phase_report_matches_the_reference(case):
     rng = RngStream(5)
     report, trace, sample = estimate_to_precision(model, gamma,
                                                   LadderConfig(), 0.10, rng)
-    assert sample.post_stratified and report.converged
+    assert sample.labels is not None and report.converged
     assert (trace.selection is not None) == (model.dimension > 500)
     # one re-solve at most: every batch after the first shares the last
     # batch's shift
@@ -289,8 +289,7 @@ def test_final_phase_report_matches_the_reference(case):
         estimate, se, sample.size, 0.95, trace.exploration_runs, gamma,
         report.theta))
     # the same rows reduced as iid give a wider interval here
-    iid = report_from_sample(dataclasses.replace(sample,
-                                                 post_stratified=False))
+    iid = report_from_sample(dataclasses.replace(sample, labels=None))
     assert report.rel_half_width < iid.rel_half_width
 
 
@@ -379,8 +378,7 @@ def test_each_batch_keeps_its_own_shift_and_labels():
     assert not np.array_equal(batches[1].theta, theta)
     assert np.array_equal(batches[2].theta, batches[1].theta)
     for i, batch in enumerate(batches):
-        assert batch.post_stratified and batch.points is None
-        assert "labels" in vars(batch)
+        assert batch.labels is not None and batch.points is None
         np.testing.assert_array_equal(
             batch.labels, redrawn_labels(rng, FINAL_STREAM, i, batch.theta))
     pooled = batches[0].merge(*batches[1:])

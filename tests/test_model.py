@@ -9,8 +9,8 @@ import pytest
 from scipy import stats
 
 import oracles
-from tailshift import (DomainError, ModelSpec, RngStream, SimulatorError,
-                       SimulatorPool, analytic_tail_prob,
+from tailshift import (ConfigError, DomainError, ModelSpec, RngStream,
+                       SimulatorError, SimulatorPool, analytic_tail_prob,
                        oriented_response, response_values)
 from tailshift import model as model_module
 
@@ -225,9 +225,8 @@ class TestExternalProcess:
         # 17 significant digits reproduce every float64 exactly
         command = write_sim(tmp_path, "echo.py", ECHO_FIRST)
         pts = RngStream(3).generator.standard_normal((50, 4)) * 1e3
-        model = ModelSpec.external(command, 4)
         with SimulatorPool(command) as pool:
-            values = response_values(model, pts, pool)
+            values = response_values(ModelSpec.external(pool, 4), pts)
         np.testing.assert_array_equal(values, pts[:, 0])
 
     def test_request_text_is_the_per_value_format(self, tmp_path):
@@ -269,19 +268,17 @@ class TestExternalProcess:
     def test_sum_model(self, tmp_path):
         command = write_sim(tmp_path, "sum.py", SUM_MODEL)
         pts = RngStream(4).generator.standard_normal((30, 5))
-        model = ModelSpec.external(command, 5)
         with SimulatorPool(command) as pool:
-            values = response_values(model, pts, pool)
+            values = response_values(ModelSpec.external(pool, 5), pts)
         np.testing.assert_allclose(values, pts.sum(axis=1), rtol=1e-12)
 
     def test_worker_count_does_not_change_values(self, tmp_path):
         command = write_sim(tmp_path, "sum.py", SUM_MODEL)
         pts = RngStream(5).generator.standard_normal((101, 3))
-        model = ModelSpec.external(command, 3)
         outs = []
         for workers in (1, 3):
             with SimulatorPool(command, workers=workers) as pool:
-                outs.append(response_values(model, pts, pool))
+                outs.append(response_values(ModelSpec.external(pool, 3), pts))
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_workers_beyond_cores_under_fast_thread_switching(self, tmp_path):
@@ -302,11 +299,11 @@ class TestExternalProcess:
 
     def test_dead_simulator_raises_with_indices(self, tmp_path):
         command = write_sim(tmp_path, "die.py", DIE_AFTER_ONE)
-        model = ModelSpec.external(command, 2)
         with SimulatorPool(command) as pool:
-            response_values(model, np.zeros((3, 2)), pool)
+            model = ModelSpec.external(pool, 2)
+            response_values(model, np.zeros((3, 2)))
             with pytest.raises(SimulatorError) as err:
-                response_values(model, np.zeros((4, 2)), pool)
+                response_values(model, np.zeros((4, 2)))
         assert len(err.value.indices) > 0
 
     def test_simulator_that_stops_reading_fails_the_whole_batch(
@@ -323,30 +320,21 @@ class TestExternalProcess:
                             "[Errno 32] Broken pipe")
         assert err.indices == tuple(range(5000))
 
-    def test_external_model_without_a_pool(self, tmp_path):
-        # response_values starts and closes a one-batch simulator itself
-        command = write_sim(tmp_path, "sum.py", SUM_MODEL)
-        pts = RngStream(11).generator.standard_normal((20, 3))
-        values = response_values(ModelSpec.external(command, 3), pts)
-        np.testing.assert_allclose(values, pts.sum(axis=1), rtol=1e-12)
-
     def test_non_finite_reply_rejected(self, tmp_path):
         command = write_sim(tmp_path, "nan.py", NAN_MODEL)
-        model = ModelSpec.external(command, 2)
         with SimulatorPool(command) as pool:
             with pytest.raises(SimulatorError) as err:
-                response_values(model, np.zeros((3, 2)), pool)
+                response_values(ModelSpec.external(pool, 2), np.zeros((3, 2)))
         assert 0 in err.value.indices
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_failing_index_is_batch_position(self, tmp_path, workers):
         command = write_sim(tmp_path, "nan327.py", NAN_AT_327)
-        model = ModelSpec.external(command, 2)
         pts = np.zeros((400, 2))
         pts[:, 0] = np.arange(400)
         with SimulatorPool(command, workers=workers) as pool:
             with pytest.raises(SimulatorError) as err:
-                response_values(model, pts, pool)
+                response_values(ModelSpec.external(pool, 2), pts)
         assert err.value.indices == (327,)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -406,6 +394,36 @@ class TestExternalProcess:
         [first] = started
         assert first.returncode is not None
         assert first.stdin.closed and first.stdout.closed
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every simulator process started while the test runs."""
+    procs = []
+    popen = model_module.subprocess.Popen
+
+    def spy(*args, **kwargs):
+        procs.append(popen(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(model_module.subprocess, "Popen", spy)
+    return procs
+
+
+class TestExternalModelInputs:
+    def test_a_command_is_not_an_external_model(self, tmp_path, started):
+        # the model is refused when it is built, not at its first evaluation
+        command = write_sim(tmp_path, "sum.py", SUM_MODEL)
+        with pytest.raises(ConfigError, match="requires a SimulatorPool"):
+            ModelSpec.external(command, 3)
+        assert not started
+
+    @pytest.mark.parametrize("command", ["", " \t", None])
+    def test_empty_command_starts_no_simulator(self, started, command):
+        with pytest.raises(ConfigError,
+                           match="^external model requires a command$"):
+            SimulatorPool(command)
+        assert not started
 
 
 def run_with_deadline(pool, points, seconds=30.0):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -11,7 +12,7 @@ from tailshift import (BudgetExhausted, DegenerateBatch, DomainError,
                        estimate_to_precision, mc_equivalent_runs, next_level,
                        report_from_sample, run_ladder)
 from tailshift.cli import _report_dict, emit_report
-from tailshift.multilevel import RHO, estimate_report, level_size
+from tailshift.multilevel import RHO, estimate_report, level_size, slab_labels
 
 # an exec: simulator whose response is min(x1, 3)
 CAPPED_AT_3 = """\
@@ -26,6 +27,13 @@ while True:
         print("%.17g" % min(x1, 3.0))
     sys.stdout.flush()
 """
+
+
+def labelled(sample):
+    """``sample`` carrying its rows' slab labels along its own shift, as a
+    final-phase batch does."""
+    return dataclasses.replace(
+        sample, labels=slab_labels(sample.log_weights, sample.theta))
 
 
 class TestNextLevel:
@@ -314,18 +322,18 @@ class TestTailSample:
 
     def test_merged_labels_are_the_parts_labels(self):
         # the final phase's stop check reads the pool's labels from the
-        # batches' cached ones; a pool of uncached parts computes its own
+        # batches' own; a pool of unlabelled parts has none
         model = ModelSpec.identity(2)
         theta = np.array([1.0, 0.5])
         parts = [draw_tail_sample(model, 1.0, theta, 1000, RngStream(0, i))
                  for i in range(3)]
-        fresh = parts[0].merge(*parts[1:])
-        assert "labels" not in vars(fresh)
-        cached = np.concatenate([part.labels for part in parts])
-        carried = parts[0].merge(*parts[1:])
-        assert "labels" in vars(carried)
-        assert carried.labels.tobytes() == cached.tobytes()
-        assert fresh.labels.tobytes() == cached.tobytes()
+        assert parts[0].merge(*parts[1:]).labels is None
+        parts = [labelled(part) for part in parts]
+        merged = parts[0].merge(*parts[1:])
+        own = np.concatenate([part.labels for part in parts])
+        assert merged.labels.tobytes() == own.tobytes()
+        assert merged.labels.tobytes() == slab_labels(
+            merged.log_weights, merged.theta).tobytes()
 
     def test_merge_of_labelled_parts_of_different_shifts(self):
         # each part's labels are read along its own shift; the pool carries
@@ -333,11 +341,11 @@ class TestTailSample:
         model = ModelSpec.identity(2)
         shifts = [np.array([1.0, 0.5]), np.array([1.2, 0.25]),
                   np.array([1.2, 0.25])]
-        parts = [draw_tail_sample(model, 1.0, shift, 40, RngStream(0, i))
+        parts = [labelled(draw_tail_sample(model, 1.0, shift, 40,
+                                           RngStream(0, i)))
                  for i, shift in enumerate(shifts)]
         own = [part.labels for part in parts]
         merged = parts[0].merge(*parts[1:])
-        assert "labels" in vars(merged)
         assert merged.labels.tobytes() == np.concatenate(own).tobytes()
         assert merged.theta is parts[-1].theta
 
@@ -348,9 +356,8 @@ class TestTailSample:
                   np.array([1.0, 0.5])]
         parts = [draw_tail_sample(model, 1.0, shift, 40, RngStream(0, i))
                  for i, shift in enumerate(shifts)]
-        for i, part in enumerate(parts):
-            if i != unlabelled:
-                part.labels     # cached
+        parts = [part if i == unlabelled else labelled(part)
+                 for i, part in enumerate(parts)]
         with pytest.raises(DomainError):
             parts[0].merge(*parts[1:])
 
@@ -404,11 +411,10 @@ class TestMaxLevelsExceeded:
         from tailshift import MaxLevelsExceeded, SimulatorPool
         sim = tmp_path / "capped.py"
         sim.write_text(CAPPED_AT_3)
-        model = ModelSpec.external(f"python3 {sim}", 2)
-        with SimulatorPool(model.command) as pool:
+        with SimulatorPool(f"python3 {sim}") as pool:
             with pytest.raises(MaxLevelsExceeded) as err:
-                run_ladder(model, LadderConfig(), RngStream(0), pool,
-                           gamma=4.0)
+                run_ladder(ModelSpec.external(pool, 2), LadderConfig(),
+                           RngStream(0), gamma=4.0)
         assert str(err.value) == "ladder stalled below gamma after 6 levels"
         levels = [lvl.gamma for lvl in err.value.trace.levels]
         assert levels == pytest.approx([1.27, 2.68, 3.0, 3.0, 3.0, 3.0],
