@@ -289,15 +289,16 @@ class ExternalSimulator:
     processes waiting on each other.
     """
 
-    def __init__(self, command):
+    def __init__(self, argv):
         try:
             self._proc = subprocess.Popen(
-                shlex.split(command),
+                argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
             )
         except OSError as exc:
-            raise SimulatorError(f"cannot start simulator {command!r}: {exc}")
+            raise SimulatorError(
+                f"cannot start simulator {shlex.join(argv)!r}: {exc}")
 
     def evaluate(self, points):
         points = np.asarray(points, dtype=float)
@@ -378,7 +379,12 @@ class SimulatorPool:
     """
 
     def __init__(self, command, workers=1):
-        if not command or command.isspace():
+        try:
+            argv = shlex.split(command or "")
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse external model command "
+                              f"{command!r}: {exc}")
+        if not argv:
             raise ConfigError("external model requires a command")
         if workers < 1:
             raise ConfigError("worker count must be at least 1")
@@ -386,7 +392,7 @@ class SimulatorPool:
         self._sims = []
         try:
             for _ in range(self.workers):
-                self._sims.append(ExternalSimulator(command))
+                self._sims.append(ExternalSimulator(argv))
         except SimulatorError:
             # no caller holds the pool yet, so nothing else would stop these
             for sim in self._sims:

@@ -60,9 +60,10 @@ STALL_LIMIT = 3
 # the fraction of a batch kept above each ladder level (Au & Beck 2001,
 # Prob. Eng. Mech. 16)
 RHO = 0.10
-# the terms of level_size, the runs of every ladder level
+# the terms of level_size, the runs of every ladder level: each level keeps
+# SURVIVORS_PER_DIM * d + SURVIVOR_SLACK survivors, in at most LEVEL_CAP runs
 SURVIVORS_PER_DIM = 2
-LEVEL_FLOOR = 300
+SURVIVOR_SLACK = 8
 LEVEL_CAP = 1000
 FINAL_BATCH = 1000          # runs per final-phase and quantile refinement batch
 # equiprobable slabs along the shift that a final-phase pool is reduced over:
@@ -93,13 +94,15 @@ def mc_equivalent_runs(p, rel_half_width, confidence=0.95):
 def level_size(dimension):
     """Runs per ladder level for a d-dimensional model keeping the top RHO.
 
-    The smallest n with RHO * n >= SURVIVORS_PER_DIM * d, kept inside
-    [LEVEL_FLOOR, LEVEL_CAP].  Variable selection does not lower it: the
-    selection is made from full-dimension survivors.
+    The smallest n with RHO * n >= SURVIVORS_PER_DIM * d + SURVIVOR_SLACK,
+    at most LEVEL_CAP: 100 runs at d=1, 280 at d=10 and LEVEL_CAP from d=46.
+    Variable selection does not lower it: the selection is made from
+    full-dimension survivors.
     """
     # small slack so exact-fraction quotients do not round up, as in next_level
-    need = math.ceil(SURVIVORS_PER_DIM * dimension / RHO - 1e-9)
-    return min(LEVEL_CAP, max(LEVEL_FLOOR, need))
+    need = math.ceil((SURVIVORS_PER_DIM * dimension + SURVIVOR_SLACK) / RHO
+                     - 1e-9)
+    return min(LEVEL_CAP, need)
 
 
 @dataclass

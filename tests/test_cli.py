@@ -15,7 +15,7 @@ from tailshift import ConfigError, DegenerateBatch, DomainError
 from tailshift.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_LADDER, EXIT_OK,
                            EXIT_SIMULATOR, RunConfig, emit_report, load_config,
                            main, run)
-from tailshift.multilevel import z_value
+from tailshift.multilevel import FINAL_BATCH, level_size, z_value
 
 LINEAR_SIM = """\
 #!/usr/bin/env python3
@@ -325,18 +325,19 @@ class TestLadderBudget:
                                         ["strata", "--gamma", "6.0"]],
                              ids=["prob", "quantile", "strata"])
     def test_ladder_stops_at_the_budget(self, tmp_path, target):
+        # one level fits, the second would cross the budget
+        budget = 3 * level_size(1) // 2
         code, payload = run_main(tmp_path, target + [
-            "--model", "builtin:identity", "--budget", "450", "--seed", "0",
-            "--format", "json"])
+            "--model", "builtin:identity", "--budget", str(budget),
+            "--seed", "0", "--format", "json"])
         assert code == EXIT_BUDGET
         bundle = json.loads(payload)
         assert bundle["status"] == "budget_exhausted"
-        # one 300-run level fits, the second would cross the budget
         assert len(bundle["trace"]) == 1
         runs = [sum(row["runs"] for row in bundle["trace"])]
         runs += [bundle[key]["runs_total"] for key in ("report", "quantile")
                  if key in bundle]
-        assert max(runs) <= 450
+        assert max(runs) <= budget
 
     def test_strata_pass_stays_inside_the_budget(self, tmp_path):
         # the ladder fits the budget but the stratified pass would cross it
@@ -493,6 +494,15 @@ class TestExternalModel:
             "config error: external model requires a command\n")
         assert not started
 
+    def test_unbalanced_quote_in_exec_command_is_a_config_error(
+            self, capsys, started):
+        code = main(["prob", "--model", 'exec:"python3', "--gamma", "1"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: cannot parse external model command '\"python3': "
+            "No closing quotation\n")
+        assert not started
+
 
 # an exec: simulator whose response is always 0
 CONSTANT_SIM = """\
@@ -522,8 +532,11 @@ class TestSimulatorsStop:
 
     @pytest.mark.parametrize("body, settings, code", [
         (LINEAR_SIM, {"dim": 4, "gamma": 5.0}, EXIT_OK),
-        # the ladder leaves less than one final batch of the budget
-        (LINEAR_SIM, {"dim": 4, "gamma": 5.0, "budget": 1500}, EXIT_BUDGET),
+        # the ladder's two levels leave less than one final batch of the
+        # budget
+        (LINEAR_SIM, {"dim": 4, "gamma": 5.0,
+                      "budget": 2 * level_size(4) + FINAL_BATCH // 2},
+         EXIT_BUDGET),
         ("#!/usr/bin/env python3\n", {"dim": 2, "gamma": 1.0},
          EXIT_SIMULATOR),
         (CAPPED_AT_3, {"dim": 2, "gamma": 4.0}, EXIT_LADDER),

@@ -12,7 +12,8 @@ from tailshift import (BudgetExhausted, DegenerateBatch, DomainError,
                        estimate_to_precision, mc_equivalent_runs, next_level,
                        report_from_sample, run_ladder)
 from tailshift.cli import _report_dict, emit_report
-from tailshift.multilevel import RHO, estimate_report, level_size, slab_labels
+from tailshift.multilevel import (LEVEL_CAP, RHO, estimate_report, level_size,
+                                  levels_capped, slab_labels)
 
 # an exec: simulator whose response is min(x1, 3)
 CAPPED_AT_3 = """\
@@ -63,8 +64,8 @@ class TestNextLevel:
             next_level(np.full(100, 3.3), 10.0)
 
 
-LEVEL_SIZES = [(1, 300), (15, 300), (16, 320), (20, 400), (30, 600),
-               (49, 980), (50, 1000), (110, 1000), (1010, 1000)]
+LEVEL_SIZES = [(1, 100), (10, 280), (15, 380), (20, 480), (30, 680),
+               (45, 980), (46, 1000), (50, 1000), (110, 1000), (1010, 1000)]
 
 
 class TestLevelSize:
@@ -74,10 +75,20 @@ class TestLevelSize:
     def test_table(self, d, n):
         assert level_size(d) == n
 
+    def test_capped_from_d46_resolved_past_k50(self):
+        # every d the builtin-linear and exec-linear workloads run draws
+        # LEVEL_CAP runs, and the final-phase re-solve still switches on
+        # only past 50 solved coordinates
+        assert level_size(45) < LEVEL_CAP
+        assert all(level_size(d) == LEVEL_CAP for d in range(46, 1011))
+        assert not levels_capped(50)
+        assert levels_capped(51)
+
     def test_ladder_draws_the_rule_size(self):
         model = ModelSpec.linear_family(20)
         _, trace = run_ladder(model, LadderConfig(), RngStream(0), gamma=10.0)
-        assert [lvl.runs for lvl in trace.levels] == [400] * len(trace.levels)
+        assert [lvl.runs for lvl in trace.levels] == (
+            [level_size(20)] * len(trace.levels))
 
 
 class TestRunLadder:
@@ -116,7 +127,7 @@ class TestRunLadder:
         for seed in range(10):
             _, trace = run_ladder(model, config, RngStream(seed), gamma=4.0)
             floor = math.ceil(RHO * level_size(1)) - 1
-            assert floor == 29
+            assert floor == 9
             assert all(lvl.survivor_count >= floor for lvl in trace.levels)
 
     def test_trace_estimates_decay_by_orders_of_magnitude(self):
@@ -201,7 +212,7 @@ class TestSpeedup:
             report.estimate, report.rel_half_width) / report.runs_total
         assert report.speedup < 1.0
         # ten slabs along the only coordinate of a d=1 model resolve the
-        # same event well enough to beat plain MC after its 300-run level
+        # same event well enough to beat plain MC after its ladder level
         report, _, _ = estimate_to_precision(
             ModelSpec.identity(1), -1.0, config, 0.10, RngStream(2))
         assert report.speedup > 1.0
@@ -232,7 +243,7 @@ class TestEstimateToPrecision:
         report, trace, _ = estimate_to_precision(
             model, 3.0, config, 0.10, RngStream(5))
         assert report.runs_final % 1000 == 0
-        assert report.runs_exploration == 300 * len(trace.levels)
+        assert report.runs_exploration == level_size(1) * len(trace.levels)
 
     def test_budget_exhausted_carries_partial(self):
         model = ModelSpec.identity(1)
@@ -417,5 +428,7 @@ class TestMaxLevelsExceeded:
                            RngStream(0), gamma=4.0)
         assert str(err.value) == "ladder stalled below gamma after 6 levels"
         levels = [lvl.gamma for lvl in err.value.trace.levels]
-        assert levels == pytest.approx([1.27, 2.68, 3.0, 3.0, 3.0, 3.0],
+        assert levels == pytest.approx([1.15, 2.61, 3.0, 3.0, 3.0, 3.0],
                                        abs=0.005)
+        assert [lvl.runs for lvl in err.value.trace.levels] == (
+            [level_size(2)] * len(levels))

@@ -9,7 +9,7 @@ from tailshift import (BudgetExhausted, DomainError, LadderConfig, ModelSpec,
                        NonMonotoneBracket, RngStream, draw_tail_sample,
                        estimate_quantile, report_from_sample)
 from tailshift import quantile as quantile_module
-from tailshift.multilevel import SLABS
+from tailshift.multilevel import SLABS, level_size
 
 
 class TestQuantileEstimate:
@@ -21,7 +21,7 @@ class TestQuantileEstimate:
         # coverage of the truth is counted over 200 seeds in test_coverage.py
         # interval widths in the sub-percent regime
         assert report.rel_half_width <= 0.01
-        assert report.runs_exploration % 300 == 0
+        assert report.runs_exploration % level_size(1) == 0
 
     def test_scaled_linear_model(self):
         # doubling every coefficient doubles the quantile, draw for draw:
@@ -130,9 +130,9 @@ class TestRefinementWidening:
                               RngStream(2), budget=6000)
         report, trace = err.value.report, err.value.trace
         assert report.quantile == trace.levels[-1].gamma
-        # 900 ladder runs, then 1000-run batches up to the budget
-        assert report.runs_exploration == 900
-        assert report.runs_final == 5000
+        # the ladder's runs, then 1000-run batches up to the budget
+        assert report.runs_exploration == level_size(1) * len(trace.levels)
+        assert report.runs_final == (6000 - report.runs_exploration) // 1000 * 1000
         assert not report.converged
 
 
