@@ -64,8 +64,9 @@ class TestNextLevel:
             next_level(np.full(100, 3.3), 10.0)
 
 
-LEVEL_SIZES = [(1, 100), (10, 280), (15, 380), (20, 480), (30, 680),
-               (45, 980), (46, 1000), (50, 1000), (110, 1000), (1010, 1000)]
+LEVEL_SIZES = [(1, 100), (10, 280), (15, 380), (16, 400), (20, 480),
+               (30, 680), (45, 980), (46, 1000), (49, 1000), (50, 1000),
+               (110, 1000), (1010, 1000)]
 
 
 class TestLevelSize:
