@@ -42,26 +42,16 @@ def block_count(m, d):
     return min(m, -(-m * d // BLOCK_VALUES))
 
 
-def row_dot(rows, v, batch_values):
-    """``rows @ v`` for rows of a batch holding ``batch_values`` values.
-
-    A batch drawn in blocks takes np.einsum, which runs in the calling
-    thread: a threaded BLAS product would leave an OpenBLAS worker spinning
-    on a core the next block draw needs.
-    """
-    if batch_values > BLOCK_VALUES:
-        return np.einsum("ij,j->i", rows, v)
-    return rows @ v
-
-
-def shift_rows(rows, theta, batch_values):
+def shift_rows(rows, theta):
     """Log weights log f_0 / f_theta of standard-normal ``rows``, then the
     rows shifted to N(theta, I) in place.
 
-    The weights -theta . x - |theta|^2 / 2 are read from the raw rows, with
-    ``row_dot``'s product for a batch of ``batch_values`` values.
+    The weights -theta . x - |theta|^2 / 2 are read from the raw rows.  The
+    product is np.einsum at every batch size: it runs in the calling thread,
+    so a block draw leaves no OpenBLAS worker spinning on a core the next
+    block needs, and a row's weight does not depend on the size of its batch.
     """
-    log_weights = -row_dot(rows, theta, batch_values) - 0.5 * (theta @ theta)
+    log_weights = -np.einsum("ij,j->i", rows, theta) - 0.5 * (theta @ theta)
     rows += theta
     return log_weights
 
@@ -117,7 +107,7 @@ class RngStream:
         def fill(generator, lo, hi):
             rows = points[lo:hi]
             generator.standard_normal(out=rows)
-            log_weights[lo:hi] = shift_rows(rows, theta, m * d)
+            log_weights[lo:hi] = shift_rows(rows, theta)
 
         blocks = block_count(m, d)
         if blocks <= 1:

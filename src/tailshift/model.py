@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import row_dot, std_normal_cdf
+from .core import std_normal_cdf
 from .errors import ConfigError, DomainError, SimulatorError
 
 # Values per encoded request block: bounds the encoder's temporaries and
@@ -148,16 +148,15 @@ def _request(points):
 class ModelSpec:
     """A scalar response h over R^d plus its tail orientation.
 
-    kind is one of "identity", "linear", "skewed", "external".  Linear models
-    carry two coefficient blocks: ``coeff_a`` applies to the leading
-    coordinates, ``coeff_b`` to the rest.  External models carry a ``pool``.
+    kind is one of "linear", "skewed", "external".  A linear model carries
+    its coefficient vector c in ``coeffs`` (None for the other kinds), so
+    h(x) = c . x and h(X) ~ N(0, |c|^2).  External models carry a ``pool``.
     """
 
     kind: str
     dimension: int
     tail: str = "right"
-    coeff_a: np.ndarray | None = None
-    coeff_b: np.ndarray | None = None
+    coeffs: np.ndarray | None = None
     pool: "SimulatorPool | None" = None
 
     def __post_init__(self):
@@ -168,18 +167,19 @@ class ModelSpec:
 
     @classmethod
     def identity(cls, dimension=1, tail="right"):
-        """h(x) = x_1, ignoring any further coordinates."""
-        return cls(kind="identity", dimension=dimension, tail=tail)
+        """h(x) = x_1: the linear model with c = e_1.  Every other term of
+        c . x is an exact zero, so the response is x_1 bit for bit."""
+        c = np.zeros(max(int(dimension), 0))
+        c[:1] = 1.0
+        return cls.linear(c, tail=tail)
 
     @classmethod
-    def linear(cls, coeff_a, coeff_b=(), tail="right"):
-        """h(x) = a . x_A + b . x_B over the leading / trailing blocks."""
-        a = np.asarray(coeff_a, dtype=float)
-        b = np.asarray(coeff_b, dtype=float)
-        if a.size == 0 or not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
+    def linear(cls, coeffs, tail="right"):
+        """h(x) = c . x."""
+        c = np.asarray(coeffs, dtype=float)
+        if c.size == 0 or not np.all(np.isfinite(c)):
             raise DomainError("linear coefficients must be nonempty and finite")
-        return cls(kind="linear", dimension=a.size + b.size, tail=tail,
-                   coeff_a=a, coeff_b=b)
+        return cls(kind="linear", dimension=c.size, tail=tail, coeffs=c)
 
     @classmethod
     def linear_family(cls, dimension, tail="right"):
@@ -189,9 +189,9 @@ class ModelSpec:
         remaining ones get 0.01, so they act as noise variables of known
         ground truth.
         """
-        k = min(10, int(dimension))
-        return cls.linear(np.full(k, 1.0), np.full(int(dimension) - k, 0.01),
-                          tail=tail)
+        c = np.full(int(dimension), 0.01)
+        c[:10] = 1.0
+        return cls.linear(c, tail=tail)
 
     @classmethod
     def skewed(cls, dimension=3, tail="right"):
@@ -204,16 +204,6 @@ class ModelSpec:
         if not isinstance(pool, SimulatorPool):
             raise ConfigError("external model requires a SimulatorPool")
         return cls(kind="external", dimension=dimension, tail=tail, pool=pool)
-
-    def coefficient_stack(self):
-        """Stacked coefficient vector c with h(X) ~ N(0, |c|^2); None if no oracle."""
-        if self.kind == "identity":
-            c = np.zeros(self.dimension)
-            c[0] = 1.0
-            return c
-        if self.kind == "linear":
-            return np.concatenate([self.coeff_a, self.coeff_b])
-        return None
 
 
 def oriented_response(model, value):
@@ -233,23 +223,14 @@ def analytic_tail_prob(model, gamma):
     Returns P(h(X) >= gamma) for right tails, P(h(X) <= gamma) for left
     tails, or None when no closed form is available.
     """
-    c = model.coefficient_stack()
-    if c is None:
+    if model.coeffs is None:
         return None
     g = oriented_response(model, gamma)
-    return float(std_normal_cdf(-g / np.linalg.norm(c)))
-
-
-def _identity_values(model, points):
-    return points[:, 0].copy()
+    return float(std_normal_cdf(-g / np.linalg.norm(model.coeffs)))
 
 
 def _linear_values(model, points):
-    k = model.coeff_a.size
-    out = row_dot(points[:, :k], model.coeff_a, points.size)
-    if model.coeff_b.size:
-        out = out + row_dot(points[:, k:], model.coeff_b, points.size)
-    return out
+    return np.einsum("ij,j->i", points, model.coeffs)
 
 
 def _skewed_values(model, points):
@@ -263,7 +244,6 @@ def _skewed_values(model, points):
 
 
 _BUILTINS = {
-    "identity": _identity_values,
     "linear": _linear_values,
     "skewed": _skewed_values,
 }

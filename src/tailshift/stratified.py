@@ -78,7 +78,7 @@ def stratified_estimate(model, gamma, theta, count, total, rng,
     for i in range(count):
         rows = _conditional_rows(direction, levels[i], levels[i + 1],
                                  int(counts[i]), rng.child(STRATA_STREAM + i))
-        log_weights = shift_rows(rows, theta, rows.size)
+        log_weights = shift_rows(rows, theta)
         values = oriented_response(model, response_values(model, rows))
         terms = np.where(values >= gamma_o, np.exp(log_weights), 0.0)
         means[i], devs[i] = terms.mean(), terms.std(ddof=1)

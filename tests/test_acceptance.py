@@ -44,7 +44,7 @@ def report_line(criterion, detail):
 
 def linear_family_gamma(noise_dim, p):
     model = ModelSpec.linear_family(10 + noise_dim)
-    norm = np.linalg.norm(model.coefficient_stack())
+    norm = np.linalg.norm(model.coeffs)
     return model, norm * oracles.tail_quantile(p)
 
 
@@ -246,7 +246,7 @@ def test_criterion_08_stratification():
     # stratifying along the solved shift halves the variance against
     # importance sampling alone at the same budget
     model = ModelSpec.linear_family(12)
-    gamma = 1.5 * np.linalg.norm(model.coefficient_stack())
+    gamma = 1.5 * np.linalg.norm(model.coeffs)
     wins = 0
     for seed in range(10):
         rng = RngStream(seed)

@@ -134,6 +134,19 @@ class TestShiftedNormals:
         # never more blocks than rows
         assert block_count(1, 10 * BLOCK_VALUES) == 1
 
+    @staticmethod
+    def raw(rng, m, d):
+        """The standard normals of rng.shifted_normals(m, .), redrawn from
+        ``rng`` itself or, for a batch of several blocks, its block children."""
+        blocks = block_count(m, d)
+        if blocks == 1:
+            return RngStream(rng.seed, rng.stream).generator.standard_normal(
+                (m, d))
+        bounds = [j * m // blocks for j in range(blocks + 1)]
+        return np.concatenate([
+            rng.child(j).generator.standard_normal((bounds[j + 1] - bounds[j], d))
+            for j in range(blocks)])
+
     def test_small_batch_is_one_draw_from_its_stream(self):
         m, d = 1000, BLOCK_VALUES // 1000
         theta = self.theta(d)
@@ -146,13 +159,18 @@ class TestShiftedNormals:
         theta = self.theta(d)
         rng = RngStream(5, 7)
         points, _ = rng.shifted_normals(m, theta)
-        blocks = block_count(m, d)
-        assert blocks > 1
-        bounds = [j * m // blocks for j in range(blocks + 1)]
-        raw = np.concatenate([
-            rng.child(j).generator.standard_normal((bounds[j + 1] - bounds[j], d))
-            for j in range(blocks)])
-        np.testing.assert_array_equal(points, raw + theta)
+        assert block_count(m, d) > 1
+        np.testing.assert_array_equal(points, self.raw(rng, m, d) + theta)
+
+    @pytest.mark.parametrize("m, d, blocks", [(1000, 110, 1), (1000, 1010, 8)])
+    def test_log_weights_are_one_einsum_at_every_size(self, m, d, blocks):
+        theta = self.theta(d)
+        rng = RngStream(11, 2)
+        _, log_weights = rng.shifted_normals(m, theta)
+        assert block_count(m, d) == blocks
+        want = (-np.einsum("ij,j->i", self.raw(rng, m, d), theta)
+                - 0.5 * (theta @ theta))
+        np.testing.assert_array_equal(log_weights, want)
 
     @pytest.mark.parametrize("m, d", [(500, 3), (1000, 1010)])
     def test_log_weights_read_the_raw_rows(self, m, d):

@@ -156,7 +156,7 @@ class TestDimensionRobustness:
         runs = {}
         for nb in (100, 5000):
             model = ModelSpec.linear_family(10 + nb)
-            gamma = float(np.linalg.norm(model.coefficient_stack())
+            gamma = float(np.linalg.norm(model.coeffs)
                           * oracles.tail_quantile("2.8e-5"))
             config = LadderConfig(dimred="on")
             counts = []

@@ -345,7 +345,7 @@ def test_levels_are_capped_only_past_the_level_cap():
 @pytest.mark.parametrize("d", [10, 110, 1010])
 def test_the_shift_is_resolved_once_where_levels_are_capped(d):
     model = ModelSpec.linear_family(d)
-    gamma = (np.linalg.norm(model.coefficient_stack())
+    gamma = (np.linalg.norm(model.coeffs)
              * oracles.tail_quantile("3e-5"))
     report, trace, sample = estimate_to_precision(
         model, gamma, LadderConfig(), 0.05, RngStream(2))
@@ -412,7 +412,7 @@ def test_no_resolve_when_the_room_holds_one_batch(monkeypatch):
 def test_resolved_shift_lowers_the_exact_variance(model):
     # the closed-form per-run relative variance at p = 3e-5: the re-solved
     # shift reads below the ladder's on every seed
-    c = model.coefficient_stack().ravel()
+    c = model.coeffs.ravel()
     gamma = float(np.linalg.norm(c)) * oracles.tail_quantile("3e-5")
     for seed in range(10):
         theta, _, batches = ladder_and_batches(model, gamma, seed,

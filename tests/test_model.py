@@ -30,7 +30,7 @@ class TestBuiltins:
         model = ModelSpec.linear_family(50)
         pts = RngStream(5).generator.standard_normal((10_000, 50))
         values = response_values(model, pts)
-        norm = np.linalg.norm(model.coefficient_stack())
+        norm = np.linalg.norm(model.coeffs)
         assert abs(values.mean()) <= 4.0 * norm / np.sqrt(10_000)
 
     def test_batch_order_preserved_under_permutation(self):
@@ -49,6 +49,18 @@ class TestBuiltins:
     def test_dimension_checked(self):
         with pytest.raises(DomainError):
             response_values(ModelSpec.identity(2), np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_identity_is_the_first_coordinate_bit_for_bit(self, d):
+        points = RngStream(3).generator.standard_normal((1000, d))
+        np.testing.assert_array_equal(
+            response_values(ModelSpec.identity(d), points), points[:, 0])
+
+    @pytest.mark.parametrize("d", [1, 10, 110])
+    def test_linear_family_coefficients(self, d):
+        coeffs = ModelSpec.linear_family(d).coeffs
+        assert coeffs.shape == (d,)
+        assert coeffs.tolist() == [1.0] * min(d, 10) + [0.01] * max(d - 10, 0)
 
 
 class TestOrientation:
@@ -87,6 +99,17 @@ class TestAnalyticOracle:
 
     def test_no_oracle_for_skewed(self):
         assert analytic_tail_prob(ModelSpec.skewed(2), 1.0) is None
+
+    @pytest.mark.parametrize("d, gamma, want", [
+        (1, 4.0, 3.167124183311986e-05),
+        (10, 12.74, 2.803808984367504e-05),
+        (110, 12.74, 2.827909202968611e-05),
+        (110, -12.74, 0.9999717209079703)])
+    def test_linear_family_values(self, d, gamma, want):
+        # the values the two-block coefficient layout gave, bit for bit
+        assert analytic_tail_prob(ModelSpec.linear_family(d), gamma) == want
+        left = ModelSpec.linear_family(d, tail="left")
+        assert analytic_tail_prob(left, -gamma) == want
 
 
 ECHO_FIRST = """\

@@ -288,7 +288,7 @@ class TestUnbiasednessAndCoverage:
     def test_interval_coverage_rare_linear(self):
         # CI covers the oracle in >= 90% of seeded runs at p ~ 3.2e-5
         model = ModelSpec.linear_family(110)
-        gamma = 4.0 * np.linalg.norm(model.coefficient_stack())
+        gamma = 4.0 * np.linalg.norm(model.coeffs)
         p = analytic_tail_prob(model, gamma)
         config = LadderConfig()
         covered = 0

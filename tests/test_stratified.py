@@ -122,7 +122,7 @@ class TestStratifiedEstimate:
         # shift from a ladder run, then stratify under it; pooled over
         # seeds the estimate stays on the oracle
         model = ModelSpec.linear_family(12)
-        gamma = 1.5 * np.linalg.norm(model.coefficient_stack())
+        gamma = 1.5 * np.linalg.norm(model.coeffs)
         p = analytic_tail_prob(model, gamma)
         estimates, variances = [], []
         for seed in range(10):
