@@ -545,16 +545,14 @@ def estimate_to_precision(model, gamma, config, target, rng,
     so the report is ``report_from_sample`` of the pool.  Returns (report,
     trace, sample); the sample holds every final-phase response so
     follow-up estimators (CVaR) need no further model runs.
-    Raises BudgetExhausted carrying the partial report once the next batch
-    would cross ``budget`` total runs.
+    Raises BudgetExhausted once the next batch would cross ``budget`` total
+    runs, carrying the trace and, when a batch fit, the partial report.
     """
     if not 0.0 < target < 1.0:
         raise DomainError("target relative half-width must lie in (0, 1)")
-    theta, trace = run_ladder(model, config, rng, budget=budget, gamma=gamma)
+    _, trace = run_ladder(model, config, rng, budget=budget, gamma=gamma)
     exploration = trace.exploration_runs
-    # the partial report when not even one batch fits the budget
-    report = estimate_report(0.0, 0.0, 0, confidence, exploration, gamma,
-                             theta)
+    report = None
     batches = []
     sums = None
     for batch in pooled_batches(model, gamma, trace, rng, FINAL_STREAM,
@@ -568,6 +566,8 @@ def estimate_to_precision(model, gamma, config, target, rng,
         # a failed ladder is surfaced as zero hits, never silently retried
         if report.zero_hits or report.rel_half_width <= target:
             return report, trace, batches[0].merge(*batches[1:])
+    if report is not None:
+        report = replace(report, converged=False)
     raise BudgetExhausted(
         f"budget of {budget} runs hit before reaching {target:.3g}",
-        report=replace(report, converged=False), trace=trace)
+        report=report, trace=trace)

@@ -352,6 +352,19 @@ class TestLadderBudget:
         assert 1 <= len(bundle["trace"]) <= 2
         assert sum(row["runs"] for row in bundle["trace"]) <= 2000
 
+    @pytest.mark.parametrize("task", ["prob", "cvar"])
+    def test_no_report_when_no_final_batch_fits(self, tmp_path, task):
+        # the ladder spends 400 runs and no 1000-run batch fits in 500:
+        # no final run was drawn, so no estimate is reported
+        code, payload = run_main(tmp_path, [
+            task, "--gamma", "4", "--budget", "500", "--format", "json"])
+        assert code == EXIT_BUDGET
+        bundle = json.loads(payload)
+        assert bundle["status"] == "budget_exhausted"
+        assert "report" not in bundle and "cvar" not in bundle
+        assert len(bundle["trace"]) == 4
+        assert sum(row["runs"] for row in bundle["trace"]) == 400
+
 
 class TestQuantilePipeline:
     def test_identity_quantile(self, tmp_path):
