@@ -49,7 +49,7 @@ CASES = {
     "quantile-left": dict(task="quantile", tail="left", p=1e-4, seed=9),
     "quantile-linear-110": dict(task="quantile", model="builtin:linear",
                                 dim=110, p=1e-5, seed=10),
-    "quantile-budget": dict(task="quantile", p=1e-6, budget=3_000, seed=11),
+    "quantile-budget": dict(task="quantile", p=1e-6, budget=2_000, seed=11),
     "quantile-max-levels": dict(task="quantile", p=1e-12, max_levels=2,
                                 seed=0),
     "cvar-identity": dict(task="cvar", gamma=3.0, seed=12),
