@@ -18,10 +18,10 @@ from .meanshift import (ShiftSolution, WeightedBatch, log_objective,
                         solve_optimal_shift)
 from .model import (ExternalSimulator, ModelSpec, SimulatorPool,
                     analytic_tail_prob, oriented_response, response_values)
-from .multilevel import (EstimateReport, LadderConfig, LadderLevel,
-                         LadderTrace, TailSample, draw_tail_sample,
-                         estimate_to_precision, mc_equivalent_runs,
-                         next_level, report_from_sample, run_ladder)
+from .multilevel import (EstimateReport, LadderLevel, LadderTrace,
+                         TailSample, draw_tail_sample, estimate_to_precision,
+                         mc_equivalent_runs, next_level, report_from_sample,
+                         run_ladder)
 from .quantile import QuantileReport, estimate_quantile
 from .stratified import stratified_estimate
 

@@ -21,8 +21,7 @@ from .cvar import estimate_cvar
 from .errors import (BudgetExhausted, ConfigError, DomainError,
                      MaxLevelsExceeded, SimulatorError, TailshiftError)
 from .model import ModelSpec, SimulatorPool
-from .multilevel import (DIMRED_MODES, LadderConfig, estimate_to_precision,
-                         run_ladder)
+from .multilevel import DIMRED_MODES, estimate_to_precision, run_ladder
 from .quantile import estimate_quantile
 from .stratified import stratified_estimate
 
@@ -124,10 +123,6 @@ class RunConfig:
                 raise
         raise ConfigError(
             f"model: expected builtin:<name> or exec:<path>, got {spec!r}")
-
-    def ladder_config(self):
-        return LadderConfig(**{f.name: getattr(self, f.name)
-                               for f in fields(LadderConfig)})
 
 
 def _field_type(f):
@@ -247,11 +242,11 @@ def run(config):
 
 
 def _dispatch(config, model, rng):
-    ladder_cfg = config.ladder_config()
     if config.task in ("prob", "cvar"):
         report, trace, sample = estimate_to_precision(
-            model, config.gamma, ladder_cfg, config.precision, rng,
-            budget=config.budget, confidence=config.confidence)
+            model, config.gamma, config.precision, rng, budget=config.budget,
+            confidence=config.confidence, max_levels=config.max_levels,
+            dimred=config.dimred)
         status = "ok" if report.converged else "zero_hits"
         bundle = _bundle(config, status)
         bundle["report"] = _report_dict(report)
@@ -264,16 +259,18 @@ def _dispatch(config, model, rng):
         return (EXIT_OK if report.converged else EXIT_BUDGET), bundle
     if config.task == "quantile":
         report, trace = estimate_quantile(
-            model, config.p, ladder_cfg, rng, precision=config.precision,
-            budget=config.budget, confidence=config.confidence)
+            model, config.p, rng, precision=config.precision,
+            budget=config.budget, confidence=config.confidence,
+            max_levels=config.max_levels, dimred=config.dimred)
         bundle = _bundle(config, "ok")
         bundle["quantile"] = _quantile_dict(report)
         bundle["selected"] = _selection_list(trace)
         bundle["trace"] = _trace_rows(trace)
         return EXIT_OK, bundle
     # strata: ladder for the direction, then the stratified pass
-    theta, trace = run_ladder(model, ladder_cfg, rng, budget=config.budget,
-                              gamma=config.gamma)
+    theta, trace = run_ladder(model, rng, budget=config.budget,
+                              gamma=config.gamma, max_levels=config.max_levels,
+                              dimred=config.dimred)
     if trace.exploration_runs + config.n_total > config.budget:
         raise BudgetExhausted(
             f"budget of {config.budget} runs leaves no room for "

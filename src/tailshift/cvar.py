@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroHits
-from .multilevel import z_value
+from .multilevel import check_underflow, z_value
 
 
 @dataclass
@@ -43,6 +43,7 @@ def estimate_cvar(sample, confidence=0.95):
     iw = np.where(hits, w, 0.0)
     yiw = sample.responses * iw
     p = float(iw.mean())
+    check_underflow(p, power=3)
     ey1 = float(yiw.mean())                             # E[Y 1{Y > gamma}]
     e_y1_w2 = float((yiw * w).mean())                   # E[Y 1 E^2]
     e_1_w2 = float((iw * w).mean())                     # E[1 E^2]

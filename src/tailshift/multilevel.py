@@ -31,6 +31,7 @@ shifted points together with their log likelihood ratios to the nominal law.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 
@@ -91,6 +92,19 @@ def mc_equivalent_runs(p, rel_half_width, confidence=0.95):
     return z * z * max(1.0 - p, 0.0) / (p * rel_half_width * rel_half_width)
 
 
+def check_underflow(p, power=2):
+    """Raise DomainError for a probability p > 0 whose ``power`` is below
+    the smallest normal double.
+
+    A variance squares weights near p (CVaR's divides by p^3).  Above that
+    bound the squares that underflow move their mean by at most 2^-53 of
+    itself; below it an interval reads zero width or divides by zero.
+    """
+    if p > 0.0 and p ** power < sys.float_info.min:
+        raise DomainError(f"probability {p:.3g} is too small: p^{power} "
+                          "underflows double precision")
+
+
 def level_size(dimension):
     """Runs per ladder level for a d-dimensional model keeping the top RHO.
 
@@ -103,21 +117,6 @@ def level_size(dimension):
     need = math.ceil((SURVIVORS_PER_DIM * dimension + SURVIVOR_SLACK) / RHO
                      - 1e-9)
     return min(LEVEL_CAP, need)
-
-
-@dataclass
-class LadderConfig:
-    """Settings of the exploration ladder."""
-
-    max_levels: int = 30
-    dimred: str = "auto"        # "on", "off", or "auto" (on when d > DIMRED_THRESHOLD)
-
-    def validate(self):
-        if self.max_levels < 1:
-            raise DomainError("max_levels must be at least 1")
-        if self.dimred not in DIMRED_MODES:
-            raise DomainError(f"dimred must be one of {DIMRED_MODES}, "
-                              f"got {self.dimred!r}")
 
 
 @dataclass
@@ -253,12 +252,6 @@ def next_level(responses, gamma):
     return min(level, gamma)
 
 
-def _use_dimred(config, dimension):
-    if config.dimred == "auto":
-        return dimension > DIMRED_THRESHOLD
-    return config.dimred == "on"
-
-
 def _solve_level(batch, selection):
     if selection is not None and selection.size < batch.dimension:
         return solve_shift_in_subspace(batch, selection)
@@ -344,11 +337,12 @@ def row_scale(counts):
     return counts.sum() / (counts.size * counts)
 
 
-def run_ladder(model, config, rng, level_rule=None, budget=math.inf,
-               gamma=None):
+def run_ladder(model, rng, level_rule=None, budget=math.inf, gamma=None, *,
+               max_levels=30, dimred="auto"):
     """Run the exploration ladder; returns the final shift and the trace.
 
-    Every level draws ``level_size(model.dimension)`` runs.
+    Every level draws ``level_size(model.dimension)`` runs.  ``dimred``
+    selects variables "on", "off", or "auto" (on when d > DIMRED_THRESHOLD).
     ``level_rule(responses, weights) -> (level, done)`` picks each level from
     a batch's oriented responses and likelihood-ratio weights; the ladder
     stops once the shift is solved at a level marked done.  The default rule
@@ -360,7 +354,11 @@ def run_ladder(model, config, rng, level_rule=None, budget=math.inf,
     and BudgetExhausted (carrying the trace) before a level that would take
     the runs past ``budget``.
     """
-    config.validate()
+    if max_levels < 1:
+        raise DomainError("max_levels must be at least 1")
+    if dimred not in DIMRED_MODES:
+        raise DomainError(f"dimred must be one of {DIMRED_MODES}, "
+                          f"got {dimred!r}")
     # a custom rule has no fixed target to stall below
     stall_floor = -math.inf
     if level_rule is None:
@@ -373,6 +371,7 @@ def run_ladder(model, config, rng, level_rule=None, budget=math.inf,
             level = next_level(responses, gamma_o)
             return level, level >= gamma_o
     d = model.dimension
+    select = d > DIMRED_THRESHOLD if dimred == "auto" else dimred == "on"
     n = level_size(d)
     z = z_value(0.95)
     theta = np.zeros(d)
@@ -380,7 +379,7 @@ def run_ladder(model, config, rng, level_rule=None, budget=math.inf,
     selection = None
     stall = 0
     prev_level = None
-    for k in range(1, config.max_levels + 1):
+    for k in range(1, max_levels + 1):
         if k * n > budget:
             raise BudgetExhausted(
                 f"budget of {budget} runs hit during the ladder", trace=trace)
@@ -391,7 +390,7 @@ def run_ladder(model, config, rng, level_rule=None, budget=math.inf,
         level, done = level_rule(responses, weights)
         batch = WeightedBatch.from_threshold(points, responses, level,
                                              log_weights)
-        if _use_dimred(config, d):
+        if select:
             # later levels may reveal coordinates the pilot missed; grow the
             # subset (never shrink) so an early miss cannot poison the run
             selection = (select_important(batch) if selection is None
@@ -422,7 +421,7 @@ def run_ladder(model, config, rng, level_rule=None, budget=math.inf,
             stall = 0
         prev_level = level
     raise MaxLevelsExceeded(
-        f"ladder target not reached within {config.max_levels} levels",
+        f"ladder target not reached within {max_levels} levels",
         trace=trace)
 
 
@@ -448,8 +447,10 @@ def estimate_report(estimate, se, runs_final, confidence=0.95,
     """Report an estimate with standard error ``se``: CI and speedup.
 
     A zero estimate is reported as zero hits, not converged; a zero-width
-    interval gets an infinite speedup.
+    interval gets an infinite speedup.  An estimate too small to square
+    raises DomainError (``check_underflow``).
     """
+    check_underflow(estimate)
     z = z_value(confidence)
     hit = estimate > 0.0
     if hit:
@@ -532,8 +533,8 @@ def pooled_batches(model, gamma, trace, rng, stream, room):
         yield batch
 
 
-def estimate_to_precision(model, gamma, config, target, rng,
-                          budget=1_000_000, confidence=0.95):
+def estimate_to_precision(model, gamma, target, rng, budget=1_000_000,
+                          confidence=0.95, **ladder):
     """Full pipeline: ladder once, then batch until the CI target is met.
 
     Each final-phase batch holds FINAL_BATCH runs, and where the ladder's
@@ -545,12 +546,13 @@ def estimate_to_precision(model, gamma, config, target, rng,
     so the report is ``report_from_sample`` of the pool.  Returns (report,
     trace, sample); the sample holds every final-phase response so
     follow-up estimators (CVaR) need no further model runs.
+    ``ladder`` holds ``run_ladder``'s keyword settings, passed on unchanged.
     Raises BudgetExhausted once the next batch would cross ``budget`` total
     runs, carrying the trace and, when a batch fit, the partial report.
     """
     if not 0.0 < target < 1.0:
         raise DomainError("target relative half-width must lie in (0, 1)")
-    _, trace = run_ladder(model, config, rng, budget=budget, gamma=gamma)
+    _, trace = run_ladder(model, rng, budget=budget, gamma=gamma, **ladder)
     exploration = trace.exploration_runs
     report = None
     batches = []

@@ -30,9 +30,10 @@ import numpy as np
 
 from .errors import BudgetExhausted, DomainError, NonMonotoneBracket
 from .model import oriented_response
-from .multilevel import (FINAL_BATCH, QUANTILE_STREAM, SLABS, next_level,
-                         pooled_batches, row_scale, run_ladder, slab_sums,
-                         stratified_exceedance, weighted_exceedance, z_value)
+from .multilevel import (FINAL_BATCH, QUANTILE_STREAM, SLABS, check_underflow,
+                         next_level, pooled_batches, row_scale, run_ladder,
+                         slab_sums, stratified_exceedance, weighted_exceedance,
+                         z_value)
 
 # the refinement stops once its probability interval at the iterate is at
 # most this share of the interval a FINAL_BATCH-run round trip through
@@ -155,8 +156,8 @@ def _slope_at(responses, weights, level, g_at):
     return max(g_at * dlog, 1e-300)
 
 
-def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
-                      confidence=0.95):
+def estimate_quantile(model, p, rng, precision=0.10, budget=1_000_000,
+                      confidence=0.95, **ladder):
     """Estimate the level whose exceedance probability is p, with a CI.
 
     Returns (QuantileReport, LadderTrace).  Refinement batches hold
@@ -173,15 +174,17 @@ def estimate_quantile(model, p, config, rng, precision=0.10, budget=1_000_000,
     quantile interval is that probability interval divided by the local
     survival slope of the same sorted pool.
     A budget partial reports the last batch's iterate, or the pivot while
-    the refinement widens.
+    the refinement widens.  ``ladder`` holds ``run_ladder``'s keyword
+    settings, passed on unchanged.
     """
     if not 0.0 < p < 1.0:
         raise DomainError("target probability must lie in (0, 1)")
+    check_underflow(p)
     if not 0.0 < precision < 1.0:
         raise DomainError("target relative half-width must lie in (0, 1)")
     z = z_value(confidence)
-    theta, trace = run_ladder(model, config, rng,
-                              level_rule=_bracket_rule(p), budget=budget)
+    theta, trace = run_ladder(model, rng, level_rule=_bracket_rule(p),
+                              budget=budget, **ladder)
     exploration = trace.exploration_runs
     # the last ladder level brackets p; refinement batches are drawn there
     pivot_gamma = trace.levels[-1].gamma

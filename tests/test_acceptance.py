@@ -17,7 +17,7 @@ from scipy import stats
 
 import oracles
 from test_coverage import coverage_bound
-from tailshift import (LadderConfig, ModelSpec, RngStream, WeightedBatch,
+from tailshift import (ModelSpec, RngStream, WeightedBatch,
                        draw_tail_sample, estimate_cvar, estimate_quantile,
                        estimate_to_precision, log_objective,
                        log_objective_gradient, log_objective_hessian,
@@ -49,9 +49,8 @@ def linear_family_gamma(noise_dim, p):
 
 
 def pipeline(model, gamma, seed, budget, dimred="auto"):
-    config = LadderConfig(dimred=dimred)
     report, trace, sample = estimate_to_precision(
-        model, gamma, config, 0.10, RngStream(seed), budget=budget)
+        model, gamma, 0.10, RngStream(seed), budget=budget, dimred=dimred)
     register_trace(trace)
     return report, trace, sample
 
@@ -135,7 +134,7 @@ def test_criterion_05_quantile_inversion():
     covered = round_trips = 0
     for seed in range(50):
         rng = RngStream(seed)
-        rep, trace = estimate_quantile(model, 1e-4, LadderConfig(), rng)
+        rep, trace = estimate_quantile(model, 1e-4, rng)
         register_trace(trace)
         covered += (abs(rep.quantile - truth)
                     <= rep.rel_half_width * abs(rep.quantile))
@@ -210,12 +209,11 @@ def test_criterion_07_unbiasedness_and_coverage():
     model = ModelSpec.identity(1)
     gamma = 2.5
     p = oracles.normal_tail(gamma)
-    config = LadderConfig()
     m = 1000
     estimates, variances, covered = [], [], 0
     for seed in range(200):
         rng = RngStream(seed)
-        theta, trace = run_ladder(model, config, rng, gamma=gamma)
+        theta, trace = run_ladder(model, rng, gamma=gamma)
         register_trace(trace)
         report = report_from_sample(
             draw_tail_sample(model, gamma, theta, m,
@@ -250,7 +248,7 @@ def test_criterion_08_stratification():
     wins = 0
     for seed in range(10):
         rng = RngStream(seed)
-        theta, trace = run_ladder(model, LadderConfig(), rng, gamma=gamma)
+        theta, trace = run_ladder(model, rng, gamma=gamma)
         register_trace(trace)
         is_est, st_est = [], []
         for rep in range(20):

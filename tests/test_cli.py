@@ -12,9 +12,9 @@ import oracles
 from test_model import started  # noqa: F401, a fixture
 from test_multilevel import CAPPED_AT_3
 from tailshift import ConfigError, DegenerateBatch, DomainError
-from tailshift.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_LADDER, EXIT_OK,
-                           EXIT_SIMULATOR, RunConfig, emit_report, load_config,
-                           main, run)
+from tailshift.cli import (EXIT_BUDGET, EXIT_CONFIG, EXIT_ERROR, EXIT_LADDER,
+                           EXIT_OK, EXIT_SIMULATOR, RunConfig, emit_report,
+                           load_config, main, run)
 from tailshift.multilevel import FINAL_BATCH, level_size, z_value
 
 LINEAR_SIM = """\
@@ -117,16 +117,24 @@ class TestConfigValidation:
             f.name for f in fields(RunConfig) if f.name != "task")
 
     def test_readme_names_every_ladder_setting(self):
+        import inspect
         from dataclasses import fields
-        from tailshift import LadderConfig
+        from tailshift import run_ladder
         with open(README) as fh:
             text = " ".join(fh.read().split())
-        sentence = re.search(r"`LadderConfig` holds the (\w+) ladder settings "
+        sentence = re.search(r"`run_ladder` takes the (\w+) ladder settings "
                              r"of `RunConfig` \(([^)]*)\)", text)
-        names = [f.name for f in fields(LadderConfig)]
-        count = ("one", "two", "three", "four", "five", "six")[len(names) - 1]
+        settings = {name: param.default for name, param
+                    in inspect.signature(run_ladder).parameters.items()
+                    if param.kind is param.KEYWORD_ONLY}
+        count = ("one", "two", "three", "four", "five", "six")[
+            len(settings) - 1]
         assert sentence.group(1) == count
-        assert re.findall(r"`(\w+)`", sentence.group(2)) == names
+        assert re.findall(r"`(\w+)`", sentence.group(2)) == list(settings)
+        # run_ladder's signature and RunConfig hold the only two defaults
+        defaults = {f.name: f.default for f in fields(RunConfig)}
+        for name, default in settings.items():
+            assert defaults[name] == default
 
     def test_readme_export_list_names_the_package_surface(self):
         import inspect
@@ -596,6 +604,36 @@ class TestLadderFailureExit:
         assert code == EXIT_LADDER
         assert bundle["status"] == "ladder_failed"
         assert len(bundle["trace"]) == 6
+
+
+class TestUnderflowExit:
+    # below p = 1.5e-154, p^2 is below the smallest normal double (CVaR's
+    # p^3, below p = 2.8e-103), and squared weights underflow
+    @pytest.mark.parametrize("target", [["prob", "--gamma", "30"],
+                                        ["strata", "--gamma", "30"],
+                                        ["cvar", "--gamma", "23"],
+                                        ["cvar", "--gamma", "30"],
+                                        ["quantile", "--p", "1e-200"]],
+                             ids=["prob-30", "strata-30", "cvar-23",
+                                  "cvar-30", "quantile-1e-200"])
+    def test_underflow_fails_loudly(self, capsys, tmp_path, target):
+        out = tmp_path / "report.out"
+        code = main(target + ["--max-levels", "60", "--out", str(out)])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: probability \S+ is too small: p\^[23] "
+                            r"underflows double precision\n", captured.err)
+        assert captured.out == "" and not out.exists()
+
+    def test_prob_at_gamma_25_is_still_estimated(self, tmp_path):
+        code, payload = run_main(tmp_path, [
+            "prob", "--gamma", "25", "--max-levels", "60", "--format",
+            "json"])
+        assert code == EXIT_OK
+        report = json.loads(payload)["report"]
+        half = report["ci_rel"] * report["estimate"]
+        assert 0.0 < half
+        assert abs(report["estimate"] - oracles.normal_tail(25.0)) <= half
 
 
 class TestDrawThreads:

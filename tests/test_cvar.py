@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from tailshift import (DomainError, LadderConfig, ModelSpec,
-                       RngStream, TailSample, ZeroHits,
+from tailshift import (DomainError, ModelSpec, RngStream, TailSample, ZeroHits,
                        draw_tail_sample, estimate_cvar)
 
 
@@ -121,14 +120,30 @@ class TestExactBias:
         assert abs(per_rep.mean() - expected) <= 3 * se
 
 
+class TestUnderflow:
+    # the hits of a sample drawn at theta = gamma weigh about p, and the
+    # plug-in variance divides by p^3, a normal double down to p = 2.8e-103
+    def test_normal_cube_is_estimated(self):
+        report = estimate_cvar(toy_sample(2000, seed=1, gamma=21.0,
+                                          theta=21.0))
+        half = report.rel_half_width * report.cvar
+        assert 0.0 < half <= 0.01
+        assert abs(report.cvar - oracles.mills_cvar(21.0)) <= 3 * half
+
+    @pytest.mark.parametrize("gamma", [23.0, 30.0])
+    def test_underflowing_cube_fails_loudly(self, gamma):
+        sample = toy_sample(2000, seed=1, gamma=gamma, theta=gamma)
+        with pytest.raises(DomainError, match=r"p\^3 underflows"):
+            estimate_cvar(sample)
+
+
 class TestSameSampleEconomy:
     def test_cvar_reuses_the_probability_sample(self):
         # estimate_cvar takes only the stored sample, so by construction it
         # costs zero extra model evaluations; check the bookkeeping agrees
         from tailshift import estimate_to_precision
         model = ModelSpec.identity(1)
-        config = LadderConfig()
-        report, _, sample = estimate_to_precision(model, 2.0, config, 0.10,
+        report, _, sample = estimate_to_precision(model, 2.0, 0.10,
                                                   RngStream(10))
         cv = estimate_cvar(sample)
         assert cv.runs == report.runs_final

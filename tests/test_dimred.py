@@ -4,7 +4,7 @@ from scipy import optimize
 
 from oracles import (variance_criterion, variance_criterion_gradient,
                      variance_criterion_hessian)
-from tailshift import (DomainError, LadderConfig, ModelSpec, NoSurvivors,
+from tailshift import (DomainError, ModelSpec, NoSurvivors,
                        RngStream, WeightedBatch, estimate_to_precision,
                        response_values, run_ladder, select_important,
                        solve_optimal_shift, solve_shift_in_subspace)
@@ -137,15 +137,14 @@ class TestDimredModes:
         ("off", False), ("auto", True), ("on", True)])
     def test_mode_decides_selection_above_threshold(self, dimred, selects):
         model = ModelSpec.linear_family(510)
-        config = LadderConfig(dimred=dimred)
-        _, trace = run_ladder(model, config, RngStream(0), gamma=2.0)
+        _, trace = run_ladder(model, RngStream(0), gamma=2.0, dimred=dimred)
         assert (trace.selection is not None) == selects
 
     @pytest.mark.parametrize("dimred", [True, False, "yes", None])
     def test_unknown_mode_rejected(self, dimred):
-        config = LadderConfig(dimred=dimred)
         with pytest.raises(DomainError, match="dimred"):
-            run_ladder(ModelSpec.identity(1), config, RngStream(0), gamma=2.0)
+            run_ladder(ModelSpec.identity(1), RngStream(0), gamma=2.0,
+                       dimred=dimred)
 
 
 class TestDimensionRobustness:
@@ -158,12 +157,11 @@ class TestDimensionRobustness:
             model = ModelSpec.linear_family(10 + nb)
             gamma = float(np.linalg.norm(model.coeffs)
                           * oracles.tail_quantile("2.8e-5"))
-            config = LadderConfig(dimred="on")
             counts = []
             for seed in range(1, 6):
                 report, _, _ = estimate_to_precision(
-                    model, gamma, config, 0.10, RngStream(seed),
-                    budget=60_000)
+                    model, gamma, 0.10, RngStream(seed), budget=60_000,
+                    dimred="on")
                 assert report.converged
                 counts.append(report.runs_total)
             runs[nb] = float(np.median(counts))

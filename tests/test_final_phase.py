@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import oracles
-from tailshift import (BudgetExhausted, LadderConfig, ModelSpec, RngStream,
+from tailshift import (BudgetExhausted, ModelSpec, RngStream,
                        estimate_quantile, estimate_to_precision, multilevel)
 from tailshift.dimred import SubspaceSelection
 from tailshift.model import oriented_response
@@ -52,8 +52,7 @@ def reference_estimate(sample, labels, level):
 
 def reference_prob(model, gamma, target, rng, budget=1_000_000):
     """(report, pooled sample, converged), reducing the pool every batch."""
-    theta, trace = run_ladder(model, LadderConfig(), rng, budget=budget,
-                              gamma=gamma)
+    theta, trace = run_ladder(model, rng, budget=budget, gamma=gamma)
     exploration = trace.exploration_runs
     report = estimate_report(0.0, 0.0, 0, 0.95, exploration, gamma, theta)
     sample = None
@@ -78,10 +77,8 @@ def reference_quantile(model, p, rng, precision=0.10, budget=1_000_000):
     half-width at the stop and the relative half-width ``round_trip`` of a
     FINAL_BATCH-run iid estimate there.
     """
-    config = LadderConfig()
     z = z_value(0.95)
-    theta, trace = run_ladder(model, config, rng,
-                              level_rule=_bracket_rule(p))
+    theta, trace = run_ladder(model, rng, level_rule=_bracket_rule(p))
     exploration = trace.exploration_runs
     pivot_gamma = trace.levels[-1].gamma
     widen = 0
@@ -160,8 +157,7 @@ PROB_CASES = {
 def test_prob_stops_on_the_same_batch(case, seed):
     model, gamma = PROB_CASES[case]
     want, want_sample, _ = reference_prob(model, gamma, 0.10, RngStream(seed))
-    got, _, sample = estimate_to_precision(model, gamma, LadderConfig(), 0.10,
-                                           RngStream(seed))
+    got, _, sample = estimate_to_precision(model, gamma, 0.10, RngStream(seed))
     assert got.runs_final == want.runs_final
     assert_same_report(got, want)
     assert_same_report(got, report_from_sample(sample, 0.95,
@@ -177,8 +173,8 @@ def test_prob_budget_partial_matches(seed):
         model, gamma, 0.01, RngStream(seed), budget=12_000)
     assert not converged
     with pytest.raises(BudgetExhausted) as err:
-        estimate_to_precision(model, gamma, LadderConfig(), 0.01,
-                              RngStream(seed), budget=12_000)
+        estimate_to_precision(model, gamma, 0.01, RngStream(seed),
+                              budget=12_000)
     got = err.value.report
     assert got.runs_final == want.runs_final > 0
     assert_same_report(got, want)
@@ -203,7 +199,7 @@ def test_quantile_stops_on_the_same_batch(case, seed):
     model, p = QUANTILE_CASES[case]
     want, stop = reference_quantile(model, p, RngStream(seed))
     assert stop is not None
-    got, _ = estimate_quantile(model, p, LadderConfig(), RngStream(seed))
+    got, _ = estimate_quantile(model, p, RngStream(seed))
     assert got.runs_final == want.runs_final
     assert_same_report(got, want)
 
@@ -218,8 +214,7 @@ def test_quantile_stop_is_the_tighter_of_precision_and_round_trip(precision,
     model, p = QUANTILE_CASES["identity-1e-6"]
     want, (rel_p, round_trip) = reference_quantile(model, p, RngStream(seed),
                                                    precision=precision)
-    got, _ = estimate_quantile(model, p, LadderConfig(), RngStream(seed),
-                               precision=precision)
+    got, _ = estimate_quantile(model, p, RngStream(seed), precision=precision)
     assert_same_report(got, want)
     limit = ROUND_TRIP_SHARE * round_trip
     assert rel_p <= min(precision, limit)
@@ -229,7 +224,7 @@ def test_quantile_stop_is_the_tighter_of_precision_and_round_trip(precision,
 @pytest.mark.parametrize("seed", SEEDS)
 def test_quantile_budget_partial_matches(seed):
     model, p = QUANTILE_CASES["identity-1e-6"]
-    full, _ = estimate_quantile(model, p, LadderConfig(), RngStream(seed))
+    full, _ = estimate_quantile(model, p, RngStream(seed))
     stop = full.runs_final // FINAL_BATCH
     # end the budget 1 batch before the stop, and with the ladder alone
     for batches in (stop - 1, 0):
@@ -238,8 +233,7 @@ def test_quantile_budget_partial_matches(seed):
                                                budget=budget)
         assert stop_widths is None
         with pytest.raises(BudgetExhausted) as err:
-            estimate_quantile(model, p, LadderConfig(), RngStream(seed),
-                              budget=budget)
+            estimate_quantile(model, p, RngStream(seed), budget=budget)
         got = err.value.report
         assert got.runs_final == want.runs_final == 1000 * batches
         assert_same_report(got, want)
@@ -274,8 +268,7 @@ REPORT_CASES = {
 def test_final_phase_report_matches_the_reference(case):
     model, gamma = REPORT_CASES[case]
     rng = RngStream(5)
-    report, trace, sample = estimate_to_precision(model, gamma,
-                                                  LadderConfig(), 0.10, rng)
+    report, trace, sample = estimate_to_precision(model, gamma, 0.10, rng)
     assert sample.labels is not None and report.converged
     assert (trace.selection is not None) == (model.dimension > 500)
     # one re-solve at most: every batch after the first shares the last
@@ -348,7 +341,7 @@ def test_the_shift_is_resolved_once_where_levels_are_capped(d):
     gamma = (np.linalg.norm(model.coeffs)
              * oracles.tail_quantile("3e-5"))
     report, trace, sample = estimate_to_precision(
-        model, gamma, LadderConfig(), 0.05, RngStream(2))
+        model, gamma, 0.05, RngStream(2))
     assert (trace.selection is not None) == (d == 1010)
     assert sample.size > FINAL_BATCH
     assert np.array_equal(report.theta, sample.theta)
@@ -360,7 +353,7 @@ def ladder_and_batches(model, gamma, seed, room):
     """The ladder's shift and trace, and the final batches that fit
     ``room``."""
     rng = RngStream(seed)
-    theta, trace = run_ladder(model, LadderConfig(), rng, gamma=gamma)
+    theta, trace = run_ladder(model, rng, gamma=gamma)
     return theta, trace, list(pooled_batches(model, gamma, trace, rng,
                                              FINAL_STREAM, room))
 

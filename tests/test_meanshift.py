@@ -222,7 +222,7 @@ class TestSolver:
 def recorded_ladder_batches(monkeypatch):
     """Every batch the ladder solves a shift on: identity at d=1 and the
     linear family at d=10 and d=110, seeds 0-2."""
-    from tailshift import LadderConfig, multilevel, run_ladder
+    from tailshift import multilevel, run_ladder
     cases = [(ModelSpec.identity(1), oracles.tail_quantile("1e-6")),
              (ModelSpec.linear_family(10),
               math.sqrt(10) * oracles.tail_quantile("1e-10")),
@@ -236,7 +236,7 @@ def recorded_ladder_batches(monkeypatch):
     monkeypatch.setattr(multilevel, "solve_optimal_shift", record)
     for model, gamma in cases:
         for seed in range(3):
-            run_ladder(model, LadderConfig(), RngStream(seed), gamma=gamma)
+            run_ladder(model, RngStream(seed), gamma=gamma)
     return batches
 
 

@@ -1,19 +1,22 @@
 import dataclasses
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
 from tailshift import (BudgetExhausted, DegenerateBatch, DomainError,
-                       LadderConfig, ModelSpec, RngStream,
-                       analytic_tail_prob, draw_tail_sample,
+                       ModelSpec, RngStream, analytic_tail_prob,
+                       draw_tail_sample, estimate_quantile,
                        estimate_to_precision, mc_equivalent_runs, next_level,
                        report_from_sample, run_ladder)
 from tailshift.cli import _report_dict, emit_report
-from tailshift.multilevel import (LEVEL_CAP, RHO, estimate_report, level_size,
-                                  levels_capped, slab_labels)
+from tailshift.multilevel import (LEVEL_CAP, RHO, check_underflow,
+                                  estimate_report, level_size, levels_capped,
+                                  slab_labels)
 
 # an exec: simulator whose response is min(x1, 3)
 CAPPED_AT_3 = """\
@@ -87,7 +90,7 @@ class TestLevelSize:
 
     def test_ladder_draws_the_rule_size(self):
         model = ModelSpec.linear_family(20)
-        _, trace = run_ladder(model, LadderConfig(), RngStream(0), gamma=10.0)
+        _, trace = run_ladder(model, RngStream(0), gamma=10.0)
         assert [lvl.runs for lvl in trace.levels] == (
             [level_size(20)] * len(trace.levels))
 
@@ -96,8 +99,7 @@ class TestRunLadder:
     def test_single_level_when_gamma_easy(self):
         # gamma below the first batch's level: one level, solved once
         model = ModelSpec.identity(1)
-        theta, trace = run_ladder(model, LadderConfig(), RngStream(0),
-                                  gamma=0.0)
+        theta, trace = run_ladder(model, RngStream(0), gamma=0.0)
         assert len(trace.levels) == 1
         assert trace.levels[0].gamma == 0.0
 
@@ -106,27 +108,23 @@ class TestRunLadder:
         argmin = oracles.optimal_shift_1d(4.0)
         assert argmin == pytest.approx(4.2, abs=0.1)
         model = ModelSpec.identity(1)
-        config = LadderConfig()
         for seed in range(50):
-            theta, trace = run_ladder(model, config, RngStream(seed),
-                                      gamma=4.0)
+            theta, trace = run_ladder(model, RngStream(seed), gamma=4.0)
             assert 2 <= len(trace.levels) <= 5
             assert 3.5 <= theta[0] <= 4.6
 
     def test_levels_strictly_increase_to_gamma(self):
         model = ModelSpec.identity(1)
         for seed in range(10):
-            _, trace = run_ladder(model, LadderConfig(), RngStream(seed),
-                                  gamma=4.5)
+            _, trace = run_ladder(model, RngStream(seed), gamma=4.5)
             gammas = [lvl.gamma for lvl in trace.levels]
             assert all(a < b for a, b in zip(gammas, gammas[1:]))
             assert gammas[-1] == 4.5
 
     def test_survivor_floor(self):
         model = ModelSpec.identity(1)
-        config = LadderConfig()
         for seed in range(10):
-            _, trace = run_ladder(model, config, RngStream(seed), gamma=4.0)
+            _, trace = run_ladder(model, RngStream(seed), gamma=4.0)
             floor = math.ceil(RHO * level_size(1)) - 1
             assert floor == 9
             assert all(lvl.survivor_count >= floor for lvl in trace.levels)
@@ -135,7 +133,7 @@ class TestRunLadder:
         # exploration-phase shape: estimates drop by one decade or more per
         # level and the last one lands near the true tail probability
         model = ModelSpec.identity(1)
-        _, trace = run_ladder(model, LadderConfig(), RngStream(3), gamma=5.0)
+        _, trace = run_ladder(model, RngStream(3), gamma=5.0)
         estimates = [lvl.estimate for lvl in trace.levels]
         ratios = [b / a for a, b in zip(estimates, estimates[1:])]
         assert all(1e-4 <= r <= 0.6 for r in ratios)
@@ -143,8 +141,7 @@ class TestRunLadder:
 
     def test_left_tail(self):
         model = ModelSpec.identity(1, tail="left")
-        theta, trace = run_ladder(model, LadderConfig(), RngStream(1),
-                                  gamma=-4.0)
+        theta, trace = run_ladder(model, RngStream(1), gamma=-4.0)
         assert theta[0] <= -3.5
         gammas = [lvl.gamma for lvl in trace.levels]
         assert all(a > b for a, b in zip(gammas, gammas[1:]))
@@ -175,7 +172,7 @@ class TestEstimateProbability:
 
     def test_linear_model_after_ladder(self):
         model = ModelSpec.linear([1.0])
-        theta, _ = run_ladder(model, LadderConfig(), RngStream(7), gamma=4.0)
+        theta, _ = run_ladder(model, RngStream(7), gamma=4.0)
         report = report_from_sample(draw_tail_sample(
             model, 4.0, theta, 10_000, RngStream(7, 99)))
         p = oracles.normal_tail(4.0)
@@ -206,16 +203,15 @@ class TestSpeedup:
         # the speedup charges the ladder's runs; at p = 0.84 and d = 110 its
         # 1000-run level outweighs what the shift and the slabs save
         model = ModelSpec.linear_family(110)
-        config = LadderConfig()
         report, _, _ = estimate_to_precision(
-            model, -math.sqrt(10.01), config, 0.10, RngStream(2))
+            model, -math.sqrt(10.01), 0.10, RngStream(2))
         assert report.speedup == mc_equivalent_runs(
             report.estimate, report.rel_half_width) / report.runs_total
         assert report.speedup < 1.0
         # ten slabs along the only coordinate of a d=1 model resolve the
         # same event well enough to beat plain MC after its ladder level
         report, _, _ = estimate_to_precision(
-            ModelSpec.identity(1), -1.0, config, 0.10, RngStream(2))
+            ModelSpec.identity(1), -1.0, 0.10, RngStream(2))
         assert report.speedup > 1.0
 
     def test_zero_width_interval(self):
@@ -231,36 +227,31 @@ class TestSpeedup:
 class TestEstimateToPrecision:
     def test_target_met_in_first_batch(self):
         model = ModelSpec.identity(1)
-        config = LadderConfig()
         report, trace, sample = estimate_to_precision(
-            model, 0.0, config, 0.10, RngStream(1))
+            model, 0.0, 0.10, RngStream(1))
         assert report.runs_final == 1000
         assert report.converged
         assert report.rel_half_width <= 0.10
 
     def test_runs_are_multiples_of_batch(self):
         model = ModelSpec.identity(1)
-        config = LadderConfig()
         report, trace, _ = estimate_to_precision(
-            model, 3.0, config, 0.10, RngStream(5))
+            model, 3.0, 0.10, RngStream(5))
         assert report.runs_final % 1000 == 0
         assert report.runs_exploration == level_size(1) * len(trace.levels)
 
     def test_budget_exhausted_carries_partial(self):
         model = ModelSpec.identity(1)
-        config = LadderConfig()
         with pytest.raises(BudgetExhausted) as err:
-            estimate_to_precision(model, 4.0, config, 0.001, RngStream(0),
-                                  budget=6000)
+            estimate_to_precision(model, 4.0, 0.001, RngStream(0), budget=6000)
         assert err.value.report is not None
         assert not err.value.report.converged
         assert err.value.report.runs_total <= 6000
 
     def test_deterministic_given_seed(self):
         model = ModelSpec.linear_family(20)
-        config = LadderConfig()
-        a = estimate_to_precision(model, 10.0, config, 0.10, RngStream(3))
-        b = estimate_to_precision(model, 10.0, config, 0.10, RngStream(3))
+        a = estimate_to_precision(model, 10.0, 0.10, RngStream(3))
+        b = estimate_to_precision(model, 10.0, 0.10, RngStream(3))
         assert a[0].estimate == b[0].estimate
         assert a[0].rel_half_width == b[0].rel_half_width
 
@@ -271,12 +262,11 @@ class TestUnbiasednessAndCoverage:
         # runs the full 200)
         model = ModelSpec.identity(1)
         p = oracles.normal_tail(2.5)
-        config = LadderConfig()
         estimates, variances = [], []
         m = 1000
         for seed in range(50):
             rng = RngStream(seed)
-            theta, _ = run_ladder(model, config, rng, gamma=2.5)
+            theta, _ = run_ladder(model, rng, gamma=2.5)
             sample = draw_tail_sample(model, 2.5, theta, m,
                                       RngStream(rng.seed, 2_000_000))
             terms = oracles.hit_terms(sample)
@@ -290,12 +280,11 @@ class TestUnbiasednessAndCoverage:
         model = ModelSpec.linear_family(110)
         gamma = 4.0 * np.linalg.norm(model.coeffs)
         p = analytic_tail_prob(model, gamma)
-        config = LadderConfig()
         covered = 0
         runs = 100
         for seed in range(runs):
             report, _, _ = estimate_to_precision(
-                model, gamma, config, 0.10, RngStream(seed), budget=30_000)
+                model, gamma, 0.10, RngStream(seed), budget=30_000)
             covered += (abs(report.estimate - p)
                         <= report.rel_half_width * report.estimate)
         assert covered >= 0.90 * runs
@@ -413,9 +402,8 @@ class TestMaxLevelsExceeded:
     def test_level_cap_carries_trace(self):
         from tailshift import MaxLevelsExceeded
         model = ModelSpec.identity(1)
-        config = LadderConfig(max_levels=2)
         with pytest.raises(MaxLevelsExceeded) as err:
-            run_ladder(model, config, RngStream(0), gamma=20.0)
+            run_ladder(model, RngStream(0), gamma=20.0, max_levels=2)
         assert len(err.value.trace.levels) == 2
 
     def test_stall_below_gamma_carries_trace(self, tmp_path):
@@ -425,11 +413,66 @@ class TestMaxLevelsExceeded:
         sim.write_text(CAPPED_AT_3)
         with SimulatorPool(f"python3 {sim}") as pool:
             with pytest.raises(MaxLevelsExceeded) as err:
-                run_ladder(ModelSpec.external(pool, 2), LadderConfig(),
-                           RngStream(0), gamma=4.0)
+                run_ladder(ModelSpec.external(pool, 2), RngStream(0),
+                           gamma=4.0)
         assert str(err.value) == "ladder stalled below gamma after 6 levels"
         levels = [lvl.gamma for lvl in err.value.trace.levels]
         assert levels == pytest.approx([1.15, 2.61, 3.0, 3.0, 3.0, 3.0],
                                        abs=0.005)
         assert [lvl.runs for lvl in err.value.trace.levels] == (
             [level_size(2)] * len(levels))
+
+
+# a model no call can evaluate: response_values has no such kind
+UNEVALUABLE = ModelSpec(kind="unevaluable", dimension=1)
+LADDER_CALLS = {
+    "run_ladder": lambda **ladder: run_ladder(
+        UNEVALUABLE, RngStream(0), gamma=2.0, **ladder),
+    "estimate_to_precision": lambda **ladder: estimate_to_precision(
+        UNEVALUABLE, 2.0, 0.10, RngStream(0), **ladder),
+    "estimate_quantile": lambda **ladder: estimate_quantile(
+        UNEVALUABLE, 1e-4, RngStream(0), **ladder),
+}
+
+
+class TestLadderSettings:
+    @pytest.mark.parametrize("call", LADDER_CALLS)
+    def test_the_model_cannot_be_evaluated(self, call):
+        with pytest.raises(KeyError, match="unevaluable"):
+            LADDER_CALLS[call]()
+
+    @pytest.mark.parametrize("call", LADDER_CALLS)
+    @pytest.mark.parametrize("setting, message", [
+        ({"max_levels": 0}, "max_levels must be at least 1"),
+        ({"dimred": "sometimes"}, "dimred must be one of ('auto', 'on', "
+                                  "'off'), got 'sometimes'")],
+        ids=["max_levels", "dimred"])
+    def test_bad_setting_raises_before_any_run(self, call, setting, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            LADDER_CALLS[call](**setting)
+
+
+class TestUnderflow:
+    def test_the_power_of_p_must_be_normal(self):
+        tiny = sys.float_info.min
+        check_underflow(0.0)            # zero hits are reported, not refused
+        check_underflow(2.0 * math.sqrt(tiny))
+        check_underflow(2.0 * tiny ** (1 / 3), power=3)
+        with pytest.raises(DomainError, match=r"p\^2 underflows"):
+            check_underflow(0.5 * math.sqrt(tiny))
+        with pytest.raises(DomainError, match=r"p\^3 underflows"):
+            check_underflow(0.5 * tiny ** (1 / 3), power=3)
+
+    @pytest.mark.parametrize("gamma, refused", [(26.0, False), (30.0, True)])
+    def test_report_from_sample(self, gamma, refused):
+        # iid rows at theta = gamma: p = 2.5e-149 at 26, 4.9e-198 at 30
+        sample = draw_tail_sample(ModelSpec.identity(1), gamma,
+                                  np.array([gamma]), 2000, RngStream(1, 500))
+        if refused:
+            with pytest.raises(DomainError, match=r"p\^2 underflows"):
+                report_from_sample(sample)
+            return
+        report = report_from_sample(sample)
+        half = report.rel_half_width * report.estimate
+        assert 0.0 < half
+        assert abs(report.estimate - oracles.normal_tail(gamma)) <= 3 * half

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from tailshift import (BudgetExhausted, DomainError, LadderConfig, ModelSpec,
+from tailshift import (BudgetExhausted, DomainError, ModelSpec,
                        NonMonotoneBracket, RngStream, draw_tail_sample,
                        estimate_quantile, report_from_sample)
 from tailshift import quantile as quantile_module
@@ -15,8 +15,7 @@ from tailshift.multilevel import SLABS, level_size
 class TestQuantileEstimate:
     def test_identity_one_in_ten_thousand(self):
         model = ModelSpec.identity(1)
-        report, trace = estimate_quantile(model, 1e-4, LadderConfig(),
-                                          RngStream(2))
+        report, trace = estimate_quantile(model, 1e-4, RngStream(2))
         assert report.converged
         # coverage of the truth is counted over 200 seeds in test_coverage.py
         # interval widths in the sub-percent regime
@@ -26,10 +25,9 @@ class TestQuantileEstimate:
     def test_scaled_linear_model(self):
         # doubling every coefficient doubles the quantile, draw for draw:
         # same seed, same shifts, twice the responses
-        unit, _ = estimate_quantile(ModelSpec.identity(1), 1e-4,
-                                    LadderConfig(), RngStream(3))
+        unit, _ = estimate_quantile(ModelSpec.identity(1), 1e-4, RngStream(3))
         report, _ = estimate_quantile(ModelSpec.linear([2.0]), 1e-4,
-                                      LadderConfig(), RngStream(3))
+                                      RngStream(3))
         assert report.quantile == 2.0 * unit.quantile
         assert report.rel_half_width == unit.rel_half_width
         assert report.runs_final == unit.runs_final
@@ -37,7 +35,7 @@ class TestQuantileEstimate:
     def test_round_trip_through_probability(self):
         model = ModelSpec.identity(1)
         rng = RngStream(4)
-        report, _ = estimate_quantile(model, 1e-4, LadderConfig(), rng)
+        report, _ = estimate_quantile(model, 1e-4, rng)
         check = report_from_sample(
             draw_tail_sample(model, report.quantile, report.theta, 1000,
                              RngStream(rng.seed, 9_000_000)))
@@ -46,21 +44,20 @@ class TestQuantileEstimate:
 
     def test_monotone_in_p_on_same_seed(self):
         model = ModelSpec.identity(1)
-        q_rare, _ = estimate_quantile(model, 1e-4, LadderConfig(), RngStream(5))
-        q_common, _ = estimate_quantile(model, 1e-3, LadderConfig(), RngStream(5))
+        q_rare, _ = estimate_quantile(model, 1e-4, RngStream(5))
+        q_common, _ = estimate_quantile(model, 1e-3, RngStream(5))
         assert q_rare.quantile >= q_common.quantile
 
     def test_left_tail(self):
         model = ModelSpec.identity(1, tail="left")
-        report, _ = estimate_quantile(model, 1e-4, LadderConfig(), RngStream(6))
+        report, _ = estimate_quantile(model, 1e-4, RngStream(6))
         truth = -oracles.tail_quantile("1e-4")
         half = report.rel_half_width * abs(report.quantile)
         assert abs(report.quantile - truth) <= half
 
     def test_moderate_p_skips_the_ladder_climb(self):
         model = ModelSpec.identity(1)
-        report, trace = estimate_quantile(model, 0.2, LadderConfig(),
-                                          RngStream(7))
+        report, trace = estimate_quantile(model, 0.2, RngStream(7))
         assert len(trace.levels) == 1
         truth = oracles.normal_quantile(0.8)
         half = report.rel_half_width * abs(report.quantile)
@@ -68,23 +65,20 @@ class TestQuantileEstimate:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            estimate_quantile(ModelSpec.identity(1), 1.5, LadderConfig(),
-                              RngStream(0))
+            estimate_quantile(ModelSpec.identity(1), 1.5, RngStream(0))
 
     @pytest.mark.parametrize("precision", [-0.1, 0.0, 1.0])
     def test_precision_outside_unit_interval(self, precision):
         # rejected before the ladder, as estimate_to_precision rejects its
         # target; a target of zero or less would refine until the budget
         with pytest.raises(DomainError, match="relative half-width"):
-            estimate_quantile(ModelSpec.identity(1), 1e-3, LadderConfig(),
-                              RngStream(0), precision=precision,
-                              budget=30000)
+            estimate_quantile(ModelSpec.identity(1), 1e-3, RngStream(0),
+                              precision=precision, budget=30000)
 
     def test_budget_exhausted_carries_partial(self):
         model = ModelSpec.identity(1)
         with pytest.raises(BudgetExhausted) as err:
-            estimate_quantile(model, 1e-4, LadderConfig(), RngStream(8),
-                              budget=1900)
+            estimate_quantile(model, 1e-4, RngStream(8), budget=1900)
         assert err.value.report is not None
         assert not err.value.report.converged
         # the ladder's 900 runs and one refinement batch, before the stop
@@ -121,13 +115,12 @@ class TestRefinementWidening:
 
     def test_widen_limit_raises(self, never_brackets):
         with pytest.raises(NonMonotoneBracket):
-            estimate_quantile(ModelSpec.identity(1), 1e-4, LadderConfig(),
-                              RngStream(2))
+            estimate_quantile(ModelSpec.identity(1), 1e-4, RngStream(2))
 
     def test_budget_hit_while_widening_reports_pivot(self, never_brackets):
         with pytest.raises(BudgetExhausted) as err:
-            estimate_quantile(ModelSpec.identity(1), 1e-4, LadderConfig(),
-                              RngStream(2), budget=6000)
+            estimate_quantile(ModelSpec.identity(1), 1e-4, RngStream(2),
+                              budget=6000)
         report, trace = err.value.report, err.value.trace
         assert report.quantile == trace.levels[-1].gamma
         # the ladder's runs, then 1000-run batches up to the budget
@@ -196,7 +189,7 @@ class TestSortedPool:
         monkeypatch.setattr(quantile_module, "pooled_batches", pooled)
         monkeypatch.setattr(quantile_module, "_survival_inverse", inverse)
         report, _ = estimate_quantile(ModelSpec.identity(1), p,
-                                      LadderConfig(), RngStream(seed))
+                                      RngStream(seed))
         assert report.converged
         assert len(samples) > 1
         assert [count for count, _ in levels] == list(

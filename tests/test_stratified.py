@@ -3,8 +3,7 @@ import pytest
 from scipy import stats
 
 import oracles
-from tailshift import (DegenerateStratum, DomainError,
-                       LadderConfig, ModelSpec, RngStream,
+from tailshift import (DegenerateStratum, DomainError, ModelSpec, RngStream,
                        analytic_tail_prob, response_values, run_ladder,
                        stratified_estimate)
 from tailshift.multilevel import STRATA_STREAM
@@ -126,8 +125,7 @@ class TestStratifiedEstimate:
         p = analytic_tail_prob(model, gamma)
         estimates, variances = [], []
         for seed in range(10):
-            theta, trace = run_ladder(model, LadderConfig(), RngStream(seed),
-                                      gamma=gamma)
+            theta, trace = run_ladder(model, RngStream(seed), gamma=gamma)
             report, _ = stratified_estimate(
                 model, gamma, theta, 20, 20_000, RngStream(seed),
                 runs_exploration=trace.exploration_runs)
@@ -153,6 +151,12 @@ class TestStratifiedEstimate:
             hits = response_values(model, raw + theta) >= 2.0
             assert row["mean"] == float(np.where(hits, weights, 0.0).mean())
         assert [row["count"] for row in rows] == [251, 251, 251, 250]
+
+    def test_underflow_fails_loudly(self):
+        # p = 4.9e-198 at gamma 30: squared weights leave double range
+        with pytest.raises(DomainError, match=r"p\^2 underflows"):
+            stratified_estimate(ModelSpec.identity(1), 30.0, np.array([30.0]),
+                                10, 1000, RngStream(0))
 
     def test_budget_too_small(self):
         with pytest.raises(DomainError):
