@@ -10,9 +10,9 @@ from .core import RngStream, std_normal_cdf, std_normal_quantile
 from .cvar import CvarReport, estimate_cvar
 from .dimred import SubspaceSelection, select_important, solve_shift_in_subspace
 from .errors import (BudgetExhausted, ConfigError, DegenerateBatch,
-                     DegenerateStratum, DomainError, MaxLevelsExceeded,
-                     NonMonotoneBracket, NoSurvivors, NotConverged,
-                     SimulatorError, TailshiftError, ZeroHits)
+                     DomainError, MaxLevelsExceeded, NonMonotoneBracket,
+                     NoSurvivors, NotConverged, SimulatorError,
+                     TailshiftError)
 from .meanshift import (ShiftSolution, WeightedBatch, log_objective,
                         log_objective_gradient, log_objective_hessian,
                         solve_optimal_shift)

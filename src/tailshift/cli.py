@@ -32,8 +32,6 @@ EXIT_BUDGET = 3
 EXIT_SIMULATOR = 4
 EXIT_LADDER = 5
 
-WORKERS_ENV = "TAILSHIFT_WORKERS"
-
 _TASKS = ("prob", "quantile", "cvar", "strata")
 # allowed values of the RunConfig fields that take a name
 _CHOICES = {"task": _TASKS, "tail": ("right", "left"), "dimred": DIMRED_MODES,
@@ -419,12 +417,6 @@ def load_config(args):
         flag = getattr(args, f.name, None)
         if flag is not None:
             values[f.name] = flag
-    if "workers" not in values and os.environ.get(WORKERS_ENV):
-        try:
-            values["workers"] = int(os.environ[WORKERS_ENV])
-        except ValueError:
-            raise ConfigError(f"workers: bad {WORKERS_ENV} value "
-                              f"{os.environ[WORKERS_ENV]!r}")
     config = RunConfig(**values)
     config.validate()
     return config

@@ -36,10 +36,6 @@ class MaxLevelsExceeded(TailshiftError):
         self.trace = trace
 
 
-class ZeroHits(TailshiftError):
-    """No weighted survivor in an estimation batch."""
-
-
 class BudgetExhausted(TailshiftError):
     """Run budget hit before the precision target.
 
@@ -55,10 +51,6 @@ class BudgetExhausted(TailshiftError):
 
 class NonMonotoneBracket(TailshiftError):
     """Quantile search could not bracket the target probability."""
-
-
-class DegenerateStratum(TailshiftError):
-    """A stratum has vanishing probability mass."""
 
 
 class SimulatorError(TailshiftError):

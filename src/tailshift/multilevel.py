@@ -92,16 +92,16 @@ def mc_equivalent_runs(p, rel_half_width, confidence=0.95):
     return z * z * max(1.0 - p, 0.0) / (p * rel_half_width * rel_half_width)
 
 
-def check_underflow(p, power=2):
-    """Raise DomainError for a probability p > 0 whose ``power`` is below
-    the smallest normal double.
+def check_underflow(p):
+    """Raise DomainError for a probability p > 0 whose square is below the
+    smallest normal double.
 
-    A variance squares weights near p (CVaR's divides by p^3).  Above that
-    bound the squares that underflow move their mean by at most 2^-53 of
-    itself; below it an interval reads zero width or divides by zero.
+    A variance squares weights near p.  Above that bound the squares that
+    underflow move their mean by at most 2^-53 of itself; below it an
+    interval reads zero width or divides by zero.
     """
-    if p > 0.0 and p ** power < sys.float_info.min:
-        raise DomainError(f"probability {p:.3g} is too small: p^{power} "
+    if p > 0.0 and p * p < sys.float_info.min:
+        raise DomainError(f"probability {p:.3g} is too small: p^2 "
                           "underflows double precision")
 
 
@@ -351,8 +351,9 @@ def run_ladder(model, rng, level_rule=None, budget=math.inf, gamma=None, *,
     names, whatever confidence the final estimate uses.
     Raises MaxLevelsExceeded (carrying the trace) past ``max_levels`` or,
     under the default rule, after ``STALL_LIMIT`` consecutive stalled levels,
-    and BudgetExhausted (carrying the trace) before a level that would take
-    the runs past ``budget``.
+    BudgetExhausted (carrying the trace) before a level that would take
+    the runs past ``budget``, and DomainError (``check_underflow``) at a
+    level whose estimate is too small to square.
     """
     if max_levels < 1:
         raise DomainError("max_levels must be at least 1")
@@ -388,6 +389,8 @@ def run_ladder(model, rng, level_rule=None, budget=math.inf, gamma=None, *,
         responses = oriented_response(model, response_values(model, points))
         weights = np.exp(log_weights)
         level, done = level_rule(responses, weights)
+        estimate, se = weighted_exceedance(responses, weights, level)
+        check_underflow(estimate)
         batch = WeightedBatch.from_threshold(points, responses, level,
                                              log_weights)
         if select:
@@ -397,7 +400,6 @@ def run_ladder(model, rng, level_rule=None, budget=math.inf, gamma=None, *,
                          else augment_selection(selection, batch))
             trace.selection = selection
         sol = _solve_level(batch, selection)
-        estimate, se = weighted_exceedance(responses, weights, level)
         rel = z * se / estimate if estimate > 0.0 else math.inf
         trace.levels.append(LadderLevel(
             index=k,

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .core import shift_rows, slab_levels, std_normal_cdf, std_normal_quantile
-from .errors import DegenerateStratum, DomainError
+from .errors import DomainError
 from .model import oriented_response, response_values
 from .multilevel import STRATA_STREAM, estimate_report, z_value
 
@@ -34,9 +34,6 @@ _ONE_ABOVE_0 = np.nextafter(0.0, 1.0)
 
 def _conditional_rows(u, a, b, n, rng):
     lo, hi = std_normal_cdf(a), std_normal_cdf(b)
-    if hi - lo <= 0.0:
-        raise DegenerateStratum(
-            f"stratum [{a}, {b}] has vanishing Gaussian mass")
     uniforms = rng.generator.random(n)
     args = np.clip(lo + uniforms * (hi - lo), _ONE_ABOVE_0, _ONE_BELOW_1)
     z = std_normal_quantile(args)

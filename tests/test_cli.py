@@ -251,18 +251,12 @@ class TestConfigValidation:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: config:")
 
-    def test_workers_env_not_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("TAILSHIFT_WORKERS", "two")
-        code = main(["prob", "--gamma", "1.0"])
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: workers:")
-
-    def test_workers_env_default(self, monkeypatch):
+    def test_workers_has_no_environment_source(self, monkeypatch, tmp_path):
         monkeypatch.setenv("TAILSHIFT_WORKERS", "3")
-        parser_args = ["prob", "--model", "builtin:identity", "--gamma", "1.0"]
-        from tailshift.cli import _build_parser
-        config = load_config(_build_parser().parse_args(parser_args))
-        assert config.workers == 3
+        code, payload = run_main(tmp_path, ["prob", "--gamma", "1",
+                                            "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(payload)["config"]["workers"] == 1
 
 
 class TestProbPipeline:
@@ -607,21 +601,25 @@ class TestLadderFailureExit:
 
 
 class TestUnderflowExit:
-    # below p = 1.5e-154, p^2 is below the smallest normal double (CVaR's
-    # p^3, below p = 2.8e-103), and squared weights underflow
-    @pytest.mark.parametrize("target", [["prob", "--gamma", "30"],
-                                        ["strata", "--gamma", "30"],
-                                        ["cvar", "--gamma", "23"],
-                                        ["cvar", "--gamma", "30"],
-                                        ["quantile", "--p", "1e-200"]],
-                             ids=["prob-30", "strata-30", "cvar-23",
-                                  "cvar-30", "quantile-1e-200"])
-    def test_underflow_fails_loudly(self, capsys, tmp_path, target):
+    # below p = 1.5e-154, p^2 is below the smallest normal double and
+    # squared weights underflow, whether p is a ladder level's estimate, the
+    # final estimate, the quantile's p or the CVaR's p
+    @pytest.mark.parametrize("target, max_levels",
+                             [(["prob", "--gamma", "30"], 60),
+                              (["strata", "--gamma", "30"], 60),
+                              (["cvar", "--gamma", "30"], 60),
+                              (["quantile", "--p", "1e-200"], 60),
+                              (["prob", "--gamma", "40"], 80)],
+                             ids=["prob-30", "strata-30", "cvar-30",
+                                  "quantile-1e-200", "prob-40-ladder"])
+    def test_underflow_fails_loudly(self, capsys, tmp_path, target,
+                                    max_levels):
         out = tmp_path / "report.out"
-        code = main(target + ["--max-levels", "60", "--out", str(out)])
+        code = main(target + ["--max-levels", str(max_levels), "--out",
+                              str(out)])
         assert code == EXIT_ERROR
         captured = capsys.readouterr()
-        assert re.fullmatch(r"error: probability \S+ is too small: p\^[23] "
+        assert re.fullmatch(r"error: probability \S+ is too small: p\^2 "
                             r"underflows double precision\n", captured.err)
         assert captured.out == "" and not out.exists()
 
@@ -634,6 +632,18 @@ class TestUnderflowExit:
         half = report["ci_rel"] * report["estimate"]
         assert 0.0 < half
         assert abs(report["estimate"] - oracles.normal_tail(25.0)) <= half
+
+    @pytest.mark.parametrize("gamma", ["23", "25"])
+    def test_cvar_is_estimated(self, tmp_path, gamma):
+        # p^3 is subnormal at both: 2.3e-117 and 3.1e-138
+        code, payload = run_main(tmp_path, [
+            "cvar", "--gamma", gamma, "--max-levels", "60", "--format",
+            "json"])
+        assert code == EXIT_OK
+        cvar = json.loads(payload)["cvar"]
+        half = cvar["ci_rel"] * cvar["cvar"]
+        assert 0.0 < half
+        assert abs(cvar["cvar"] - oracles.mills_cvar(float(gamma))) <= half
 
 
 class TestDrawThreads:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from tailshift import (DomainError, ModelSpec, RngStream, TailSample, ZeroHits,
-                       draw_tail_sample, estimate_cvar)
+from tailshift import (DomainError, ModelSpec, NoSurvivors, RngStream,
+                       TailSample, draw_tail_sample, estimate_cvar)
 
 
 def toy_sample(m, seed, gamma=1.5, theta=0.0):
@@ -61,7 +61,7 @@ class TestSelfNormalized:
 
     def test_zero_hits(self):
         sample = toy_sample(100, seed=5, gamma=10.0)
-        with pytest.raises(ZeroHits):
+        with pytest.raises(NoSurvivors):
             estimate_cvar(sample)
 
     def test_left_tail_orientation(self):
@@ -121,19 +121,26 @@ class TestExactBias:
 
 
 class TestUnderflow:
-    # the hits of a sample drawn at theta = gamma weigh about p, and the
-    # plug-in variance divides by p^3, a normal double down to p = 2.8e-103
-    def test_normal_cube_is_estimated(self):
-        report = estimate_cvar(toy_sample(2000, seed=1, gamma=21.0,
-                                          theta=21.0))
+    # the hits of a sample drawn at theta = gamma weigh about p; the plug-in
+    # variance divides each weight by p and never forms a power of p, so
+    # the CVaR shares the p^2 limit of every estimate, p = 1.5e-154
+    def assert_covers(self, gamma):
+        report = estimate_cvar(toy_sample(2000, seed=1, gamma=gamma,
+                                          theta=gamma))
         half = report.rel_half_width * report.cvar
         assert 0.0 < half <= 0.01
-        assert abs(report.cvar - oracles.mills_cvar(21.0)) <= 3 * half
+        assert abs(report.cvar - oracles.mills_cvar(gamma)) <= 3 * half
 
-    @pytest.mark.parametrize("gamma", [23.0, 30.0])
-    def test_underflowing_cube_fails_loudly(self, gamma):
-        sample = toy_sample(2000, seed=1, gamma=gamma, theta=gamma)
-        with pytest.raises(DomainError, match=r"p\^3 underflows"):
+    def test_normal_cube_is_estimated(self):
+        self.assert_covers(21.0)
+
+    def test_subnormal_cube_is_estimated(self):
+        # p = 2.3e-117: p^3 is below the smallest normal double
+        self.assert_covers(23.0)
+
+    def test_underflowing_square_fails_loudly(self):
+        sample = toy_sample(2000, seed=1, gamma=30.0, theta=30.0)
+        with pytest.raises(DomainError, match=r"p\^2 underflows"):
             estimate_cvar(sample)
 
 

@@ -457,11 +457,8 @@ class TestUnderflow:
         tiny = sys.float_info.min
         check_underflow(0.0)            # zero hits are reported, not refused
         check_underflow(2.0 * math.sqrt(tiny))
-        check_underflow(2.0 * tiny ** (1 / 3), power=3)
         with pytest.raises(DomainError, match=r"p\^2 underflows"):
             check_underflow(0.5 * math.sqrt(tiny))
-        with pytest.raises(DomainError, match=r"p\^3 underflows"):
-            check_underflow(0.5 * tiny ** (1 / 3), power=3)
 
     @pytest.mark.parametrize("gamma, refused", [(26.0, False), (30.0, True)])
     def test_report_from_sample(self, gamma, refused):
@@ -476,3 +473,10 @@ class TestUnderflow:
         half = report.rel_half_width * report.estimate
         assert 0.0 < half
         assert abs(report.estimate - oracles.normal_tail(gamma)) <= 3 * half
+
+    def test_ladder_level(self):
+        # p is about 3.7e-350 at gamma 40: a level below p = 1.5e-154 is
+        # refused before its weights' squares and then the weights underflow
+        with pytest.raises(DomainError, match=r"p\^2 underflows"):
+            run_ladder(ModelSpec.identity(1), RngStream(0), gamma=40.0,
+                       max_levels=80)

@@ -3,9 +3,8 @@ import pytest
 from scipy import stats
 
 import oracles
-from tailshift import (DegenerateStratum, DomainError, ModelSpec, RngStream,
-                       analytic_tail_prob, response_values, run_ladder,
-                       stratified_estimate)
+from tailshift import (DomainError, ModelSpec, RngStream, analytic_tail_prob,
+                       response_values, run_ladder, stratified_estimate)
 from tailshift.multilevel import STRATA_STREAM
 from tailshift.core import slab_levels
 from tailshift.stratified import _conditional_rows
@@ -48,10 +47,6 @@ class TestConditionalSampler:
                               lambda x: np.array([oracles.truncated_cdf(v, 0.5, 1.7)
                                                   for v in np.atleast_1d(x)]))
         assert result.pvalue >= 0.01
-
-    def test_degenerate_stratum(self):
-        with pytest.raises(DegenerateStratum):
-            _conditional_rows(np.array([1.0]), 39.0, 40.0, 10, RngStream(0))
 
 
 class TestStrataFromShift:
