@@ -635,7 +635,7 @@ class TestUnderflowExit:
 
     @pytest.mark.parametrize("gamma", ["23", "25"])
     def test_cvar_is_estimated(self, tmp_path, gamma):
-        # p^3 is subnormal at both: 2.3e-117 and 3.1e-138
+        # p = 2.3e-117 and 3.1e-138: p^3 underflows to zero at both
         code, payload = run_main(tmp_path, [
             "cvar", "--gamma", gamma, "--max-levels", "60", "--format",
             "json"])

@@ -44,7 +44,7 @@ CELLS = {
     "identity-cvar-1e-6": (
         dict(task="cvar", gamma=oracles.tail_quantile("1e-6")),
         "cvar", "cvar", oracles.mills_cvar(oracles.tail_quantile("1e-6"))),
-    # p^3 = 1.3e-350 here: past the smallest double, p^2 is still normal
+    # p = 2.3e-117: p^3 underflows to zero, p^2 is still normal
     "identity-cvar-gamma-23": (
         dict(task="cvar", gamma=23.0, max_levels=60), "cvar", "cvar",
         oracles.mills_cvar(23.0)),

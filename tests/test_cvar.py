@@ -134,8 +134,8 @@ class TestUnderflow:
     def test_normal_cube_is_estimated(self):
         self.assert_covers(21.0)
 
-    def test_subnormal_cube_is_estimated(self):
-        # p = 2.3e-117: p^3 is below the smallest normal double
+    def test_underflowing_cube_is_estimated(self):
+        # p = 2.3e-117: p^3 underflows to zero
         self.assert_covers(23.0)
 
     def test_underflowing_square_fails_loudly(self):

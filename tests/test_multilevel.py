@@ -475,8 +475,9 @@ class TestUnderflow:
         assert abs(report.estimate - oracles.normal_tail(gamma)) <= 3 * half
 
     def test_ladder_level(self):
-        # p is about 3.7e-350 at gamma 40: a level below p = 1.5e-154 is
-        # refused before its weights' squares and then the weights underflow
+        # p is about 3.7e-350 at gamma 40: the first level whose estimate is
+        # below 1.5e-154 is refused, before its weights, which the ladder
+        # climbs further, underflow to zero and read as zero hits
         with pytest.raises(DomainError, match=r"p\^2 underflows"):
             run_ladder(ModelSpec.identity(1), RngStream(0), gamma=40.0,
                        max_levels=80)
