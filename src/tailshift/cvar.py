@@ -37,10 +37,9 @@ def estimate_cvar(sample, confidence=0.95):
     method's three-term formula with every moment taken from the same
     batch, which never forms a power of p.
     """
-    hits = sample.responses >= sample.gamma
-    if not hits.any():
+    iw = np.where(sample.responses >= sample.gamma, sample.weights, 0.0)
+    if not iw.any():
         raise NoSurvivors("no survivor above the threshold in the sample")
-    iw = np.where(hits, sample.weights, 0.0)
     p = float(iw.mean())
     check_underflow(p)
     cvar_o = float((sample.responses * iw).mean()) / p

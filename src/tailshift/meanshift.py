@@ -181,13 +181,16 @@ def solve_optimal_shift(batch, tol=1e-8, max_iter=50):
     # the exponents at theta, kept from the step that accepted it
     expo = _exponents(theta, pts, offsets)
     value = _objective_at(theta, expo, n)
-    for iteration in range(max_iter):
+    for iteration in range(max_iter + 1):
         s = _softmax(expo)
         mean = s @ pts
         grad = theta - mean
         grad_norm = np.linalg.norm(grad)
         if grad_norm <= tol:
             return _solution(theta, iteration, grad_norm)
+        if iteration == max_iter:
+            raise NotConverged(
+                f"no convergence within {max_iter} Newton iterations")
 
         centered = pts - mean
         centered *= np.sqrt(s)[:, None]
@@ -211,8 +214,3 @@ def solve_optimal_shift(batch, tol=1e-8, max_iter=50):
             if step < 1e-18:
                 raise NotConverged("line search failed to make progress")
         theta, expo, value = candidate, cand_expo, cand_value
-
-    grad_norm = np.linalg.norm(theta - _softmax(expo) @ pts)
-    if grad_norm <= tol:
-        return _solution(theta, max_iter, grad_norm)
-    raise NotConverged(f"no convergence within {max_iter} Newton iterations")

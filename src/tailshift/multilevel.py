@@ -21,9 +21,9 @@ Math. Finance 9).  The draw's log weight
 -|theta| t - |theta|^2 / 2 fixes each row's slab, so no draw changes.  With
 the slabs equiprobable this removes the between-slab term
 sum_i p_i (mu_i - mu)^2 from the plain estimator's variance.  The
-per-slab sums are carried from batch to batch, each slab's earlier sum
-entering ahead of its new rows, so every batch reduces only its own rows
-and the sums still equal one pass over the pool in draw order.
+per-slab sums are carried from batch to batch and each batch adds only its
+own rows to them, in row order, so they still equal one pass over the pool
+in draw order.
 
 Every ladder level and final batch is one ``RngStream.shifted_normals`` draw
 from its own child stream of the run's root stream, which returns the
@@ -295,17 +295,15 @@ def slab_sums(labels, terms, carry=None):
     """Rows (n_i, S1_i, Q_i) per slab: counts, sums of ``terms`` and of
     their squares, each slab summed in row order.
 
-    ``carry``, the sums of earlier rows, enters each slab ahead of its rows.
-    ``np.bincount`` adds in array order, so the carried sums are the sums
-    over the earlier rows followed by these, bit for bit.
+    Each row is added to its slab's running sums, which start at ``carry``,
+    the sums of earlier rows, or at zero.  ``np.add.at`` adds in index
+    order, so the carried sums are the sums over the earlier rows followed
+    by these, bit for bit.
     """
-    if carry is None:
-        carry = np.zeros((3, SLABS))
-    entries = np.concatenate([np.arange(SLABS), labels])
-    return np.stack([carry[0] + np.bincount(labels, minlength=SLABS),
-                     np.bincount(entries, np.concatenate([carry[1], terms])),
-                     np.bincount(entries, np.concatenate([carry[2],
-                                                          terms * terms]))])
+    sums = np.zeros((3, SLABS)) if carry is None else carry.copy()
+    for row, values in zip(sums, (1.0, terms, terms * terms)):
+        np.add.at(row, labels, values)
+    return sums
 
 
 def stratified_exceedance(counts, s1, q):
@@ -495,11 +493,11 @@ def levels_capped(dimension, selection=None):
     return SURVIVORS_PER_DIM * k / RHO > LEVEL_CAP
 
 
-def _resolved_shift(points, batch, selection):
-    """The shift solved on ``batch``'s hits at its own level, drawn at
-    ``points``; the batch's own shift when it has no hit."""
-    hits = WeightedBatch.from_threshold(points, batch.responses, batch.gamma,
-                                        batch.log_weights)
+def _resolved_shift(batch, selection):
+    """The shift solved on ``batch``'s hits at its own level; the batch's
+    own shift when it has no hit."""
+    hits = WeightedBatch.from_threshold(batch.points, batch.responses,
+                                        batch.gamma, batch.log_weights)
     if hits.survivor_count == 0:
         return batch.theta
     return _solve_level(hits, selection).theta
@@ -510,29 +508,27 @@ def pooled_batches(model, gamma, trace, rng, stream, room):
     runs, the first drawn under the ladder's last shift.
 
     Batch i comes from stream ``stream + i``.  When the ladder's levels were
-    capped (``levels_capped``), the shift is solved once more, as
-    the ladder solves a level under its selection, on the first batch's hits
-    at its level, and every later batch is drawn under that shift; the
-    solve runs only when a second batch fits.  Each batch keeps the log
-    weights and slab labels of its own shift, so the batches pool into one
-    post-stratified sample.  Yields each fresh batch with its ``labels``
-    set and its points dropped, and stops before a batch that would take
-    the pooled runs past ``room``.
+    capped (``levels_capped``) and a second batch fits in ``room``, the
+    shift is solved once more right after the first batch is yielded, as
+    the ladder solves a level under its selection, on that batch's hits at
+    its level, and every later batch is drawn under that shift.  Each batch
+    keeps the log weights and slab labels of its own shift, so the batches
+    pool into one post-stratified sample.  Yields each fresh batch with its
+    ``labels`` set and its points dropped, and stops before a batch that
+    would take the pooled runs past ``room``.
     """
     theta = trace.levels[-1].theta
-    resolve = levels_capped(model.dimension, trace.selection)
-    points = None
-    for i in range(room // FINAL_BATCH):
-        if points is not None:
-            theta = _resolved_shift(points, batch, trace.selection)
-            points = None
+    count = room // FINAL_BATCH
+    for i in range(count):
         batch = draw_tail_sample(model, gamma, theta, FINAL_BATCH,
                                  rng.child(stream + i))
-        if resolve and i == 0:
-            points = batch.points
-        batch = replace(batch, points=None,
-                        labels=slab_labels(batch.log_weights, batch.theta))
-        yield batch
+        yield replace(batch, points=None,
+                      labels=slab_labels(batch.log_weights, batch.theta))
+        if i == 0 and count > 1 and levels_capped(model.dimension,
+                                                  trace.selection):
+            theta = _resolved_shift(batch, trace.selection)
+        # the next draw must not hold this batch's points
+        del batch
 
 
 def estimate_to_precision(model, gamma, target, rng, budget=1_000_000,

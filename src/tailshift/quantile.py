@@ -31,9 +31,9 @@ import numpy as np
 from .errors import BudgetExhausted, DomainError, NonMonotoneBracket
 from .model import oriented_response
 from .multilevel import (FINAL_BATCH, QUANTILE_STREAM, SLABS, check_underflow,
-                         next_level, pooled_batches, row_scale, run_ladder,
-                         slab_sums, stratified_exceedance, weighted_exceedance,
-                         z_value)
+                         mc_equivalent_runs, next_level, pooled_batches,
+                         row_scale, run_ladder, slab_sums,
+                         stratified_exceedance, weighted_exceedance, z_value)
 
 # the refinement stops once its probability interval at the iterate is at
 # most this share of the interval a FINAL_BATCH-run round trip through
@@ -172,7 +172,9 @@ def estimate_quantile(model, p, rng, precision=0.10, budget=1_000_000,
     per-run relative variance of the hits (``_round_trip_width``).  So
     ``precision`` stays a ceiling on the probability interval.  The
     quantile interval is that probability interval divided by the local
-    survival slope of the same sorted pool.
+    survival slope of the same sorted pool, so the speedup is
+    ``mc_equivalent_runs`` of the probability interval over the runs, the
+    rule of ``prob``.
     A budget partial reports the last batch's iterate, or the pivot while
     the refinement widens.  ``ladder`` holds ``run_ladder``'s keyword
     settings, passed on unchanged.
@@ -220,14 +222,15 @@ def estimate_quantile(model, p, rng, precision=0.10, budget=1_000_000,
         _, s1, q = slab_sums(desc_l[:hits], desc_w[:hits])
         estimate, se_p = stratified_exceedance(counts, s1, q)
         round_trip = _round_trip_width(float(s1.sum()), float(q.sum()), m, z)
-        if z * se_p / estimate > min(precision, ROUND_TRIP_SHARE * round_trip):
+        rel_p = z * se_p / estimate
+        if rel_p > min(precision, ROUND_TRIP_SHARE * round_trip):
             continue
         slope = _slope_at(desc_r, scaled, level, estimate)
         half = z * se_p / slope
         quantile = float(oriented_response(model, level))
         rel = half / max(abs(quantile), 1e-300)
-        # plain MC would need this many runs for the same quantile interval
-        n_mc = estimate * max(1.0 - estimate, 0.0) * (z / (slope * half)) ** 2
+        # plain MC would need this many runs for the same probability interval
+        n_mc = mc_equivalent_runs(estimate, rel_p, confidence)
         report = QuantileReport(
             quantile=quantile,
             rel_half_width=rel,

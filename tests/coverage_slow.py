@@ -73,6 +73,12 @@ CELLS = {
         dict(task="strata", model="builtin:linear", dim=10, strata=10,
              gamma=math.sqrt(10) * oracles.tail_quantile("1e-4")),
         "report", "estimate", 1e-4, range(100)),
+    # nonlinear with capped ladder levels: the final phase re-solves a
+    # shift that cannot follow the chi^2 part of the response
+    "skewed-d110-prob-1e-6": (
+        dict(task="prob", model="builtin:skewed", dim=110,
+             gamma=oracles.skewed_gamma(1e-6, 110)),
+        "report", "estimate", 1e-6, range(40)),
 }
 
 HEADER = ("| cell | seeds | covered | bound | below truth | failed "

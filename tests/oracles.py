@@ -1,9 +1,9 @@
 """High-precision oracles for the test suite.
 
-Everything here goes through mpmath, or plain explicit-weight numpy, so
-expected values stay independent of the library code under test.  Only the
-library's DomainError is shared, so argument checks raise what the library
-raises.
+Everything here goes through mpmath, plain explicit-weight numpy, or
+scipy's quadrature and root finders, so expected values stay independent of
+the library code under test.  Only the library's DomainError is shared, so
+argument checks raise what the library raises.
 """
 
 import functools
@@ -11,6 +11,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy import integrate, optimize, special, stats
 
 from tailshift.errors import DomainError
 
@@ -79,6 +80,47 @@ def mills_cvar(gamma):
     """E[X | X > gamma] for standard normal X (Mills ratio form)."""
     g = mp.mpf(gamma)
     return float(mp.npdf(g) / mp.ncdf(-g))
+
+
+def skewed(x):
+    """g(x) = x + x^2 / 4 + x^3 / 10, the x_1 part of ``ModelSpec.skewed``."""
+    return x + 0.25 * x * x + 0.1 * x ** 3
+
+
+def skewed_root(y):
+    """The real root x of g(x) = y; g is increasing, so it has one, and it
+    lies in [-3 hi, hi] for hi = 2 + (10 |y|)^(1/3)."""
+    hi = 2.0 + np.cbrt(10.0 * abs(y))
+    return optimize.brentq(lambda x: skewed(x) - y, -3.0 * hi, hi,
+                           xtol=1e-15, rtol=4 * np.finfo(float).eps)
+
+
+def skewed_tail(gamma, d):
+    """P(h >= gamma) for ``ModelSpec.skewed(d)``, d >= 2.
+
+    h = g(x_1) + 0.05 (q - (d - 1)) with q = |x_2..x_d|^2 ~ chi^2_(d-1)
+    independent of x_1, so P(h >= gamma) is the integral of
+    Phi_bar(g^-1(gamma - 0.05 (q - d + 1))) against the chi^2_(d-1)
+    density, split at its mean d - 1.
+    """
+    k = d - 1
+
+    def integrand(q):
+        return (special.ndtr(-skewed_root(gamma - 0.05 * (q - k)))
+                * stats.chi2.pdf(q, k))
+    return sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13,
+                              limit=200)[0]
+               for lo, hi in ((0.0, k), (k, math.inf)))
+
+
+@functools.cache
+def skewed_gamma(p, d):
+    """The level gamma with ``skewed_tail(gamma, d)`` = p, by a root search
+    on log p around g(Phi_bar^-1(p))."""
+    g = skewed(tail_quantile(p))
+    return optimize.brentq(
+        lambda gamma: math.log(skewed_tail(gamma, d)) - math.log(p),
+        g - 5.0, g + 20.0, xtol=1e-13)
 
 
 def truncated_mean(a, b):

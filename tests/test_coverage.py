@@ -52,6 +52,19 @@ CELLS = {
         dict(task="strata", model="builtin:linear", dim=10, strata=10,
              gamma=math.sqrt(10) * oracles.tail_quantile("1e-8")),
         "report", "estimate", 1e-8),
+    # nonlinear at d > 1: gamma from the quadrature of oracles.skewed_tail
+    "skewed-d3-prob-1e-6": (
+        dict(task="prob", model="builtin:skewed", dim=3,
+             gamma=oracles.skewed_gamma(1e-6, 3)),
+        "report", "estimate", 1e-6),
+    "skewed-d10-prob-1e-6": (
+        dict(task="prob", model="builtin:skewed", dim=10,
+             gamma=oracles.skewed_gamma(1e-6, 10)),
+        "report", "estimate", 1e-6),
+    "skewed-d10-prob-1e-10": (
+        dict(task="prob", model="builtin:skewed", dim=10,
+             gamma=oracles.skewed_gamma(1e-10, 10)),
+        "report", "estimate", 1e-10),
 }
 
 

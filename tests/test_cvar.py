@@ -4,6 +4,7 @@ import pytest
 import oracles
 from tailshift import (DomainError, ModelSpec, NoSurvivors, RngStream,
                        TailSample, draw_tail_sample, estimate_cvar)
+from tailshift.multilevel import report_from_sample
 
 
 def toy_sample(m, seed, gamma=1.5, theta=0.0):
@@ -61,6 +62,19 @@ class TestSelfNormalized:
 
     def test_zero_hits(self):
         sample = toy_sample(100, seed=5, gamma=10.0)
+        with pytest.raises(NoSurvivors):
+            estimate_cvar(sample)
+
+    def test_hits_whose_weights_underflow_are_no_survivors(self):
+        # 498 rows reach gamma = 40, each with a log weight at most -800,
+        # whose exp is 0: no weighted survivor, as report_from_sample's
+        # zero_hits reads the same sample
+        sample = draw_tail_sample(ModelSpec.identity(1), 40.0,
+                                  np.array([40.0]), 1000, RngStream(1, 500))
+        hits = sample.responses >= sample.gamma
+        assert hits.sum() == 498
+        assert sample.log_weights[hits].max() <= -800.0
+        assert report_from_sample(sample).zero_hits
         with pytest.raises(NoSurvivors):
             estimate_cvar(sample)
 

@@ -125,7 +125,8 @@ def reference_quantile(model, p, rng, precision=0.10, budget=1_000_000):
         slope = _slope_at(responses[order], weights[order], level, estimate)
         half = z * se_p / slope
         quantile = float(oriented_response(model, level))
-        n_mc = estimate * (1.0 - estimate) * (z / (slope * half)) ** 2
+        # plain MC's runs for the same probability interval
+        n_mc = z * z * max(1.0 - estimate, 0.0) / (estimate * rel_p * rel_p)
         report = QuantileReport(
             quantile=quantile, rel_half_width=half / max(abs(quantile), 1e-300),
             p=p, runs_exploration=exploration, runs_final=runs,

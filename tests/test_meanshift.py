@@ -204,6 +204,18 @@ class TestSolver:
         with pytest.raises(NotConverged, match="within 1 Newton iteration"):
             solve_optimal_shift(batch, max_iter=1, tol=1e-14)
 
+    def test_convergence_on_the_last_allowed_iteration_returns(self):
+        # this batch converges in 3 iterations: a cap of 3 returns the same
+        # solve as the default, a cap of 2 raises
+        batch = make_batch(9, n=500, gamma=1.2)
+        sol = solve_optimal_shift(batch)
+        assert sol.newton_iterations == 3
+        capped = solve_optimal_shift(batch, max_iter=3)
+        assert capped.newton_iterations == 3
+        assert capped.theta.tobytes() == sol.theta.tobytes()
+        with pytest.raises(NotConverged, match="within 2 Newton iterations"):
+            solve_optimal_shift(batch, max_iter=2)
+
     def test_no_survivors(self):
         batch = make_batch(11, gamma=50.0)
         with pytest.raises(NoSurvivors):

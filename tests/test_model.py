@@ -1,9 +1,11 @@
+import math
 import os
 import stat
 import sys
 import textwrap
 import threading
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -110,6 +112,37 @@ class TestAnalyticOracle:
         assert analytic_tail_prob(ModelSpec.linear_family(d), gamma) == want
         left = ModelSpec.linear_family(d, tail="left")
         assert analytic_tail_prob(left, -gamma) == want
+
+
+def mpmath_skewed_tail(gamma, d):
+    """``oracles.skewed_tail`` as an mpmath quadrature at 40 digits, each
+    root of g refined by ``mp.findroot``; the chi^2_(d-1) density beyond
+    d - 1 + 2000 holds less than 1e-400 and is left out."""
+    k = d - 1
+    half = mp.mpf(k) / 2
+    norm = 2 ** half * mp.gamma(half)
+
+    def integrand(q):
+        y = gamma - mp.mpf("0.05") * (q - k)
+        x = mp.findroot(lambda x: x + x * x / 4 + x ** 3 / 10 - y,
+                        oracles.skewed_root(float(y)))
+        return mp.ncdf(-x) * q ** (half - 1) * mp.exp(-q / 2) / norm
+    return float(mp.quad(integrand, [0, k, k + 2000]))
+
+
+@pytest.mark.parametrize("d", [3, 10])
+def test_skewed_tail_oracle_two_ways(d):
+    # the coverage cells' truth for skewed(d), which the library has no
+    # oracle for: an mpmath quadrature at p = 1e-6, and 2,000,000 plain
+    # MC draws of the model at p = 1e-2 within 3 standard errors
+    gamma = oracles.skewed_gamma(1e-6, d)
+    assert oracles.skewed_tail(gamma, d) == pytest.approx(
+        mpmath_skewed_tail(gamma, d), rel=1e-13)
+    gamma, p, n = oracles.skewed_gamma(1e-2, d), 1e-2, 2_000_000
+    model, gen = ModelSpec.skewed(d), np.random.default_rng(d)
+    hits = sum(int((response_values(model, gen.standard_normal(
+        (n // 10, d))) >= gamma).sum()) for _ in range(10))
+    assert abs(hits / n - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
 ECHO_FIRST = """\
